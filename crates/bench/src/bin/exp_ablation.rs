@@ -37,13 +37,13 @@ fn mean_best(make: impl Fn() -> Box<BayesOpt>, job_seed: u64) -> f64 {
     let job = Pagerank::new().job(DataScale::Small);
     let mut total = 0.0;
     for rep in 0..REPEATS {
-        let mut obj = DiscObjective::new(
+        let obj = DiscObjective::new(
             ClusterSpec::table1_testbed(),
             job.clone(),
             &SimEnvironment::dedicated(job_seed + rep),
         );
         let mut session = TuningSession::with_tuner(make(), 100 + rep);
-        total += session.run(&mut obj, BUDGET).best_runtime_s();
+        total += session.run(&obj, BUDGET).best_runtime_s();
     }
     total / REPEATS as f64
 }
@@ -139,13 +139,13 @@ fn main() {
         for kind in [TunerKind::Ernest, TunerKind::BayesOpt] {
             let mut total = 0.0;
             for rep in 0..REPEATS {
-                let mut obj = CloudObjective::new(
+                let obj = CloudObjective::new(
                     job.clone(),
                     SeamlessTuner::house_default(),
                     &SimEnvironment::dedicated(70 + rep),
                 );
                 let mut session = TuningSession::new(kind, 200 + rep);
-                total += session.run(&mut obj, 14).best_runtime_s();
+                total += session.run(&obj, 14).best_runtime_s();
             }
             per_kind.push(total / REPEATS as f64);
             json.push(AblationRow {

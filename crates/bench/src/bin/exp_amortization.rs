@@ -39,9 +39,8 @@ fn main() {
     let job = Pagerank::new().job(DataScale::Ds1);
 
     // Baseline: the provider's house default.
-    let mut base_obj =
-        DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(50));
-    let baseline = base_obj.evaluate(&SeamlessTuner::house_default());
+    let base_obj = DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(50));
+    let baseline = base_obj.evaluate(&SeamlessTuner::house_default(), 50);
     println!(
         "baseline (house default): {:.1}s, ${:.3} per run\n",
         baseline.runtime_s, baseline.cost_usd
@@ -59,10 +58,9 @@ fn main() {
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for (kind, budget) in plans {
-        let mut obj =
-            DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(51));
+        let obj = DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(51));
         let mut session = TuningSession::new(kind, 4321);
-        let outcome = session.run(&mut obj, budget);
+        let outcome = session.run(&obj, budget);
         let tuned_cost = outcome
             .best
             .as_ref()

@@ -51,13 +51,13 @@ fn main() {
         for kind in TunerKind::all() {
             let mut mean_curve = vec![0.0f64; BUDGET];
             for rep in 0..REPEATS {
-                let mut obj = DiscObjective::new(
+                let obj = DiscObjective::new(
                     cluster.clone(),
                     job.clone(),
                     &SimEnvironment::dedicated(1000 + rep),
                 );
                 let mut session = TuningSession::new(kind, 777 + rep);
-                let outcome = session.run(&mut obj, BUDGET);
+                let outcome = session.run(&obj, BUDGET);
                 for (i, b) in best_so_far(&outcome.history).iter().enumerate() {
                     mean_curve[i] += b / REPEATS as f64;
                 }
@@ -73,10 +73,9 @@ fn main() {
         let target = global_best * 1.10;
 
         // Reference: default-configuration runtime (for "2x default").
-        let mut obj =
-            DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(5));
+        let obj = DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(5));
         let dflt = obj
-            .evaluate(&confspace::spark::spark_space().default_configuration())
+            .evaluate(&confspace::spark::spark_space().default_configuration(), 5)
             .runtime_s;
 
         let mut rows = Vec::new();

@@ -46,36 +46,35 @@ fn main() {
             let env = SimEnvironment::dedicated(70 + rep);
             let (best_runtime, best_cost) = match mode {
                 "disc-only" => {
-                    let mut obj =
-                        DiscObjective::new(ClusterSpec::table1_testbed(), job.clone(), &env);
+                    let obj = DiscObjective::new(ClusterSpec::table1_testbed(), job.clone(), &env);
                     let mut s = TuningSession::new(TunerKind::BayesOpt, 71 + rep);
-                    let o = s.run(&mut obj, TOTAL_BUDGET);
+                    let o = s.run(&obj, TOTAL_BUDGET);
                     (
                         o.best_runtime_s(),
                         o.best.as_ref().map_or(0.0, |b| b.cost_usd),
                     )
                 }
                 "staged" => {
-                    let mut cloud =
+                    let cloud =
                         CloudObjective::new(job.clone(), SeamlessTuner::house_default(), &env);
                     let mut s1 = TuningSession::new(TunerKind::BayesOpt, 72 + rep);
-                    let o1 = s1.run(&mut cloud, TOTAL_BUDGET / 3);
+                    let o1 = s1.run(&cloud, TOTAL_BUDGET / 3);
                     let cluster = o1
                         .best_config()
                         .and_then(|c| ClusterSpec::from_config(c).ok())
                         .unwrap_or_else(ClusterSpec::table1_testbed);
-                    let mut disc = DiscObjective::new(cluster, job.clone(), &env);
+                    let disc = DiscObjective::new(cluster, job.clone(), &env);
                     let mut s2 = TuningSession::new(TunerKind::BayesOpt, 73 + rep);
-                    let o2 = s2.run(&mut disc, TOTAL_BUDGET - TOTAL_BUDGET / 3);
+                    let o2 = s2.run(&disc, TOTAL_BUDGET - TOTAL_BUDGET / 3);
                     (
                         o2.best_runtime_s(),
                         o2.best.as_ref().map_or(0.0, |b| b.cost_usd),
                     )
                 }
                 _ => {
-                    let mut obj = JointObjective::new(job.clone(), &env);
+                    let obj = JointObjective::new(job.clone(), &env);
                     let mut s = TuningSession::new(TunerKind::BayesOpt, 74 + rep);
-                    let o = s.run(&mut obj, TOTAL_BUDGET);
+                    let o = s.run(&obj, TOTAL_BUDGET);
                     (
                         o.best_runtime_s(),
                         o.best.as_ref().map_or(0.0, |b| b.cost_usd),

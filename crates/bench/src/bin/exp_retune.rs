@@ -19,7 +19,9 @@
 
 use bench::{print_table, write_json};
 use seamless_core::retune::{RetuneMonitor, RetunePolicy};
-use seamless_core::{DiscObjective, Objective, Observation, SeamlessTuner, SimEnvironment};
+use seamless_core::{
+    trial_seed, DiscObjective, Objective, Observation, SeamlessTuner, SimEnvironment,
+};
 use serde::Serialize;
 use simcluster::ClusterSpec;
 use workloads::{DataScale, Pagerank, Workload};
@@ -51,7 +53,7 @@ fn stream(scenario: &str, seed: u64) -> Vec<Observation> {
         if scenario == "growth" && i == RUNS_BEFORE {
             obj.set_job(Pagerank::new().job(DataScale::Ds1));
         }
-        let mut obs = obj.evaluate(&cfg);
+        let mut obs = obj.evaluate(&cfg, trial_seed(seed, i as u64));
         if scenario == "spike" && i == RUNS_BEFORE {
             // A one-run co-location burst: +35% runtime, then reverts.
             obs.runtime_s *= 1.35;

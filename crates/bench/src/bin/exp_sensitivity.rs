@@ -38,13 +38,13 @@ fn main() {
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for w in all_workloads() {
-        let mut objective = DiscObjective::new(
+        let objective = DiscObjective::new(
             cluster.clone(),
             w.job(DataScale::Small),
             &SimEnvironment::dedicated(7),
         );
         let mut session = TuningSession::new(TunerKind::Lhs, 7);
-        let history = session.run(&mut objective, 60).history;
+        let history = session.run(&objective, 60).history;
 
         let additive = additive_effects(&space, &history);
         let mut rng = StdRng::seed_from_u64(11);

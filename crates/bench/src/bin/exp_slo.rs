@@ -95,11 +95,10 @@ fn main() {
             .take(10)
             .map(|(_, c)| refined(&job, c))
             .fold(f64::INFINITY, f64::min);
-        let mut obj =
-            DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(61));
+        let obj = DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(61));
         let mut session = TuningSession::new(TunerKind::BayesOpt, 616);
         let bo_best = session
-            .run(&mut obj, 60)
+            .run(&obj, 60)
             .best_config()
             .map(|c| refined(&job, c))
             .unwrap_or(f64::INFINITY);
@@ -128,14 +127,14 @@ fn main() {
     for rep in 0..MODE_SEEDS {
         for (w, &opt) in variant_suite().iter().zip(&optima) {
             let job = w.job(DataScale::Small);
-            let mut obj = DiscObjective::new(
+            let obj = DiscObjective::new(
                 cluster.clone(),
                 job.clone(),
                 &SimEnvironment::dedicated(620 + rep),
             );
             let mut session = TuningSession::new(TunerKind::BayesOpt, 6260 + rep);
             let best = session
-                .run(&mut obj, ISOLATED_BUDGET)
+                .run(&obj, ISOLATED_BUDGET)
                 .best_config()
                 .map(|c| refined(&job, c))
                 .unwrap_or(f64::INFINITY);

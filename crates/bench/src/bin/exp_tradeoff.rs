@@ -100,9 +100,9 @@ fn main() {
     let mut json_goals = Vec::new();
     for goal in goals {
         let inner = CloudObjective::new(job.clone(), disc.clone(), &SimEnvironment::dedicated(9));
-        let mut obj = GoalObjective::new(inner, goal);
+        let obj = GoalObjective::new(inner, goal);
         let mut session = TuningSession::new(TunerKind::BayesOpt, 33);
-        let outcome = session.run(&mut obj, 20);
+        let outcome = session.run(&obj, 20);
         let best_cfg = outcome.best_config().cloned();
         let (cluster_name, runtime, cost) = match best_cfg {
             Some(cfg) => {

@@ -30,33 +30,33 @@ struct TransferRow {
 
 /// Tunes the donor and returns its history as donated observations.
 fn donor_history(seed: u64) -> Vec<Observation> {
-    let mut obj = DiscObjective::new(
+    let obj = DiscObjective::new(
         ClusterSpec::table1_testbed(),
         Pagerank::with_iterations(4).job(DataScale::Small),
         &SimEnvironment::dedicated(seed),
     );
     let mut session = TuningSession::new(TunerKind::BayesOpt, seed);
-    session.run(&mut obj, 30).history
+    session.run(&obj, 30).history
 }
 
 /// A "donation" from a totally different workload (scan-bound, whose
 /// optimum prefers small memory / high parallelism trade-offs that
 /// mislead a cache-bound iterative job).
 fn dissimilar_history(seed: u64) -> Vec<Observation> {
-    let mut obj = DiscObjective::new(
+    let obj = DiscObjective::new(
         ClusterSpec::table1_testbed(),
         Wordcount::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(seed),
     );
     let mut session = TuningSession::new(TunerKind::BayesOpt, seed);
-    session.run(&mut obj, 30).history
+    session.run(&obj, 30).history
 }
 
 fn mean_curve(settings: &str, donor: Option<Vec<Observation>>) -> Vec<f64> {
     let _ = settings;
     let mut mean = vec![0.0f64; BUDGET];
     for rep in 0..REPEATS {
-        let mut obj = DiscObjective::new(
+        let obj = DiscObjective::new(
             ClusterSpec::table1_testbed(),
             Pagerank::new().job(DataScale::Small),
             &SimEnvironment::dedicated(900 + rep),
@@ -68,7 +68,7 @@ fn mean_curve(settings: &str, donor: Option<Vec<Observation>>) -> Vec<f64> {
                 40 + rep,
             ),
         };
-        let outcome = session.run(&mut obj, BUDGET);
+        let outcome = session.run(&obj, BUDGET);
         for (i, b) in best_so_far(&outcome.history).iter().enumerate() {
             mean[i] += b / REPEATS as f64;
         }

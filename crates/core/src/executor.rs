@@ -4,8 +4,10 @@
 //! provider amortizes tuning across tenants, and production tuners
 //! overlap trial evaluations instead of running them strictly one at a
 //! time. [`TrialExecutor`] evaluates a batch of proposed configurations
-//! over the `models::par` fork/join pool against a [`BatchObjective`]
-//! (the `Sync` evaluation path of [`crate::Objective`]).
+//! over the `models::par` fork/join pool against an [`Objective`], whose
+//! `evaluate(&self, config, trial_seed)` is safe to call from any
+//! worker. Every tuning session runs on it; a batch of one is simply the
+//! smallest round.
 //!
 //! Determinism contract: each trial's outcome is a pure function of
 //! `(config, trial_seed)`, and the trial seed depends only on the
@@ -20,9 +22,9 @@
 //! exponential backoff and deterministic jitter, [`TrialOutcome`]
 //! reports `Ok`/`Failed`/`TimedOut` instead of panic-or-value, and
 //! configurations that keep failing land on a quarantine list so later
-//! rounds stop burning budget on them. With the default policy and a
-//! no-op [`FaultInjector`], the resilient path is bitwise identical to
-//! plain execution — attempt 0 uses exactly [`trial_seed`].
+//! rounds stop burning budget on them. Without injected faults a
+//! healthy objective never retries, and attempt 0 uses exactly
+//! [`trial_seed`].
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,7 +34,7 @@ use serde::{Deserialize, Serialize};
 use simcluster::FailureKind;
 
 use crate::faults::{unit_draw, FaultInjector, FaultKind};
-use crate::objective::{BatchObjective, Observation, FAILURE_PENALTY_S};
+use crate::objective::{Objective, Observation, FAILURE_PENALTY_S};
 
 /// Derives a well-mixed per-trial seed from the executor base seed and
 /// the global trial index (SplitMix64 finalizer — consecutive indices
@@ -45,8 +47,8 @@ pub fn trial_seed(base_seed: u64, trial_index: u64) -> u64 {
 }
 
 /// Seed for retry `attempt` of the trial at `trial_index`. Attempt 0 is
-/// exactly [`trial_seed`] — so a resilient executor that never needs to
-/// retry is bitwise identical to the plain one — while later attempts
+/// exactly [`trial_seed`] — so a trial that never needs a retry sees the
+/// same randomness whatever the retry policy — while later attempts
 /// re-mix through the same finalizer so a retried trial sees a fresh,
 /// reproducible randomness stream.
 pub fn attempt_seed(base_seed: u64, trial_index: u64, attempt: u32) -> u64 {
@@ -315,7 +317,7 @@ fn quarantine_key(config: &Configuration) -> String {
 /// schedule, injecting faults from `injector`, catching panics and
 /// rejecting poisoned observations. Pure in `(config, base_seed,
 /// trial_index, policy, injector)` — safe to run on any worker thread.
-fn execute_trial<O: BatchObjective + ?Sized>(
+fn execute_trial<O: Objective + ?Sized>(
     objective: &O,
     policy: &RetryPolicy,
     injector: &FaultInjector,
@@ -347,7 +349,7 @@ fn execute_trial<O: BatchObjective + ?Sized>(
         }
         let seed = attempt_seed(base_seed, trial_index, attempt);
         let mut observation =
-            match catch_unwind(AssertUnwindSafe(|| objective.evaluate_trial(config, seed))) {
+            match catch_unwind(AssertUnwindSafe(|| objective.evaluate(config, seed))) {
                 Ok(obs) => obs,
                 Err(payload) => {
                     let why = payload
@@ -401,7 +403,7 @@ fn execute_trial<O: BatchObjective + ?Sized>(
 
 /// Evaluates batches of configurations concurrently with deterministic
 /// per-trial seeding (outcomes are invariant to batch partitioning) and
-/// optional fault-resilience (retry, deadline, quarantine).
+/// fault-resilience (retry, deadline, quarantine).
 #[derive(Debug, Clone)]
 pub struct TrialExecutor {
     base_seed: u64,
@@ -463,7 +465,7 @@ impl TrialExecutor {
     /// neighbours). Strike counts update once per round — quarantine is
     /// round-granular, so outcomes for *distinct* configurations remain
     /// invariant to batch partitioning.
-    pub fn run_trials<O: BatchObjective + ?Sized>(
+    pub fn run_trials<O: Objective + ?Sized>(
         &mut self,
         objective: &O,
         configs: &[Configuration],
@@ -533,24 +535,6 @@ impl TrialExecutor {
         }
         out
     }
-
-    /// Evaluates `configs` concurrently, returning observations in
-    /// input order. Each trial gets a seed derived from the global
-    /// trial index, so splitting the same configs across differently
-    /// sized batches produces bitwise-identical results. Failed and
-    /// timed-out trials collapse to censored penalty observations; with
-    /// the default policy and no injector every trial succeeds on
-    /// attempt 0 and this is exactly the plain evaluation path.
-    pub fn run_batch<O: BatchObjective + ?Sized>(
-        &mut self,
-        objective: &O,
-        configs: &[Configuration],
-    ) -> Vec<Observation> {
-        self.run_trials(objective, configs)
-            .into_iter()
-            .map(TrialOutcome::into_observation)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -604,24 +588,21 @@ mod tests {
         let configs = sample_configs(&obj, 8, 11);
 
         let mut whole = TrialExecutor::new(99);
-        let all = whole.run_batch(&obj, &configs);
+        let all = whole.run_trials(&obj, &configs);
 
         let mut split = TrialExecutor::new(99);
-        let mut halves = split.run_batch(&obj, &configs[..4]);
-        halves.extend(split.run_batch(&obj, &configs[4..]));
+        let mut halves = split.run_trials(&obj, &configs[..4]);
+        halves.extend(split.run_trials(&obj, &configs[4..]));
 
         assert_eq!(all.len(), 8);
-        for (a, b) in all.iter().zip(&halves) {
-            assert_eq!(a.runtime_s.to_bits(), b.runtime_s.to_bits());
-            assert_eq!(a.cost_usd.to_bits(), b.cost_usd.to_bits());
-        }
+        assert_eq!(all, halves);
     }
 
     #[test]
     fn empty_batch_is_a_noop() {
         let obj = disc_objective(3);
         let mut ex = TrialExecutor::new(1);
-        assert!(ex.run_batch(&obj, &[]).is_empty());
+        assert!(ex.run_trials(&obj, &[]).is_empty());
         assert_eq!(ex.issued(), 0);
     }
 
@@ -706,28 +687,11 @@ mod tests {
         };
         let mut ex = TrialExecutor::new(3)
             .with_resilience(policy, FaultInjector::new(17, FaultPlan::poison(1.0)));
-        let obs = ex.run_batch(&obj, &configs);
-        for o in &obs {
+        for outcome in ex.run_trials(&obj, &configs) {
+            let o = outcome.into_observation();
             assert!(o.runtime_s.is_finite());
             assert!(o.is_censored(), "poisoned trials must be censored");
             assert!(o.metrics.is_none());
-        }
-    }
-
-    #[test]
-    fn resilient_noop_matches_plain_execution_bitwise() {
-        let obj = disc_objective(12);
-        let configs = sample_configs(&obj, 8, 51);
-        let mut plain = TrialExecutor::new(42);
-        let a = plain.run_batch(&obj, &configs);
-        let mut resilient =
-            TrialExecutor::new(42).with_resilience(RetryPolicy::default(), FaultInjector::none());
-        let b = resilient.run_batch(&obj, &configs);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.runtime_s.to_bits(), y.runtime_s.to_bits());
-            assert_eq!(x.cost_usd.to_bits(), y.cost_usd.to_bits());
-            assert_eq!(x.metrics, y.metrics);
         }
     }
 }

@@ -10,7 +10,7 @@
 use confspace::{Configuration, ParamSpace};
 use serde::{Deserialize, Serialize};
 
-use crate::objective::{BatchObjective, Objective, Observation, FAILURE_PENALTY_S};
+use crate::objective::{Objective, Observation, FAILURE_PENALTY_S};
 
 /// What the end-user asked the service to optimize.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -100,22 +100,14 @@ impl<O: Objective> Objective for GoalObjective<O> {
         self.inner.space()
     }
 
-    fn evaluate(&mut self, config: &Configuration) -> Observation {
-        let mut obs = self.inner.evaluate(config);
+    fn evaluate(&self, config: &Configuration, trial_seed: u64) -> Observation {
+        let mut obs = self.inner.evaluate(config, trial_seed);
         obs.runtime_s = self.goal.score(&obs);
         obs
     }
 
     fn describe(&self) -> String {
         format!("{} [{}]", self.inner.describe(), self.goal.label())
-    }
-}
-
-impl<O: BatchObjective> BatchObjective for GoalObjective<O> {
-    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
-        let mut obs = self.inner.evaluate_trial(config, trial_seed);
-        obs.runtime_s = self.goal.score(&obs);
-        obs
     }
 }
 
@@ -187,9 +179,9 @@ mod tests {
         let tune = |goal: TuningGoal| -> ClusterSpec {
             let inner =
                 CloudObjective::new(job.clone(), disc.clone(), &SimEnvironment::dedicated(9));
-            let mut obj = GoalObjective::new(inner, goal);
+            let obj = GoalObjective::new(inner, goal);
             let mut session = TuningSession::new(TunerKind::BayesOpt, 21);
-            let outcome = session.run(&mut obj, 18);
+            let outcome = session.run(&obj, 18);
             ClusterSpec::from_config(outcome.best_config().expect("found a config"))
                 .expect("valid cloud config")
         };

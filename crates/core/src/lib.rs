@@ -46,13 +46,15 @@ pub mod tuner;
 pub mod whatif;
 
 pub use characterize::WorkloadSignature;
-pub use executor::{DegradationReport, RetryPolicy, TrialError, TrialExecutor, TrialOutcome};
+pub use executor::{
+    trial_seed, DegradationReport, RetryPolicy, TrialError, TrialExecutor, TrialOutcome,
+};
 pub use faults::{FaultInjector, FaultKind, FaultPlan};
 pub use goal::{GoalObjective, TuningGoal};
 pub use history::{ExecutionRecord, HistoryCursor, HistoryStore, RecordOutcome};
 pub use objective::{
-    BatchObjective, CloudObjective, DiscObjective, JointObjective, Objective, Observation,
-    SimEnvironment, FAILURE_PENALTY_S,
+    CloudObjective, DiscObjective, JointObjective, Objective, Observation, SimEnvironment,
+    FAILURE_PENALTY_S,
 };
 pub use retune::{RetuneMonitor, RetunePolicy};
 pub use sensitivity::{additive_effects, permutation_importance, SensitivityReport};

@@ -100,12 +100,19 @@ impl Observation {
 }
 
 /// A black-box tuning objective.
-pub trait Objective {
+///
+/// `evaluate` derives all of a trial's randomness from the explicit
+/// `trial_seed` (see [`crate::executor::trial_seed`]), so a trial's
+/// outcome is a pure function of `(configuration, trial_seed)`: neither
+/// the batch size, the worker count, nor the completion order of its
+/// neighbours can change what it observes, and any trial replays
+/// exactly.
+pub trait Objective: Sync {
     /// The configuration space being tuned.
     fn space(&self) -> &ParamSpace;
 
-    /// Runs one execution under `config` and returns the observation.
-    fn evaluate(&mut self, config: &Configuration) -> Observation;
+    /// Runs one execution under `config`, seeded by `trial_seed` alone.
+    fn evaluate(&self, config: &Configuration, trial_seed: u64) -> Observation;
 
     /// A short description for reports.
     fn describe(&self) -> String {
@@ -113,26 +120,13 @@ pub trait Objective {
     }
 }
 
-/// The thread-safe evaluation path batched trial execution needs: an
-/// objective that can run any number of trials concurrently from `&self`.
-///
-/// Where [`Objective::evaluate`] advances one mutable RNG stream (the
-/// sequential loop's semantics), `evaluate_trial` derives all of a
-/// trial's randomness from the explicit `trial_seed` — so a trial's
-/// outcome is a pure function of `(configuration, trial_seed)` and
-/// neither the batch size, the worker count, nor the completion order
-/// of its neighbours can change what it observes.
-pub trait BatchObjective: Objective + Sync {
-    /// Runs one execution under `config`, seeded by `trial_seed` alone.
-    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation;
-}
-
 /// The simulated environment shared by the concrete objectives.
 #[derive(Debug, Clone)]
 pub struct SimEnvironment {
     /// Co-location interference model.
     pub interference: InterferenceModel,
-    /// Base RNG seed; every evaluation advances an internal stream.
+    /// Base seed callers derive trial seeds from. Objectives ignore
+    /// it: each evaluation is seeded explicitly.
     pub seed: u64,
 }
 
@@ -162,7 +156,6 @@ pub struct DiscObjective {
     job: JobSpec,
     space: ParamSpace,
     sim: Simulator,
-    rng: StdRng,
     evaluations: AtomicU64,
 }
 
@@ -174,7 +167,6 @@ impl DiscObjective {
             job,
             space: confspace::spark::spark_space(),
             sim: Simulator::with_interference(env.interference),
-            rng: StdRng::seed_from_u64(env.seed),
             evaluations: AtomicU64::new(0),
         }
     }
@@ -189,8 +181,7 @@ impl DiscObjective {
         &self.cluster
     }
 
-    /// Replaces the job (e.g. when input size evolves) without
-    /// resetting the RNG stream.
+    /// Replaces the job (e.g. when input size evolves).
     pub fn set_job(&mut self, job: JobSpec) {
         self.job = job;
     }
@@ -202,13 +193,13 @@ impl DiscObjective {
 }
 
 /// Runs one simulation, translating failures into penalty observations.
-pub(crate) fn observe(
+fn observe(
     sim: &Simulator,
     cluster: &ClusterSpec,
     config: &Configuration,
     disc_config: &Configuration,
     job: &JobSpec,
-    rng: &mut StdRng,
+    trial_seed: u64,
 ) -> Observation {
     let env = match SparkEnv::resolve(cluster, disc_config) {
         Ok(env) => env,
@@ -222,7 +213,7 @@ pub(crate) fn observe(
             }
         }
     };
-    match sim.run(&env, job, rng) {
+    match sim.run(&env, job, &mut StdRng::seed_from_u64(trial_seed)) {
         Ok(result) => Observation {
             config: config.clone(),
             runtime_s: result.runtime_s,
@@ -240,12 +231,35 @@ pub(crate) fn observe(
     }
 }
 
+/// Provisions the cluster a cloud-layer `config` denotes and runs
+/// [`observe`] on it; an unknown instance type is a launch failure.
+fn observe_provisioned(
+    sim: &Simulator,
+    config: &Configuration,
+    disc_config: &Configuration,
+    job: &JobSpec,
+    trial_seed: u64,
+) -> Observation {
+    match ClusterSpec::from_config(config) {
+        Ok(cluster) => observe(sim, &cluster, config, disc_config, job, trial_seed),
+        Err(_) => Observation {
+            config: config.clone(),
+            runtime_s: FAILURE_PENALTY_S,
+            cost_usd: 0.0,
+            metrics: None,
+            failure: Some(FailureKind::LaunchFailure {
+                reason: "unknown instance type".to_owned(),
+            }),
+        },
+    }
+}
+
 impl Objective for DiscObjective {
     fn space(&self) -> &ParamSpace {
         &self.space
     }
 
-    fn evaluate(&mut self, config: &Configuration) -> Observation {
+    fn evaluate(&self, config: &Configuration, trial_seed: u64) -> Observation {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         observe(
             &self.sim,
@@ -253,27 +267,12 @@ impl Objective for DiscObjective {
             config,
             config,
             &self.job,
-            &mut self.rng,
+            trial_seed,
         )
     }
 
     fn describe(&self) -> String {
         format!("DISC tuning of {} on {}", self.job.name, self.cluster)
-    }
-}
-
-impl BatchObjective for DiscObjective {
-    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let mut rng = StdRng::seed_from_u64(trial_seed);
-        observe(
-            &self.sim,
-            &self.cluster,
-            config,
-            config,
-            &self.job,
-            &mut rng,
-        )
     }
 }
 
@@ -285,8 +284,6 @@ pub struct CloudObjective {
     disc_config: Configuration,
     space: ParamSpace,
     sim: Simulator,
-    rng: StdRng,
-    evaluations: AtomicU64,
 }
 
 impl CloudObjective {
@@ -297,26 +294,6 @@ impl CloudObjective {
             disc_config,
             space: confspace::cloud::cloud_space(),
             sim: Simulator::with_interference(env.interference),
-            rng: StdRng::seed_from_u64(env.seed.wrapping_add(1)),
-            evaluations: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of evaluations performed so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations.load(Ordering::Relaxed)
-    }
-
-    /// The launch-failure observation for an unresolvable cloud config.
-    fn unknown_instance(config: &Configuration) -> Observation {
-        Observation {
-            config: config.clone(),
-            runtime_s: FAILURE_PENALTY_S,
-            cost_usd: 0.0,
-            metrics: None,
-            failure: Some(FailureKind::LaunchFailure {
-                reason: "unknown instance type".to_owned(),
-            }),
         }
     }
 }
@@ -326,43 +303,12 @@ impl Objective for CloudObjective {
         &self.space
     }
 
-    fn evaluate(&mut self, config: &Configuration) -> Observation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let cluster = match ClusterSpec::from_config(config) {
-            Ok(c) => c,
-            Err(_) => return Self::unknown_instance(config),
-        };
-        observe(
-            &self.sim,
-            &cluster,
-            config,
-            &self.disc_config,
-            &self.job,
-            &mut self.rng,
-        )
+    fn evaluate(&self, config: &Configuration, trial_seed: u64) -> Observation {
+        observe_provisioned(&self.sim, config, &self.disc_config, &self.job, trial_seed)
     }
 
     fn describe(&self) -> String {
         format!("cloud tuning of {}", self.job.name)
-    }
-}
-
-impl BatchObjective for CloudObjective {
-    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let cluster = match ClusterSpec::from_config(config) {
-            Ok(c) => c,
-            Err(_) => return Self::unknown_instance(config),
-        };
-        let mut rng = StdRng::seed_from_u64(trial_seed);
-        observe(
-            &self.sim,
-            &cluster,
-            config,
-            &self.disc_config,
-            &self.job,
-            &mut rng,
-        )
     }
 }
 
@@ -373,8 +319,6 @@ pub struct JointObjective {
     job: JobSpec,
     space: ParamSpace,
     sim: Simulator,
-    rng: StdRng,
-    evaluations: AtomicU64,
 }
 
 impl JointObjective {
@@ -384,26 +328,6 @@ impl JointObjective {
             job,
             space: confspace::cloud::joint_space(),
             sim: Simulator::with_interference(env.interference),
-            rng: StdRng::seed_from_u64(env.seed.wrapping_add(2)),
-            evaluations: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of evaluations performed so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations.load(Ordering::Relaxed)
-    }
-
-    /// The launch-failure observation for an unresolvable joint config.
-    fn unknown_instance(config: &Configuration) -> Observation {
-        Observation {
-            config: config.clone(),
-            runtime_s: FAILURE_PENALTY_S,
-            cost_usd: 0.0,
-            metrics: None,
-            failure: Some(FailureKind::LaunchFailure {
-                reason: "unknown instance type".to_owned(),
-            }),
         }
     }
 }
@@ -413,36 +337,12 @@ impl Objective for JointObjective {
         &self.space
     }
 
-    fn evaluate(&mut self, config: &Configuration) -> Observation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let cluster = match ClusterSpec::from_config(config) {
-            Ok(c) => c,
-            Err(_) => return Self::unknown_instance(config),
-        };
-        observe(
-            &self.sim,
-            &cluster,
-            config,
-            config,
-            &self.job,
-            &mut self.rng,
-        )
+    fn evaluate(&self, config: &Configuration, trial_seed: u64) -> Observation {
+        observe_provisioned(&self.sim, config, config, &self.job, trial_seed)
     }
 
     fn describe(&self) -> String {
         format!("joint cloud+DISC tuning of {}", self.job.name)
-    }
-}
-
-impl BatchObjective for JointObjective {
-    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        let cluster = match ClusterSpec::from_config(config) {
-            Ok(c) => c,
-            Err(_) => return Self::unknown_instance(config),
-        };
-        let mut rng = StdRng::seed_from_u64(trial_seed);
-        observe(&self.sim, &cluster, config, config, &self.job, &mut rng)
     }
 }
 
@@ -457,13 +357,13 @@ mod tests {
 
     #[test]
     fn disc_objective_evaluates_default_config() {
-        let mut obj = DiscObjective::new(
+        let obj = DiscObjective::new(
             ClusterSpec::table1_testbed(),
             tiny_job(),
             &SimEnvironment::dedicated(1),
         );
         let cfg = obj.space().default_configuration();
-        let obs = obj.evaluate(&cfg);
+        let obs = obj.evaluate(&cfg, 0);
         assert!(obs.is_ok(), "{:?}", obs.failure);
         assert!(obs.runtime_s > 0.0 && obs.runtime_s < FAILURE_PENALTY_S);
         assert_eq!(obj.evaluations(), 1);
@@ -471,15 +371,20 @@ mod tests {
 
     #[test]
     fn repeated_evaluations_are_noisy_but_close() {
-        let mut obj = DiscObjective::new(
+        let obj = DiscObjective::new(
             ClusterSpec::table1_testbed(),
             tiny_job(),
             &SimEnvironment::dedicated(2),
         );
         let cfg = obj.space().default_configuration();
-        let a = obj.evaluate(&cfg).runtime_s;
-        let b = obj.evaluate(&cfg).runtime_s;
-        assert_ne!(a, b, "objective should be stochastic");
+        let a = obj.evaluate(&cfg, 1).runtime_s;
+        let b = obj.evaluate(&cfg, 2).runtime_s;
+        assert_ne!(a, b, "objective should be stochastic across seeds");
+        assert_eq!(
+            a,
+            obj.evaluate(&cfg, 1).runtime_s,
+            "and replayable per seed"
+        );
         assert!(
             (a - b).abs() / a < 0.5,
             "noise should be bounded: {a} vs {b}"
@@ -488,7 +393,7 @@ mod tests {
 
     #[test]
     fn launch_failures_are_penalized() {
-        let mut obj = DiscObjective::new(
+        let obj = DiscObjective::new(
             ClusterSpec::new(simcluster::catalog::lookup("m5", "large").unwrap(), 2),
             tiny_job(),
             &SimEnvironment::dedicated(3),
@@ -498,14 +403,14 @@ mod tests {
             .space()
             .default_configuration()
             .with(confspace::spark::names::EXECUTOR_MEMORY_MB, 32768i64);
-        let obs = obj.evaluate(&cfg);
+        let obs = obj.evaluate(&cfg, 0);
         assert!(!obs.is_ok());
         assert_eq!(obs.runtime_s, FAILURE_PENALTY_S);
     }
 
     #[test]
     fn cloud_objective_explores_instances() {
-        let mut obj = CloudObjective::new(
+        let obj = CloudObjective::new(
             tiny_job(),
             confspace::spark::spark_space().default_configuration(),
             &SimEnvironment::dedicated(4),
@@ -516,17 +421,17 @@ mod tests {
             .with(confspace::cloud::names::INSTANCE_FAMILY, "m5")
             .with(confspace::cloud::names::INSTANCE_SIZE, "large")
             .with(confspace::cloud::names::NODE_COUNT, 2i64);
-        let obs = obj.evaluate(&small);
+        let obs = obj.evaluate(&small, 0);
         assert!(obs.is_ok());
         assert!(obs.cost_usd > 0.0);
     }
 
     #[test]
     fn joint_objective_uses_both_layers() {
-        let mut obj = JointObjective::new(tiny_job(), &SimEnvironment::dedicated(5));
+        let obj = JointObjective::new(tiny_job(), &SimEnvironment::dedicated(5));
         assert_eq!(obj.space().len(), 29);
         let cfg = obj.space().default_configuration();
-        let obs = obj.evaluate(&cfg);
+        let obs = obj.evaluate(&cfg, 0);
         assert!(obs.is_ok());
     }
 }

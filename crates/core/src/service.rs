@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use simcluster::{ClusterSpec, JobSpec};
 
 use crate::characterize::WorkloadSignature;
-use crate::executor::RetryPolicy;
+use crate::executor::{trial_seed, RetryPolicy};
 use crate::faults::FaultInjector;
 use crate::history::{ExecutionRecord, HistoryStore, RecordOutcome};
 use crate::objective::{CloudObjective, DiscObjective, Objective, Observation, SimEnvironment};
@@ -51,22 +51,17 @@ pub struct ServiceConfig {
     pub retune_policy: RetunePolicy,
     /// Budget for each automatic re-tuning session.
     pub retune_budget: usize,
-    /// Trials proposed and evaluated per round in each tuning stage.
-    /// 1 (the default) reproduces the strictly sequential
-    /// propose→evaluate loop bitwise; larger values amortize one
-    /// surrogate fit across the whole round and let the
-    /// [`crate::executor::TrialExecutor`] evaluate the round
-    /// concurrently.
+    /// Trials proposed and evaluated per round in each tuning stage
+    /// (default 1). Larger values amortize one surrogate fit across the
+    /// whole round and let the [`crate::executor::TrialExecutor`]
+    /// evaluate the round concurrently.
     pub batch: usize,
-    /// Retry/backoff policy for resilient trial execution. `Some`
-    /// routes every tuning session through the resilient executor path
-    /// (retries, per-trial deadlines, quarantine); `None` keeps the
-    /// plain fast path unless `chaos` is set, in which case
-    /// [`RetryPolicy::default`] applies.
+    /// Retry/backoff policy of the trial executor (retries, per-trial
+    /// deadlines, quarantine). `None` means [`RetryPolicy::default`].
     pub retry: Option<RetryPolicy>,
-    /// Deterministic fault injection for chaos testing. `Some` forces
-    /// resilient execution and perturbs trials with the injector's
-    /// seeded fault stream (reseeded per stage and per tenant).
+    /// Deterministic fault injection for chaos testing: perturbs trials
+    /// with the injector's seeded fault stream (reseeded per stage and
+    /// per tenant). `None` injects nothing.
     pub chaos: Option<FaultInjector>,
 }
 
@@ -88,7 +83,8 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Whether tuning sessions run through the resilient executor path.
+    /// Whether a retry policy or fault injection was configured
+    /// explicitly. Sessions run on the same executor path either way.
     pub fn is_resilient(&self) -> bool {
         self.retry.is_some() || self.chaos.is_some()
     }
@@ -105,6 +101,13 @@ impl ServiceConfig {
         self.chaos
             .map(|inj| inj.reseed(salt))
             .unwrap_or_else(FaultInjector::none)
+    }
+
+    /// `session` with this configuration's retry policy and fault
+    /// injector (reseeded with `salt`).
+    fn apply_resilience(&self, mut session: TuningSession, salt: u64) -> TuningSession {
+        session.with_resilience(self.effective_retry(), self.injector(salt));
+        session
     }
 }
 
@@ -223,16 +226,8 @@ impl SeamlessTuner {
 
         // --- Probe: one run on the house defaults to characterize. ---
         let probe_span = obs::span("probe");
-        let probe_cluster = ClusterSpec::table1_testbed();
-        let mut probe_obj = DiscObjective::new(
-            probe_cluster,
-            job.clone(),
-            &SimEnvironment {
-                seed: self.env.seed ^ seed ^ 0x9e37,
-                ..self.env.clone()
-            },
-        );
-        let probe = probe_obj.evaluate(&Self::house_default());
+        let probe_obj = DiscObjective::new(ClusterSpec::table1_testbed(), job.clone(), &self.env);
+        let probe = probe_obj.evaluate(&Self::house_default(), self.env.seed ^ seed ^ 0x9e37);
         let signature = probe
             .metrics
             .as_ref()
@@ -242,22 +237,15 @@ impl SeamlessTuner {
 
         // --- Stage 1: cloud configuration. ---
         let stage1_span = obs::span("stage1").with("budget", self.config.stage1_budget);
-        let mut cloud_obj = CloudObjective::new(
-            job.clone(),
-            Self::house_default(),
-            &SimEnvironment {
-                seed: self.env.seed ^ seed ^ 0x51,
-                ..self.env.clone()
-            },
-        );
-        let mut stage1 = TuningSession::new(self.config.tuner, self.env.seed ^ seed ^ 0xA1);
-        if self.config.is_resilient() {
-            stage1.with_resilience(
-                self.config.effective_retry(),
-                self.config.injector(seed ^ 0xFA51),
-            );
-        }
-        let s1 = stage1.run_batched(&mut cloud_obj, self.config.stage1_budget, self.config.batch);
+        let cloud_obj = CloudObjective::new(job.clone(), Self::house_default(), &self.env);
+        let s1 = self
+            .config
+            .apply_resilience(
+                TuningSession::new(self.config.tuner, self.env.seed ^ seed ^ 0xA1),
+                seed ^ 0xFA51,
+            )
+            .with_batch(self.config.batch)
+            .run(&cloud_obj, self.config.stage1_budget);
         let cloud_config = s1
             .best_config()
             .cloned()
@@ -311,15 +299,8 @@ impl SeamlessTuner {
         let stage2_span = obs::span("stage2")
             .with("budget", self.config.stage2_budget)
             .with("transfer", used_transfer);
-        let mut disc_obj = DiscObjective::new(
-            cluster.clone(),
-            job.clone(),
-            &SimEnvironment {
-                seed: self.env.seed ^ seed ^ 0x52,
-                ..self.env.clone()
-            },
-        );
-        let mut stage2 = if used_transfer {
+        let disc_obj = DiscObjective::new(cluster.clone(), job.clone(), &self.env);
+        let stage2 = if used_transfer {
             TuningSession::with_tuner(
                 Box::new(TransferTuner::new(self.config.tuner.build(), donated)),
                 self.env.seed ^ seed ^ 0xB2,
@@ -327,23 +308,17 @@ impl SeamlessTuner {
         } else {
             TuningSession::new(self.config.tuner, seed ^ 0xB2)
         };
-        if self.config.is_resilient() {
-            stage2.with_resilience(
-                self.config.effective_retry(),
-                self.config.injector(seed ^ 0xFA52),
-            );
-        }
-        let mut s2 = stage2.run_batched(
-            &mut disc_obj,
-            self.config.stage2_budget.saturating_sub(1),
-            self.config.batch,
-        );
+        let mut s2 = self
+            .config
+            .apply_resilience(stage2, seed ^ 0xFA52)
+            .with_batch(self.config.batch)
+            .run(&disc_obj, self.config.stage2_budget.saturating_sub(1));
         // The provider's house default is always a candidate: the
         // service never deploys a configuration worse than its own
         // baseline (one evaluation charged to the stage-2 budget).
         let incumbent = {
             let _incumbent = obs::span("incumbent");
-            disc_obj.evaluate(&Self::house_default())
+            disc_obj.evaluate(&Self::house_default(), self.env.seed ^ seed ^ 0x52)
         };
         s2.history.push(incumbent);
         s2.best = crate::tuner::best_observation(&s2.history).cloned();
@@ -418,8 +393,11 @@ impl SeamlessTuner {
         reg.gauge("service.tenants_inflight")
             .set(requests.len() as f64);
         let outcomes = models::par::par_map(requests, |r| {
-            reg.histogram(&format!("service.tenant.{}.tune_s", r.client))
-                .time(|| self.tune(&r.client, &r.workload, &r.job, r.seed))
+            reg.histogram(&obs::labeled(
+                "service.tenant_tune_s",
+                &[("tenant", r.client.as_str())],
+            ))
+            .time(|| self.tune(&r.client, &r.workload, &r.job, r.seed))
         });
         reg.gauge("service.tenants_inflight").set(0.0);
         outcomes
@@ -468,6 +446,7 @@ pub struct ManagedWorkload {
     config: Configuration,
     monitor: RetuneMonitor,
     service: ServiceConfig,
+    env_seed: u64,
     seed: u64,
     /// Completed automatic re-tunings (reason, at-run-index).
     pub retunings: Vec<(RetuneReason, usize)>,
@@ -489,6 +468,7 @@ impl ManagedWorkload {
             config,
             monitor: RetuneMonitor::new(service.retune_policy),
             service,
+            env_seed: env.seed,
             seed,
             retunings: Vec::new(),
             runs: 0,
@@ -511,7 +491,9 @@ impl ManagedWorkload {
     pub fn run_once(&mut self) -> (Observation, usize) {
         self.runs += 1;
         let _run = obs::span("managed_run").with("run", self.runs);
-        let observed = self.objective.evaluate(&self.config);
+        let observed = self
+            .objective
+            .evaluate(&self.config, trial_seed(self.env_seed, self.runs as u64));
         let mut tuning_spent = 0;
         if let Some(reason) = self.monitor.observe(&observed) {
             self.retunings.push((reason, self.runs));
@@ -519,17 +501,13 @@ impl ManagedWorkload {
                 .with("reason", format!("{reason:?}"))
                 .with("run", self.runs);
             obs::registry().counter("service.retunes").inc();
-            let mut session =
-                TuningSession::new(self.service.tuner, self.seed ^ (self.runs as u64) << 8);
-            let outcome = if self.service.is_resilient() {
-                session.with_resilience(
-                    self.service.effective_retry(),
-                    self.service.injector(self.seed ^ 0x4E7),
-                );
-                session.run_batched(&mut self.objective, self.service.retune_budget, 1)
-            } else {
-                session.run(&mut self.objective, self.service.retune_budget)
-            };
+            let outcome = self
+                .service
+                .apply_resilience(
+                    TuningSession::new(self.service.tuner, self.seed ^ (self.runs as u64) << 8),
+                    self.seed ^ 0x4E7,
+                )
+                .run(&self.objective, self.service.retune_budget);
             tuning_spent = outcome.history.len();
             if let Some(best) = outcome.best_config() {
                 // Only adopt the re-tuned configuration if it beats the
@@ -602,9 +580,8 @@ mod tests {
         let job = Pagerank::new().job(DataScale::Tiny);
         let out = svc.tune("carol", "pr", &job, 3);
         // Compare to the house default on the *same* cluster.
-        let mut base_obj =
-            DiscObjective::new(out.cluster.clone(), job, &SimEnvironment::dedicated(99));
-        let base = base_obj.evaluate(&SeamlessTuner::house_default());
+        let base_obj = DiscObjective::new(out.cluster.clone(), job, &SimEnvironment::dedicated(99));
+        let base = base_obj.evaluate(&SeamlessTuner::house_default(), 99);
         assert!(
             out.best_runtime_s <= base.runtime_s * 1.1,
             "tuned {} vs default {}",

@@ -34,9 +34,9 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::executor::{DegradationReport, RetryPolicy, TrialOutcome};
+use crate::executor::{DegradationReport, RetryPolicy, TrialExecutor, TrialOutcome};
 use crate::faults::FaultInjector;
-use crate::objective::{BatchObjective, Objective, Observation};
+use crate::objective::{Objective, Observation};
 
 pub use additive_bo::AdditiveBayesOpt;
 pub use bestconfig::BestConfig;
@@ -50,10 +50,10 @@ pub use random::RandomSearch;
 pub use rl::RlTuner;
 pub use rtree::RegressionTreeTuner;
 
-/// A sequential configuration-tuning strategy.
+/// A configuration-tuning strategy.
 ///
-/// The tuning loop alternates `propose` → `Objective::evaluate`; the
-/// full history (in evaluation order) is passed back on each call, so
+/// The tuning loop alternates `propose_batch` → evaluation; the full
+/// history (in evaluation order) is passed back on each call, so
 /// strategies may be implemented statelessly or keep internal state.
 pub trait Tuner {
     /// The strategy's display name.
@@ -70,13 +70,13 @@ pub trait Tuner {
     /// Proposes `q` configurations to evaluate concurrently.
     ///
     /// With `q == 1` every implementation (including every override)
-    /// must emit exactly what [`Tuner::propose`] would — batch size 1
-    /// is the sequential loop, bit for bit. The default implementation
-    /// for `q > 1` is the *constant liar*: each proposal is committed
-    /// to the visible history as a fake observation at the incumbent
-    /// runtime, so model-based strategies spread the batch instead of
-    /// proposing the same point `q` times. Strategies with a natural
-    /// batch (stratified designs, GA generations, q-EI) override this.
+    /// must emit exactly what [`Tuner::propose`] would, bit for bit.
+    /// The default implementation for `q > 1` is the *constant liar*:
+    /// each proposal is committed to the visible history as a fake
+    /// observation at the incumbent runtime, so model-based strategies
+    /// spread the batch instead of proposing the same point `q` times.
+    /// Strategies with a natural batch (stratified designs, GA
+    /// generations, q-EI) override this.
     fn propose_batch(
         &mut self,
         space: &ParamSpace,
@@ -219,10 +219,11 @@ pub struct TuningOutcome {
     pub history: Vec<Observation>,
     /// The best successful observation, if any run succeeded.
     pub best: Option<Observation>,
-    /// Resilience statistics, present for sessions run with a
-    /// [`RetryPolicy`]/[`FaultInjector`] attached. A session that blew
-    /// its round failure budget still returns here — partial history,
-    /// `degradation.budget_exhausted == true` — instead of erroring.
+    /// Resilience statistics. Every session reports one; it is empty
+    /// ([`DegradationReport::degraded`] is false) when the session ran
+    /// clean. A session that blew its round failure budget still returns
+    /// here — partial history, `budget_exhausted == true` — instead of
+    /// erroring.
     pub degradation: Option<DegradationReport>,
 }
 
@@ -321,15 +322,15 @@ pub fn encode_censored(space: &ParamSpace, history: &[Observation]) -> Vec<Vec<f
 }
 
 /// A tuning session: a strategy plus a seeded RNG, driven against an
-/// objective for a fixed evaluation budget.
+/// objective for a fixed evaluation budget on a [`TrialExecutor`].
 pub struct TuningSession {
     tuner: Box<dyn Tuner>,
     rng: StdRng,
     seed: u64,
     warm: Vec<Observation>,
+    batch: usize,
     policy: RetryPolicy,
     injector: FaultInjector,
-    resilient: bool,
 }
 
 impl TuningSession {
@@ -338,29 +339,34 @@ impl TuningSession {
         Self::with_tuner(kind.build(), seed)
     }
 
-    /// Creates a session around an existing tuner instance.
+    /// Creates a session around an existing tuner instance: batch 1,
+    /// the default [`RetryPolicy`] and no fault injection.
     pub fn with_tuner(tuner: Box<dyn Tuner>, seed: u64) -> Self {
         TuningSession {
             tuner,
             rng: StdRng::seed_from_u64(seed),
             seed,
             warm: Vec::new(),
+            batch: 1,
             policy: RetryPolicy::default(),
             injector: FaultInjector::none(),
-            resilient: false,
         }
     }
 
-    /// Turns on resilient execution: trials run through the retry
-    /// policy (and, in chaos tests, the fault injector), failed trials
-    /// become censored observations, and the outcome carries a
-    /// [`DegradationReport`]. With the default policy and a no-op
-    /// injector, the observations are bitwise identical to plain
-    /// batched execution.
+    /// Sets the trials proposed and evaluated per round. Larger rounds
+    /// amortize one surrogate fit over the whole round and evaluate it
+    /// concurrently; a trial's seed depends only on its global index, so
+    /// the batch size never changes what an individual trial observes.
+    pub fn with_batch(&mut self, batch: usize) -> &mut Self {
+        self.batch = batch.max(1);
+        self
+    }
+
+    /// Sets the executor's retry policy and fault injector. The injector
+    /// exists for chaos tests; production passes [`FaultInjector::none`].
     pub fn with_resilience(&mut self, policy: RetryPolicy, injector: FaultInjector) -> &mut Self {
         self.policy = policy;
         self.injector = injector;
-        self.resilient = true;
         self
     }
 
@@ -372,98 +378,35 @@ impl TuningSession {
         self
     }
 
-    /// Runs `budget` evaluations against `objective`.
-    pub fn run(&mut self, objective: &mut dyn Objective, budget: usize) -> TuningOutcome {
-        let _session = obs::span("tuning_session")
-            .with("tuner", self.tuner.name())
-            .with("budget", budget);
-        let reg = obs::registry();
-        let mut history: Vec<Observation> = Vec::with_capacity(budget);
-        for i in 0..budget {
-            let mut proposal = obs::span("proposal").with("idx", i);
-            let visible: Vec<Observation> =
-                self.warm.iter().chain(history.iter()).cloned().collect();
-            let cfg = {
-                let _propose = obs::span("propose");
-                reg.histogram("tuner.propose_s").time(|| {
-                    self.tuner
-                        .propose(objective.space(), &visible, &mut self.rng)
-                })
-            };
-            let observed = {
-                let _evaluate = obs::span("evaluate");
-                reg.histogram("objective.evaluate_s")
-                    .time(|| objective.evaluate(&cfg))
-            };
-            reg.counter("tuner.evaluations").inc();
-            if observed.failure.is_some() {
-                reg.counter("tuner.failed_evaluations").inc();
-            }
-            proposal.record("runtime_s", observed.runtime_s);
-            proposal.record("ok", observed.is_ok());
-            history.push(observed);
-        }
-        let best = best_observation(&history).cloned();
-        if let Some(b) = &best {
-            obs::instant(
-                "session_best",
-                obs::fields![("tuner", self.tuner.name()), ("runtime_s", b.runtime_s)],
-            );
-        }
-        TuningOutcome {
-            history,
-            best,
-            degradation: None,
-        }
-    }
-
-    /// Runs `budget` evaluations against `objective`, proposing and
-    /// evaluating `batch` trials at a time on a [`TrialExecutor`].
+    /// Runs `budget` evaluations against `objective`, proposing a round
+    /// of trials with [`Tuner::propose_batch`] and evaluating it on a
+    /// [`TrialExecutor`] with deterministic per-trial seeding.
     ///
-    /// For a non-resilient session, `batch == 1` takes the exact
-    /// sequential [`TuningSession::run`] code path — same proposals,
-    /// same observations, bit for bit. For larger batches, proposals
-    /// come from [`Tuner::propose_batch`] and evaluations fan out over
-    /// the executor's worker pool with deterministic per-trial seeding,
-    /// so neither the batch size nor the thread count changes what any
-    /// individual trial observes.
-    ///
-    /// A resilient session ([`TuningSession::with_resilience`]) always
-    /// runs on the executor: failed/timed-out trials enter the history
-    /// as censored observations, quarantined configs stop burning
-    /// budget, and a round whose failures exceed the policy's budget
+    /// Failed and timed-out trials enter the history as censored
+    /// observations, quarantined configurations stop burning budget, and
+    /// a round whose failures exceed the policy's `round_failure_budget`
     /// ends the session early with a partial outcome whose
     /// [`DegradationReport`] says so.
-    ///
-    /// [`TrialExecutor`]: crate::executor::TrialExecutor
-    pub fn run_batched<O: BatchObjective>(
-        &mut self,
-        objective: &mut O,
-        budget: usize,
-        batch: usize,
-    ) -> TuningOutcome {
-        if batch <= 1 && !self.resilient {
-            return self.run(objective, budget);
-        }
+    pub fn run<O: Objective + ?Sized>(&mut self, objective: &O, budget: usize) -> TuningOutcome {
         let _session = obs::span("tuning_session")
             .with("tuner", self.tuner.name())
             .with("budget", budget)
-            .with("batch", batch);
+            .with("batch", self.batch);
         let reg = obs::registry();
-        let mut executor = crate::executor::TrialExecutor::new(self.seed ^ 0xE0E0_7A17)
-            .with_resilience(self.policy, self.injector);
+        let mut executor =
+            TrialExecutor::new(self.seed ^ 0xE0E0_7A17).with_resilience(self.policy, self.injector);
         let mut report = DegradationReport::default();
         let mut history: Vec<Observation> = Vec::with_capacity(budget);
         while history.len() < budget {
-            let q = batch.max(1).min(budget - history.len());
-            let mut round = obs::span("proposal_batch")
+            let q = self.batch.min(budget - history.len());
+            let mut round = obs::span("proposal")
                 .with("idx", history.len())
                 .with("q", q);
             let visible: Vec<Observation> =
                 self.warm.iter().chain(history.iter()).cloned().collect();
             let cfgs = {
-                let _propose = obs::span("propose_batch");
-                reg.histogram("tuner.propose_batch_s").time(|| {
+                let _propose = obs::span("propose");
+                reg.histogram("tuner.propose_s").time(|| {
                     self.tuner
                         .propose_batch(objective.space(), &visible, q, &mut self.rng)
                 })
@@ -471,7 +414,10 @@ impl TuningSession {
             if cfgs.is_empty() {
                 break; // defensive: a strategy with nothing left to propose
             }
-            let outcomes = executor.run_trials(&*objective, &cfgs);
+            let outcomes = {
+                let _evaluate = obs::span("evaluate");
+                executor.run_trials(objective, &cfgs)
+            };
             let round_failures = report.absorb_round(&outcomes);
             let observed: Vec<Observation> = outcomes
                 .into_iter()
@@ -482,9 +428,9 @@ impl TuningSession {
             if failed > 0 {
                 reg.counter("tuner.failed_evaluations").add(failed as u64);
             }
-            round.record("ok", (observed.len() - failed) as f64);
+            round.record("ok", failed == 0);
             history.extend(observed);
-            if self.resilient && round_failures > self.policy.round_failure_budget {
+            if round_failures > self.policy.round_failure_budget {
                 report.budget_exhausted = true;
                 reg.counter("session.budget_exhausted").inc();
                 // The session is about to return a partial outcome;
@@ -505,7 +451,7 @@ impl TuningSession {
         TuningOutcome {
             history,
             best,
-            degradation: self.resilient.then_some(report),
+            degradation: Some(report),
         }
     }
 

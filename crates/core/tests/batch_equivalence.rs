@@ -1,23 +1,26 @@
-//! The batch-execution equivalence contract: batch size 1 must
-//! reproduce the strictly sequential propose→evaluate loop *bitwise*,
-//! for every strategy — batching is a performance feature, never a
-//! behavioural one. Larger batches must stay valid and deterministic,
-//! and the multi-tenant `tune_many` must match sequential `tune` calls
-//! whenever tenants cannot observe each other (transfer disabled).
+//! The batch-execution equivalence contract: `propose_batch` at q = 1
+//! must equal `propose` for every strategy, trial outcomes must not
+//! depend on how rounds are partitioned or on the worker count, larger
+//! batches must stay valid and deterministic, and the multi-tenant
+//! `tune_many` must match sequential `tune` calls whenever tenants
+//! cannot observe each other (transfer disabled). Pinned service
+//! fingerprints guard the executor path against unplanned bitwise
+//! changes.
 
 use std::sync::Arc;
 
 use confspace::{Configuration, ParamDef, ParamSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seamless_core::objective::{BatchObjective, DiscObjective, Objective, SimEnvironment};
+use seamless_core::objective::{DiscObjective, Objective, SimEnvironment};
 use seamless_core::service::TenantRequest;
 use seamless_core::tuner::{TunerKind, TuningSession};
 use seamless_core::{
-    HistoryStore, Observation, SeamlessTuner, ServiceConfig, TrialExecutor, TrialOutcome,
+    FaultInjector, FaultPlan, HistoryStore, Observation, SeamlessTuner, ServiceConfig,
+    TrialExecutor, TrialOutcome,
 };
 use simcluster::ClusterSpec;
-use workloads::{DataScale, Wordcount, Workload};
+use workloads::{DataScale, Pagerank, Wordcount, Workload};
 
 fn synth_space() -> ParamSpace {
     ParamSpace::new()
@@ -106,47 +109,24 @@ fn disc_objective(seed: u64) -> DiscObjective {
 }
 
 #[test]
-fn run_batched_at_batch_1_is_bitwise_identical_to_run() {
-    for kind in TunerKind::all() {
-        let mut seq_session = TuningSession::new(kind, 31);
-        let mut seq_obj = disc_objective(7);
-        let seq = seq_session.run(&mut seq_obj, 6);
-
-        let mut batch_session = TuningSession::new(kind, 31);
-        let mut batch_obj = disc_objective(7);
-        let bat = batch_session.run_batched(&mut batch_obj, 6, 1);
-
-        assert_eq!(
-            seq.history.len(),
-            bat.history.len(),
-            "{}: history length",
-            kind.label()
-        );
-        for (i, (a, b)) in seq.history.iter().zip(&bat.history).enumerate() {
-            assert_eq!(a.config, b.config, "{}: config {i}", kind.label());
-            assert_eq!(
-                a.runtime_s.to_bits(),
-                b.runtime_s.to_bits(),
-                "{}: runtime {i} not bitwise equal",
-                kind.label()
-            );
-            assert_eq!(
-                a.cost_usd.to_bits(),
-                b.cost_usd.to_bits(),
-                "{}: cost {i} not bitwise equal",
-                kind.label()
-            );
-        }
-    }
+fn clean_batch_1_session_reports_an_empty_degradation_report() {
+    let obj = disc_objective(7);
+    let out = TuningSession::new(TunerKind::BayesOpt, 31).run(&obj, 10);
+    let report = out.degradation.expect("every session reports");
+    assert_eq!(report.completed, out.history.len());
+    assert_eq!(out.history.len(), 10);
+    assert!(!report.degraded(), "{report:?}");
+    assert_eq!(report.retries, 0);
 }
 
 #[test]
-fn run_batched_larger_batches_are_deterministic_and_fill_the_budget() {
+fn larger_batches_are_deterministic_and_fill_the_budget() {
     for batch in [2usize, 4, 8] {
         let run = || {
-            let mut session = TuningSession::new(TunerKind::BayesOpt, 43);
-            let mut obj = disc_objective(11);
-            session.run_batched(&mut obj, 12, batch)
+            let obj = disc_objective(11);
+            TuningSession::new(TunerKind::BayesOpt, 43)
+                .with_batch(batch)
+                .run(&obj, 12)
         };
         let a = run();
         let b = run();
@@ -174,13 +154,7 @@ impl Objective for FaultyObjective {
         &self.space
     }
 
-    fn evaluate(&mut self, config: &Configuration) -> Observation {
-        self.evaluate_trial(config, 0)
-    }
-}
-
-impl BatchObjective for FaultyObjective {
-    fn evaluate_trial(&self, config: &Configuration, trial_seed: u64) -> Observation {
+    fn evaluate(&self, config: &Configuration, trial_seed: u64) -> Observation {
         let a = config.int("a");
         assert!(a <= 90, "substrate crash on a > 90");
         Observation {
@@ -310,4 +284,89 @@ fn batched_service_tuning_still_finds_a_working_config() {
     assert!(out.best_runtime_s.is_finite() && out.best_runtime_s > 0.0);
     assert_eq!(out.stage1.history.len(), 4);
     assert_eq!(out.stage2.history.len(), 8);
+}
+
+/// Best-runtime bits plus the chosen cloud and DISC configurations of
+/// two PageRank tenants (the second warm-started from the first) on one
+/// service.
+fn service_fingerprints(config: ServiceConfig) -> Vec<(u64, String, String)> {
+    let svc = SeamlessTuner::new(
+        Arc::new(HistoryStore::new()),
+        SimEnvironment::dedicated(41),
+        config,
+    );
+    [DataScale::Tiny, DataScale::Small]
+        .iter()
+        .enumerate()
+        .map(|(i, scale)| {
+            let job = Pagerank::new().job(*scale);
+            let out = svc.tune(&format!("t{i}"), "pr", &job, 5 + i as u64);
+            assert_eq!(out.used_transfer, i == 1);
+            (
+                out.best_runtime_s.to_bits(),
+                out.cloud_config.to_string(),
+                out.disc_config.to_string(),
+            )
+        })
+        .collect()
+}
+
+/// A batch-4 service tune replays the pinned outcome bit for bit.
+#[test]
+fn batch_4_service_tune_matches_its_pinned_fingerprint() {
+    let got = service_fingerprints(ServiceConfig {
+        stage1_budget: 10,
+        stage2_budget: 14,
+        batch: 4,
+        ..ServiceConfig::default()
+    });
+    let want = [
+        (
+            4623560622410178765,
+            "{cloud.instance.family=i3, cloud.instance.size=large, cloud.node.count=16}",
+            "house default",
+        ),
+        (
+            4626546047062688622,
+            "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
+            "{spark.broadcast.blockSize.mb=50, spark.default.parallelism=243, spark.driver.memory.mb=7168, spark.dynamicAllocation.enabled=false, spark.executor.cores=12, spark.executor.instances=41, spark.executor.memory.mb=24320, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=94, spark.locality.wait.ms=9500, spark.memory.fraction=0.6264720896649636, spark.memory.storageFraction=0.2909815478974599, spark.network.timeout.s=467, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=160, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=928, spark.shuffle.sort.bypassMergeThreshold=823, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.2097860410866292, spark.speculation.quantile=0.6251004799118746, spark.sql.shuffle.partitions=664, spark.storage.level=MEMORY_AND_DISK}",
+        ),
+    ];
+    assert_fingerprints(&got, &want);
+}
+
+/// A batch-1 service tune under the chaos fault mix (retries land in
+/// both stages) replays the pinned outcome bit for bit.
+#[test]
+fn chaos_service_tune_matches_its_pinned_fingerprint() {
+    let got = service_fingerprints(ServiceConfig {
+        stage1_budget: 10,
+        stage2_budget: 14,
+        chaos: Some(FaultInjector::new(7, FaultPlan::chaos())),
+        ..ServiceConfig::default()
+    });
+    let want = [
+        (
+            4623595263535562545,
+            "{cloud.instance.family=i3, cloud.instance.size=large, cloud.node.count=17}",
+            "house default",
+        ),
+        (
+            4626163978277326135,
+            "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
+            "{spark.broadcast.blockSize.mb=71, spark.default.parallelism=432, spark.driver.memory.mb=8192, spark.dynamicAllocation.enabled=false, spark.executor.cores=6, spark.executor.instances=27, spark.executor.memory.mb=17408, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=96, spark.locality.wait.ms=9000, spark.memory.fraction=0.8911419273150993, spark.memory.storageFraction=0.5555683209410196, spark.network.timeout.s=53, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=39, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=656, spark.shuffle.sort.bypassMergeThreshold=764, spark.shuffle.spill.compress=false, spark.speculation=true, spark.speculation.multiplier=1.225837732499041, spark.speculation.quantile=0.6986227500565719, spark.sql.shuffle.partitions=617, spark.storage.level=MEMORY_ONLY}",
+        ),
+    ];
+    assert_fingerprints(&got, &want);
+}
+
+fn assert_fingerprints(got: &[(u64, String, String)], want: &[(u64, &str, &str)]) {
+    let house = SeamlessTuner::house_default().to_string();
+    assert_eq!(got.len(), want.len());
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.0, w.0, "tenant {i}: best runtime bits");
+        assert_eq!(g.1, w.1, "tenant {i}: cloud config");
+        let disc = if w.2 == "house default" { &house } else { w.2 };
+        assert_eq!(g.2, disc, "tenant {i}: DISC config");
+    }
 }

@@ -30,13 +30,14 @@ fn disc_objective(seed: u64) -> DiscObjective {
 }
 
 fn chaos_session(chaos_seed: u64) -> TuningOutcome {
-    let mut session = TuningSession::new(TunerKind::BayesOpt, 19);
-    session.with_resilience(
-        RetryPolicy::default(),
-        FaultInjector::new(chaos_seed, FaultPlan::chaos()),
-    );
-    let mut obj = disc_objective(4);
-    session.run_batched(&mut obj, 20, 4)
+    let obj = disc_objective(4);
+    TuningSession::new(TunerKind::BayesOpt, 19)
+        .with_batch(4)
+        .with_resilience(
+            RetryPolicy::default(),
+            FaultInjector::new(chaos_seed, FaultPlan::chaos()),
+        )
+        .run(&obj, 20)
 }
 
 /// The headline scenario: the default chaos mix (10% errors, 2% hangs,
@@ -53,9 +54,7 @@ fn chaos_session_converges_and_is_deterministic_per_seed() {
     assert!(!best.is_censored(), "the incumbent must be a real run");
     assert!(best.runtime_s.is_finite() && best.runtime_s > 0.0);
 
-    let d = a
-        .degradation
-        .expect("resilient sessions report degradation");
+    let d = a.degradation.expect("every session reports degradation");
     assert_eq!(
         d.completed + d.failed + d.timed_out,
         a.history.len(),
@@ -82,61 +81,20 @@ fn chaos_session_converges_and_is_deterministic_per_seed() {
     assert!(!same_faults, "the chaos seed must drive the fault stream");
 }
 
-/// The zero-fault injector is a bitwise no-op: a resilient session with
-/// the default policy and `FaultInjector::none` replays the plain
-/// batched session exactly — resilience must cost nothing when nothing
-/// fails. (Batch 1 non-resilient takes the sequential `run()` path by
-/// contract, so the comparison is made where both sides run on the
-/// executor; the executor's own batch-1 no-op equivalence is covered in
-/// its unit tests.)
-#[test]
-fn zero_fault_injector_is_bitwise_identical_to_no_injector() {
-    for batch in [2usize, 4] {
-        let mut plain_session = TuningSession::new(TunerKind::BayesOpt, 77);
-        let mut plain_obj = disc_objective(9);
-        let plain = plain_session.run_batched(&mut plain_obj, 12, batch);
-
-        let mut noop_session = TuningSession::new(TunerKind::BayesOpt, 77);
-        noop_session.with_resilience(RetryPolicy::default(), FaultInjector::none());
-        let mut noop_obj = disc_objective(9);
-        let noop = noop_session.run_batched(&mut noop_obj, 12, batch);
-
-        assert_eq!(plain.history.len(), noop.history.len(), "batch {batch}");
-        for (i, (x, y)) in plain.history.iter().zip(&noop.history).enumerate() {
-            assert_eq!(x.config, y.config, "batch {batch}: config {i}");
-            assert_eq!(
-                x.runtime_s.to_bits(),
-                y.runtime_s.to_bits(),
-                "batch {batch}: runtime {i}"
-            );
-            assert_eq!(
-                x.cost_usd.to_bits(),
-                y.cost_usd.to_bits(),
-                "batch {batch}: cost {i}"
-            );
-            assert_eq!(x.metrics, y.metrics, "batch {batch}: metrics {i}");
-        }
-        let d = noop.degradation.expect("still reports (clean) degradation");
-        assert!(!d.degraded(), "no injector, no degradation");
-        assert_eq!(d.retries, 0);
-    }
-}
-
 /// A 10%-and-up failure rate with retries disabled floods the session
 /// with censored observations; it must still converge to a real
 /// incumbent and report the damage honestly.
 #[test]
 fn failures_without_retries_still_converge_with_degradation_report() {
     let mut session = TuningSession::new(TunerKind::BayesOpt, 5);
-    session.with_resilience(
+    session.with_batch(4).with_resilience(
         RetryPolicy {
             max_attempts: 1, // no retries: every injected error is terminal
             ..RetryPolicy::default()
         },
         FaultInjector::new(99, FaultPlan::errors(0.25)),
     );
-    let mut obj = disc_objective(13);
-    let out = session.run_batched(&mut obj, 24, 4);
+    let out = session.run(&disc_objective(13), 24);
 
     let d = out.degradation.expect("degradation report");
     assert!(d.failed > 0, "the fault stream must have landed: {d:?}");
@@ -160,15 +118,14 @@ fn permanent_straggler_is_quarantined_and_session_survives() {
         ..FaultPlan::none()
     };
     let mut session = TuningSession::new(TunerKind::Random, 7);
-    session.with_resilience(
+    session.with_batch(4).with_resilience(
         RetryPolicy {
             quarantine_after: 1,
             ..RetryPolicy::default()
         },
         FaultInjector::new(2, plan),
     );
-    let mut obj = disc_objective(21);
-    let out = session.run_batched(&mut obj, 12, 4);
+    let out = session.run(&disc_objective(21), 12);
 
     let d = out.degradation.expect("degradation report");
     assert_eq!(d.timed_out, 1, "exactly trial #3 hangs: {d:?}");
@@ -187,7 +144,7 @@ fn permanent_straggler_is_quarantined_and_session_survives() {
 #[test]
 fn exhausted_failure_budget_returns_partial_outcome() {
     let mut session = TuningSession::new(TunerKind::Random, 3);
-    session.with_resilience(
+    session.with_batch(8).with_resilience(
         RetryPolicy {
             max_attempts: 1,
             round_failure_budget: 1, // >1 failures per round aborts
@@ -195,8 +152,7 @@ fn exhausted_failure_budget_returns_partial_outcome() {
         },
         FaultInjector::new(8, FaultPlan::errors(1.0)), // everything fails
     );
-    let mut obj = disc_objective(17);
-    let out = session.run_batched(&mut obj, 40, 8);
+    let out = session.run(&disc_objective(17), 40);
 
     let d = out.degradation.expect("degradation report");
     assert!(d.budget_exhausted, "session must stop early: {d:?}");

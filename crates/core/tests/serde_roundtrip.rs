@@ -12,12 +12,12 @@ use simcluster::ClusterSpec;
 use workloads::{DataScale, Wordcount, Workload};
 
 fn small_outcome() -> TuningOutcome {
-    let mut obj = DiscObjective::new(
+    let obj = DiscObjective::new(
         ClusterSpec::table1_testbed(),
         Wordcount::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(3),
     );
-    TuningSession::new(TunerKind::Random, 5).run(&mut obj, 3)
+    TuningSession::new(TunerKind::Random, 5).run(&obj, 3)
 }
 
 #[test]
@@ -105,21 +105,21 @@ fn legacy_service_config_without_resilience_fields_still_parses() {
 
 #[test]
 fn degraded_tuning_outcome_round_trips_through_json() {
-    let mut obj = DiscObjective::new(
+    let obj = DiscObjective::new(
         ClusterSpec::table1_testbed(),
         Wordcount::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(3),
     );
     let mut session = TuningSession::new(TunerKind::Random, 5);
-    session.with_resilience(
+    session.with_batch(4).with_resilience(
         RetryPolicy {
             max_attempts: 1,
             ..RetryPolicy::default()
         },
         FaultInjector::new(7, FaultPlan::errors(0.4)),
     );
-    let out = session.run_batched(&mut obj, 8, 4);
-    assert!(out.degradation.is_some());
+    let out = session.run(&obj, 8);
+    assert!(out.is_degraded());
 
     let json = serde_json::to_string(&out).expect("serializes");
     let back: TuningOutcome = serde_json::from_str(&json).expect("parses");

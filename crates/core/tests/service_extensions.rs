@@ -52,9 +52,9 @@ fn goal_objective_preserves_true_cost_for_reporting() {
         SeamlessTuner::house_default(),
         &SimEnvironment::dedicated(43),
     );
-    let mut obj = GoalObjective::new(inner, TuningGoal::MinCost);
+    let obj = GoalObjective::new(inner, TuningGoal::MinCost);
     let cfg = obj.space().default_configuration();
-    let obs = obj.evaluate(&cfg);
+    let obs = obj.evaluate(&cfg, 43);
     // The score lives in runtime_s; the true runtime stays in metrics.
     let metrics = obs.metrics.expect("successful run");
     assert!(metrics.runtime_s > 0.0);
@@ -70,9 +70,9 @@ fn deadline_goal_finds_a_cluster_meeting_the_deadline() {
         SeamlessTuner::house_default(),
         &SimEnvironment::dedicated(44),
     );
-    let mut obj = GoalObjective::new(inner, TuningGoal::Deadline { seconds: deadline });
+    let obj = GoalObjective::new(inner, TuningGoal::Deadline { seconds: deadline });
     let mut session = TuningSession::new(TunerKind::BayesOpt, 45);
-    let outcome = session.run(&mut obj, 18);
+    let outcome = session.run(&obj, 18);
     let best = outcome.best.expect("a feasible cluster exists");
     let true_runtime = best.metrics.expect("successful run").runtime_s;
     assert!(

@@ -119,6 +119,18 @@ fn scrape_during_tune_many_shows_per_tenant_slo() {
         );
     }
     assert!(body.contains("# TYPE slo_within_10pct_ratio gauge"));
+    // Per-tenant tune latency is one histogram family with a tenant
+    // label, not a metric name per tenant.
+    assert_eq!(body.matches("# TYPE service_tenant_tune_s ").count(), 1);
+    for tenant in ["alice", "bob", "carol"] {
+        assert!(
+            body.contains(&format!(
+                "service_tenant_tune_s_count{{tenant=\"{tenant}\"}} 1"
+            )),
+            "missing tune latency for {tenant}:\n{body}"
+        );
+    }
+    assert!(!body.contains("service_tenant_alice"), "{body}");
     assert!(body.contains("service_tunings_total 3"), "{body}");
 
     // Tracker-side stats agree with what the endpoint serves.
@@ -137,13 +149,13 @@ fn chaos_session_with_recorder(seed: u64, dump_dir: &PathBuf) -> Vec<PathBuf> {
     let recorder = obs::flightrec::install(8192, dump_dir);
     obs::registry().clear();
 
-    let mut objective = DiscObjective::new(
+    let objective = DiscObjective::new(
         ClusterSpec::table1_testbed(),
         Pagerank::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(7),
     );
     let mut session = TuningSession::new(TunerKind::Random, 11);
-    session.with_resilience(
+    session.with_batch(4).with_resilience(
         RetryPolicy {
             max_attempts: 1,
             round_failure_budget: 1,
@@ -151,8 +163,8 @@ fn chaos_session_with_recorder(seed: u64, dump_dir: &PathBuf) -> Vec<PathBuf> {
         },
         FaultInjector::new(seed, FaultPlan::errors(0.9)),
     );
-    let outcome = session.run_batched(&mut objective, 12, 4);
-    let report = outcome.degradation.expect("resilient session reports");
+    let outcome = session.run(&objective, 12);
+    let report = outcome.degradation.expect("every session reports");
     assert!(
         report.budget_exhausted,
         "90% errors against a budget of 1 must exhaust it"

@@ -23,10 +23,10 @@ fn main() {
         TunerKind::RandomForest,
         TunerKind::Ernest,
     ] {
-        let mut objective =
+        let objective =
             CloudObjective::new(job.clone(), disc.clone(), &SimEnvironment::dedicated(3));
         let mut session = TuningSession::new(kind, 11);
-        let outcome = session.run(&mut objective, budget);
+        let outcome = session.run(&objective, budget);
         let (cluster, cost) = outcome
             .best
             .as_ref()
@@ -61,9 +61,9 @@ fn main() {
         if cloud_space().validate(&cfg).is_err() {
             continue;
         }
-        let mut objective =
+        let objective =
             CloudObjective::new(job.clone(), disc.clone(), &SimEnvironment::dedicated(4));
-        let obs = objective.evaluate(&cfg);
+        let obs = objective.evaluate(&cfg, 4);
         if obs.is_ok() {
             rows.push((inst.name(), obs.runtime_s, obs.cost_usd));
         }

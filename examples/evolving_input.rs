@@ -13,10 +13,10 @@ fn main() {
     let env = SimEnvironment::dedicated(5);
 
     // Tune once at DS1.
-    let mut obj = DiscObjective::new(cluster.clone(), Pagerank::new().job(DataScale::Ds1), &env);
+    let obj = DiscObjective::new(cluster.clone(), Pagerank::new().job(DataScale::Ds1), &env);
     let mut session = TuningSession::new(TunerKind::BayesOpt, 9);
     let tuned_at_ds1 = session
-        .run(&mut obj, 20)
+        .run(&obj, 20)
         .best_config()
         .cloned()
         .expect("DS1 tuning found a working configuration");
@@ -53,7 +53,8 @@ fn main() {
             let (obs, spent) = managed.run_once();
             managed_total += obs.runtime_s;
             retuned |= spent > 0;
-            static_total += static_obj.evaluate(&tuned_at_ds1).runtime_s;
+            let seed = trial_seed(env.seed, managed.runs() as u64);
+            static_total += static_obj.evaluate(&tuned_at_ds1, seed).runtime_s;
         }
         println!(
             "{:<8} {:>12.1} {:>12.1} {:>10}",

@@ -15,13 +15,13 @@ use seamless_tuning::core::{additive_effects, permutation_importance};
 use seamless_tuning::prelude::*;
 
 fn history_for(workload: &dyn Workload, seed: u64) -> Vec<Observation> {
-    let mut objective = DiscObjective::new(
+    let objective = DiscObjective::new(
         ClusterSpec::table1_testbed(),
         workload.job(DataScale::Small),
         &SimEnvironment::dedicated(seed),
     );
     let mut session = TuningSession::new(TunerKind::Lhs, seed);
-    session.run(&mut objective, 60).history
+    session.run(&objective, 60).history
 }
 
 fn main() {

@@ -11,9 +11,9 @@ fn main() {
     println!("Tuning {} on {cluster}\n", job.name);
 
     // What an untuned deployment gets (Spark's shipped defaults).
-    let mut probe = DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(1));
+    let probe = DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(1));
     let default_cfg = spark_space().default_configuration();
-    let default_obs = probe.evaluate(&default_cfg);
+    let default_obs = probe.evaluate(&default_cfg, 1);
     match &default_obs.failure {
         None => println!("default configuration: {:.1}s", default_obs.runtime_s),
         Some(f) => println!("default configuration: CRASHED ({f})"),
@@ -21,10 +21,10 @@ fn main() {
 
     // Three tuning strategies, 25 executions each.
     for kind in [TunerKind::Random, TunerKind::HillClimb, TunerKind::BayesOpt] {
-        let mut objective =
+        let objective =
             DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(2));
         let mut session = TuningSession::new(kind, 42);
-        let outcome = session.run(&mut objective, 25);
+        let outcome = session.run(&objective, 25);
         println!(
             "{kind:<12} best {:>8.1}s after {} executions (tuning spent ${:.2})",
             outcome.best_runtime_s(),
@@ -34,9 +34,9 @@ fn main() {
     }
 
     // Inspect the winning configuration.
-    let mut objective = DiscObjective::new(cluster, job, &SimEnvironment::dedicated(2));
+    let objective = DiscObjective::new(cluster, job, &SimEnvironment::dedicated(2));
     let mut session = TuningSession::new(TunerKind::BayesOpt, 42);
-    let outcome = session.run(&mut objective, 25);
+    let outcome = session.run(&objective, 25);
     if let Some(best) = outcome.best_config() {
         println!("\nbest configuration found:");
         for (name, value) in best.iter() {

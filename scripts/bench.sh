@@ -5,14 +5,13 @@
 #
 # Runs the Criterion micro-benchmarks (models + obs, short smoke
 # windows — see the `criterion_group!` configs) and then the
-# machine-readable latency benchmarks:
+# machine-readable surrogate benchmark `BENCH_models.json`:
+# fit/predict/propose latencies at n = 32/120/512 and the speedups of
+# the parallel and cached fit paths over the sequential
+# per-grid-point baseline.
 #
-# * `BENCH_models.json` — fit/predict/propose latencies at
-#   n = 32/120/512 and the speedups of the parallel and cached fit
-#   paths over the sequential per-grid-point baseline;
-# * `BENCH_service.json` — end-to-end service tuning at batch sizes
-#   1/4/8 plus 8-tenant throughput (sequential loop vs `tune_many`),
-#   with an equal-settings identical-results check.
+# End-to-end service performance is measured by the benchmark declared
+# in `BENCHMARK.json` (`python3 e2ebench/run.py --workload <w> ...`).
 #
 # `SEAMLESS_THREADS=<k>` overrides the worker count used by the
 # parallel model-fitting layer (defaults to the machine's available
@@ -30,20 +29,4 @@ cargo bench -p bench --bench obs
 echo "==> cargo run --release -p bench --bin bench_models_json"
 cargo run --release -p bench --bin bench_models_json
 
-echo "==> cargo run --release -p bench --bin bench_service_json"
-SEAMLESS_THREADS="${SEAMLESS_THREADS:-2}" cargo run --release -p bench --bin bench_service_json
-
-# Sanity-check the service report: valid JSON with the headline fields
-# present (the binary itself asserts the equal-settings equivalence).
-python3 - <<'EOF'
-import json
-with open("BENCH_service.json") as f:
-    r = json.load(f)
-assert r["multi_tenant"]["identical_best_at_equal_settings"] is True
-assert r["multi_tenant"]["speedup"] > 0
-assert {b["batch"] for b in r["single_tenant"]} == {1, 4, 8}
-print(f"BENCH_service.json OK: {r['multi_tenant']['speedup']:.2f}x "
-      f"8-tenant speedup at {r['threads']} threads")
-EOF
-
-echo "BENCH OK (results in BENCH_models.json, BENCH_service.json)"
+echo "BENCH OK (results in BENCH_models.json)"

@@ -35,6 +35,12 @@ done
 echo "==> cargo build -q -p bench --bins --benches"
 cargo build -q -p bench --bins --benches
 
+# The end-to-end benchmark is its own workspace built against the
+# crates' public API; building it here catches an API change that
+# would break it.
+echo "==> cargo build --release --manifest-path e2ebench/Cargo.toml"
+CARGO_TARGET_DIR=.bench_build cargo build --release --manifest-path e2ebench/Cargo.toml
+
 # Live-telemetry smoke: a chaos-heavy stune run with the flight
 # recorder armed must leave Chrome-trace dumps behind, and every dump
 # must replay through trace_summary (which parses the trace, rebuilds

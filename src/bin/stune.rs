@@ -15,9 +15,8 @@
 //!   --goal <min-runtime|min-cost|deadline:<s>>  (default min-runtime)
 //!   --chaos <seed>        inject the default chaos fault mix (10% errors,
 //!                         2% hangs, 5% stragglers, 3% poisoned metrics)
-//!                         with the given seed; trials run through the
-//!                         resilient executor (retries, deadlines,
-//!                         quarantine) and a degradation report is printed
+//!                         with the given seed; the executor retries,
+//!                         reaps and quarantines the faulty trials
 //!   --metrics-addr <ip:port>   serve the metrics registry as OpenMetrics
 //!                         text over HTTP for the duration of the run
 //!                         (e.g. 127.0.0.1:9464; scrape with
@@ -224,8 +223,9 @@ fn tune(args: &[String]) -> ExitCode {
         );
 
         let inner = DiscObjective::new(cluster, job, &SimEnvironment::dedicated(seed));
-        let mut objective = GoalObjective::new(inner, goal);
+        let objective = GoalObjective::new(inner, goal);
         let mut session = TuningSession::new(tuner, seed ^ 0x5EED);
+        session.with_batch(batch);
         if let Some(chaos_seed) = chaos {
             println!("chaos: injecting faults with seed {chaos_seed}");
             session.with_resilience(
@@ -233,9 +233,7 @@ fn tune(args: &[String]) -> ExitCode {
                 FaultInjector::new(chaos_seed, FaultPlan::chaos()),
             );
         }
-        // batch == 1 is the sequential loop; larger batches propose and
-        // evaluate whole rounds at once.
-        let outcome = session.run_batched(&mut objective, budget, batch);
+        let outcome = session.run(&objective, budget);
 
         if let Some(d) = &outcome.degradation {
             println!(

@@ -27,15 +27,23 @@
 //! use seamless_tuning::prelude::*;
 //!
 //! let job = Pagerank::new().job(DataScale::Tiny);
-//! let mut objective = DiscObjective::new(
+//! let objective = DiscObjective::new(
 //!     ClusterSpec::table1_testbed(),
 //!     job,
 //!     &SimEnvironment::dedicated(42),
 //! );
-//! let mut session = TuningSession::new(TunerKind::BayesOpt, 7);
-//! let outcome = session.run(&mut objective, 15);
+//! // One session loop: batch 1, default retries, no fault injection.
+//! let outcome = TuningSession::new(TunerKind::BayesOpt, 7).run(&objective, 15);
 //! assert!(outcome.best_runtime_s() > 0.0);
 //! assert!(outcome.best_config().is_some());
+//! assert!(!outcome.is_degraded());
+//!
+//! // Any trial replays exactly from its seed.
+//! let cfg = outcome.best_config().unwrap();
+//! assert_eq!(
+//!     objective.evaluate(cfg, trial_seed(42, 0)),
+//!     objective.evaluate(cfg, trial_seed(42, 0)),
+//! );
 //! ```
 
 pub use confspace;
@@ -52,10 +60,10 @@ pub mod prelude {
     };
     pub use seamless_core::service::ServiceConfig;
     pub use seamless_core::{
-        CloudObjective, DiscObjective, FaultInjector, FaultPlan, GoalObjective, HistoryStore,
-        JointObjective, ManagedWorkload, Objective, Observation, RetryPolicy, RetuneMonitor,
-        RetunePolicy, SeamlessTuner, SimEnvironment, Tuner, TunerKind, TuningGoal, TuningOutcome,
-        TuningSession, WorkloadSignature,
+        trial_seed, CloudObjective, DiscObjective, FaultInjector, FaultPlan, GoalObjective,
+        HistoryStore, JointObjective, ManagedWorkload, Objective, Observation, RetryPolicy,
+        RetuneMonitor, RetunePolicy, SeamlessTuner, SimEnvironment, Tuner, TunerKind, TuningGoal,
+        TuningOutcome, TuningSession, WorkloadSignature,
     };
     pub use simcluster::catalog::InstanceType;
     pub use simcluster::cluster::ClusterSpec;

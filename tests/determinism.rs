@@ -4,13 +4,13 @@
 use seamless_tuning::prelude::*;
 
 fn full_session(seed: u64) -> (f64, Vec<f64>) {
-    let mut obj = DiscObjective::new(
+    let obj = DiscObjective::new(
         ClusterSpec::table1_testbed(),
         Terasort::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(seed),
     );
     let mut session = TuningSession::new(TunerKind::Genetic, seed);
-    let outcome = session.run(&mut obj, 12);
+    let outcome = session.run(&obj, 12);
     (
         outcome.best_runtime_s(),
         outcome.history.iter().map(|o| o.runtime_s).collect(),

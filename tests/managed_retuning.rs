@@ -9,10 +9,10 @@ fn managed_execution_retunes_and_improves_after_growth() {
     let cluster = ClusterSpec::table1_testbed();
 
     // Tune at the small size first.
-    let mut obj = DiscObjective::new(cluster.clone(), Pagerank::new().job(DataScale::Tiny), &env);
+    let obj = DiscObjective::new(cluster.clone(), Pagerank::new().job(DataScale::Tiny), &env);
     let mut session = TuningSession::new(TunerKind::BayesOpt, 5);
     let tuned_small = session
-        .run(&mut obj, 15)
+        .run(&obj, 15)
         .best_config()
         .cloned()
         .expect("found a configuration");
@@ -38,19 +38,19 @@ fn managed_execution_retunes_and_improves_after_growth() {
     managed.set_job(Pagerank::new().job(DataScale::Custom(8192.0)));
     let mut retune_seen = false;
     let mut post_retune_runtimes = Vec::new();
-    let mut stale = DiscObjective::new(
+    let stale = DiscObjective::new(
         cluster,
         Pagerank::new().job(DataScale::Custom(8192.0)),
         &SimEnvironment::dedicated(78),
     );
     let mut stale_runtimes = Vec::new();
-    for _ in 0..8 {
+    for i in 0..8 {
         let (obs, spent) = managed.run_once();
         retune_seen |= spent > 0;
         if retune_seen && obs.is_ok() {
             post_retune_runtimes.push(obs.runtime_s);
         }
-        stale_runtimes.push(stale.evaluate(&tuned_small).runtime_s);
+        stale_runtimes.push(stale.evaluate(&tuned_small, trial_seed(78, i)).runtime_s);
     }
     assert!(retune_seen, "the monitor must fire after 16x input growth");
     assert!(!managed.retunings.is_empty());
@@ -73,12 +73,14 @@ fn fixed_threshold_is_jumpier_than_drift_detection() {
     // Feed both policies the same noisy-but-stationary stream.
     let env = SimEnvironment::dedicated(80);
     let cfg = seamless_tuning::core::SeamlessTuner::house_default();
-    let mut obj = DiscObjective::new(
+    let obj = DiscObjective::new(
         ClusterSpec::table1_testbed(),
         SqlJoin::new().job(DataScale::Tiny),
         &env,
     );
-    let stream: Vec<_> = (0..40).map(|_| obj.evaluate(&cfg)).collect();
+    let stream: Vec<_> = (0..40)
+        .map(|i| obj.evaluate(&cfg, trial_seed(env.seed, i)))
+        .collect();
 
     let fires = |policy: RetunePolicy| -> usize {
         let mut m = RetuneMonitor::new(policy);

@@ -4,13 +4,13 @@
 use seamless_tuning::prelude::*;
 
 fn tune(kind: TunerKind, budget: usize, seed: u64) -> TuningOutcome {
-    let mut obj = DiscObjective::new(
+    let obj = DiscObjective::new(
         ClusterSpec::table1_testbed(),
         Pagerank::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(seed),
     );
     let mut session = TuningSession::new(kind, seed ^ 0xAB);
-    session.run(&mut obj, budget)
+    session.run(&obj, budget)
 }
 
 #[test]
@@ -60,12 +60,12 @@ fn model_guided_search_beats_random_on_average() {
 fn tuning_beats_spark_defaults_by_an_order_of_magnitude() {
     // §I's 89x claim in miniature: pagerank under the shipped defaults
     // vs 25 executions of BO.
-    let mut obj = DiscObjective::new(
+    let obj = DiscObjective::new(
         ClusterSpec::table1_testbed(),
         Pagerank::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(3),
     );
-    let default = obj.evaluate(&spark_space().default_configuration());
+    let default = obj.evaluate(&spark_space().default_configuration(), 3);
     let tuned = tune(TunerKind::BayesOpt, 25, 3).best_runtime_s();
     // The default either crashes (penalty) or is dramatically slower.
     assert!(
@@ -78,7 +78,7 @@ fn tuning_beats_spark_defaults_by_an_order_of_magnitude() {
 
 #[test]
 fn warm_start_is_visible_to_the_strategy_but_not_charged() {
-    let mut obj = DiscObjective::new(
+    let obj = DiscObjective::new(
         ClusterSpec::table1_testbed(),
         Pagerank::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(5),
@@ -86,7 +86,7 @@ fn warm_start_is_visible_to_the_strategy_but_not_charged() {
     let donated = tune(TunerKind::Random, 10, 21).history;
     let mut session = TuningSession::new(TunerKind::BayesOpt, 99);
     session.warm_start(donated);
-    let outcome = session.run(&mut obj, 8);
+    let outcome = session.run(&obj, 8);
     assert_eq!(
         outcome.history.len(),
         8,
