@@ -19,10 +19,10 @@
 //! cargo run --release -p bench --bin trace_summary -- --demo
 //! ```
 //!
-//! `--demo` runs one default [`SeamlessTuner::tune`] session with a
-//! JSONL sink attached to `results/demo_trace.jsonl` (and a Chrome
-//! trace next to it, loadable in `chrome://tracing` / Perfetto), then
-//! summarizes the file it just wrote.
+//! `--demo` runs one default [`seamless_core::SeamlessTuner::tune`]
+//! session with a JSONL sink attached to `results/demo_trace.jsonl`
+//! (and a Chrome trace next to it, loadable in `chrome://tracing` /
+//! Perfetto), then summarizes the file it just wrote.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;

@@ -10,10 +10,8 @@
 //! Concurrency layout: records are sharded by tenant hash across
 //! [`SHARD_COUNT`] independently locked vectors, so concurrent tenants
 //! insert without contending on one global lock. A global atomic hands
-//! out sequence numbers. Readers that only need *new* records use a
-//! [`HistoryCursor`] ([`HistoryStore::records_since`]) instead of the
-//! full-clone [`HistoryStore::snapshot`], which remains as the
-//! seq-ordered cold path for persistence and tests.
+//! out sequence numbers; [`HistoryStore::snapshot`] merges the shards
+//! back into that global order for persistence and tests.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -105,24 +103,6 @@ impl ExecutionRecord {
     }
 }
 
-/// An incremental read position over a [`HistoryStore`].
-///
-/// Tracks one position per shard; [`HistoryStore::records_since`]
-/// returns every record appended since the cursor last advanced,
-/// exactly once, without cloning the rest of the store.
-#[derive(Debug, Clone, Default)]
-pub struct HistoryCursor {
-    positions: [usize; SHARD_COUNT],
-}
-
-impl HistoryCursor {
-    /// A cursor positioned at the beginning of the store (the first
-    /// [`HistoryStore::records_since`] call sees everything).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// A concurrent multi-tenant history store.
 #[derive(Debug)]
 pub struct HistoryStore {
@@ -202,8 +182,8 @@ impl HistoryStore {
     }
 
     /// All records, cloned and ordered by sequence number. This is the
-    /// cold path (persistence, offline analysis); concurrent readers on
-    /// the tuning hot path should use [`HistoryStore::records_since`].
+    /// cold path (persistence, offline analysis); the tuning hot path
+    /// reads through [`HistoryStore::most_similar`].
     pub fn snapshot(&self) -> Vec<ExecutionRecord> {
         let mut all: Vec<ExecutionRecord> = Vec::with_capacity(self.len());
         for shard in &self.shards {
@@ -211,22 +191,6 @@ impl HistoryStore {
         }
         all.sort_by_key(|r| r.seq);
         all
-    }
-
-    /// Clones every record appended since `cursor` last advanced and
-    /// moves the cursor past them. Each record is returned exactly once
-    /// across successive calls; results are ordered by sequence number.
-    pub fn records_since(&self, cursor: &mut HistoryCursor) -> Vec<ExecutionRecord> {
-        let mut fresh = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let records = shard.read();
-            if cursor.positions[i] < records.len() {
-                fresh.extend(records[cursor.positions[i]..].iter().cloned());
-                cursor.positions[i] = records.len();
-            }
-        }
-        fresh.sort_by_key(|r| r.seq);
-        fresh
     }
 
     /// The `k` records most similar to `query` (by signature distance),
@@ -271,20 +235,6 @@ impl HistoryStore {
                 .map(|(_, _, si, pi)| self.shards[si].read()[pi].clone())
                 .collect()
         })
-    }
-
-    /// The best (fastest) recorded configuration among the `k` most
-    /// similar records — the provider's "best configuration found for a
-    /// similar workload" (§V-C).
-    pub fn best_similar_config(
-        &self,
-        query: &WorkloadSignature,
-        k: usize,
-        exclude_client: Option<&str>,
-    ) -> Option<ExecutionRecord> {
-        self.most_similar(query, k, exclude_client)
-            .into_iter()
-            .min_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s))
     }
 
     /// Best known runtime among similar records — the reference point
@@ -384,15 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn best_similar_config_minimizes_runtime() {
+    fn best_similar_runtime_minimizes_runtime() {
         let store = HistoryStore::new();
         store.insert(record("a", 90.0, 30.0));
         store.insert(record("b", 88.0, 12.0));
         store.insert(record("c", 87.0, 25.0));
-        let best = store
-            .best_similar_config(&sig(89.0, 11.0), 3, None)
-            .unwrap();
-        assert_eq!(best.runtime_s, 12.0);
         assert_eq!(store.best_similar_runtime(&sig(89.0, 11.0), 3), Some(12.0));
     }
 
@@ -418,24 +364,6 @@ mod tests {
         for (i, r) in snap.iter().enumerate() {
             assert_eq!(r.seq, i as u64);
         }
-    }
-
-    #[test]
-    fn cursor_sees_each_record_exactly_once() {
-        let store = HistoryStore::new();
-        let mut cursor = HistoryCursor::new();
-        assert!(store.records_since(&mut cursor).is_empty());
-        for i in 0..6 {
-            store.insert(record(&format!("c{i}"), 40.0, i as f64));
-        }
-        let first = store.records_since(&mut cursor);
-        assert_eq!(first.len(), 6);
-        assert!(first.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert!(store.records_since(&mut cursor).is_empty());
-        store.insert(record("late", 60.0, 9.0));
-        let second = store.records_since(&mut cursor);
-        assert_eq!(second.len(), 1);
-        assert_eq!(second[0].client, "late");
     }
 
     #[test]

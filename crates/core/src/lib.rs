@@ -8,12 +8,13 @@
 //!   (configuration → observed runtime/cost), implemented against the
 //!   `simcluster` substrate for the DISC layer, the cloud layer, and
 //!   the joint space;
-//! * [`tuner`] — ten strategies spanning the paper's survey (§II):
+//! * [`tuner`] — eleven strategies spanning the paper's survey (§II):
 //!   random / LHS search, MROnline hill climbing, CherryPick Bayesian
 //!   optimization (plus an additive-kernel variant, §V-A), DAC's
 //!   surrogate-assisted genetic search, BestConfig's
 //!   divide-and-diverge + bound-and-search, Wang's regression trees,
-//!   PARIS's random forests and Ernest's analytic scaling model;
+//!   PARIS's random forests, Ernest's analytic scaling model and Bu et
+//!   al.'s reinforcement-learning nudges;
 //! * [`executor`] + [`faults`] — concurrent trial execution with
 //!   deterministic seeding, plus the resilience layer: seeded fault
 //!   injection, retry/backoff policies, deadlines and quarantine;
@@ -51,7 +52,7 @@ pub use executor::{
 };
 pub use faults::{FaultInjector, FaultKind, FaultPlan};
 pub use goal::{GoalObjective, TuningGoal};
-pub use history::{ExecutionRecord, HistoryCursor, HistoryStore, RecordOutcome};
+pub use history::{ExecutionRecord, HistoryStore, RecordOutcome};
 pub use objective::{
     CloudObjective, DiscObjective, JointObjective, Objective, Observation, SimEnvironment,
     FAILURE_PENALTY_S,
@@ -60,6 +61,6 @@ pub use retune::{RetuneMonitor, RetunePolicy};
 pub use sensitivity::{additive_effects, permutation_importance, SensitivityReport};
 pub use service::{ManagedWorkload, SeamlessTuner, ServiceConfig, ServiceOutcome, TenantRequest};
 pub use slo::{AmortizationLedger, SloReport, SloTracker, TenantSloStats};
-pub use transfer::{ClusterIndex, ClusteredHistory, TransferTuner};
+pub use transfer::TransferTuner;
 pub use tuner::{Tuner, TunerKind, TuningOutcome, TuningSession};
 pub use whatif::JobProfile;

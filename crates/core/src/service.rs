@@ -43,10 +43,6 @@ pub struct ServiceConfig {
     /// exploration — large donations are where negative transfer
     /// (§V-B) creeps in.
     pub transfer_k: usize,
-    /// Use AROMA-style k-medoids clusters of the history for donor
-    /// selection instead of flat nearest-neighbour search (§II-B);
-    /// falls back to flat search while the history is small.
-    pub clustered_donors: bool,
     /// Re-tuning trigger for managed execution.
     pub retune_policy: RetunePolicy,
     /// Budget for each automatic re-tuning session.
@@ -72,7 +68,6 @@ impl Default for ServiceConfig {
             stage1_budget: 10,
             stage2_budget: 20,
             transfer_k: 3,
-            clustered_donors: false,
             retune_policy: RetunePolicy::PageHinkley,
             retune_budget: 10,
             batch: 1,
@@ -175,7 +170,6 @@ pub struct SeamlessTuner {
     store: Arc<HistoryStore>,
     env: SimEnvironment,
     config: ServiceConfig,
-    cluster_index: crate::transfer::ClusterIndex,
     slo: SloTracker,
 }
 
@@ -186,9 +180,6 @@ impl SeamlessTuner {
             store,
             env,
             config,
-            // 3 clusters once a dozen records exist — the same gate the
-            // per-tune snapshot clustering used.
-            cluster_index: crate::transfer::ClusterIndex::new(3, 12),
             slo: SloTracker::default(),
         }
     }
@@ -260,17 +251,6 @@ impl SeamlessTuner {
         let disc_space = confspace::spark::spark_space();
         let raw_donations: Vec<Observation> = if self.config.transfer_k == 0 {
             Vec::new()
-        } else if self.config.clustered_donors && self.store.len() >= 12 {
-            // AROMA-style: donate from the signature's k-medoids
-            // cluster, maintained incrementally across tunes (cursor
-            // reads + periodic rebuild) instead of re-clustering a full
-            // store snapshot per tenant.
-            crate::transfer::records_to_observations(self.cluster_index.donors_for(
-                &self.store,
-                &signature,
-                self.config.transfer_k * 2,
-                self.env.seed ^ seed ^ 0xC1,
-            ))
         } else {
             donated_observations(
                 &self.store,

@@ -11,7 +11,7 @@
 use confspace::{Configuration, ParamSpace};
 use rand::RngCore;
 
-use crate::history::{ExecutionRecord, HistoryStore};
+use crate::history::HistoryStore;
 use crate::objective::Observation;
 use crate::tuner::Tuner;
 use crate::WorkloadSignature;
@@ -47,21 +47,6 @@ pub fn donated_observations(
         .map(|r| Observation {
             config: r.config,
             runtime_s: r.runtime_s * scale,
-            cost_usd: 0.0,
-            metrics: None,
-            failure: None,
-        })
-        .collect()
-}
-
-/// Converts donated records directly (no rescaling) — used when the
-/// donor and target are known to share a size regime.
-pub fn records_to_observations(records: Vec<ExecutionRecord>) -> Vec<Observation> {
-    records
-        .into_iter()
-        .map(|r| Observation {
-            config: r.config,
-            runtime_s: r.runtime_s,
             cost_usd: 0.0,
             metrics: None,
             failure: None,
@@ -282,7 +267,7 @@ mod tests {
 
     #[test]
     fn donated_observations_rescale_to_target() {
-        use crate::history::{ExecutionRecord, HistoryStore};
+        use crate::history::ExecutionRecord;
         use simcluster::ExecMetrics;
         let store = HistoryStore::new();
         let sig = WorkloadSignature::from_metrics(&ExecMetrics::default());
@@ -304,299 +289,5 @@ mod tests {
         let mut rts: Vec<f64> = donated.iter().map(|o| o.runtime_s).collect();
         rts.sort_by(f64::total_cmp);
         assert!((rts[1] - 20.0).abs() < 1e-9);
-    }
-}
-
-/// AROMA-style clustered history (§II-B, §V-B): k-medoids over the
-/// store's workload signatures, with per-cluster donor lookup. Building
-/// per-cluster models (instead of one global pool) keeps donations from
-/// workloads with a different bottleneck profile out of the warm start.
-#[derive(Debug, Clone)]
-pub struct ClusteredHistory {
-    medoids: Vec<WorkloadSignature>,
-    members: Vec<Vec<ExecutionRecord>>,
-}
-
-impl ClusteredHistory {
-    /// Clusters the store's records into `k` signature groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the store holds fewer records than `k`.
-    pub fn build(store: &HistoryStore, k: usize, rng: &mut dyn rand::RngCore) -> Self {
-        Self::build_from_records(store.snapshot(), k, rng)
-    }
-
-    /// Clusters an explicit record set into `k` signature groups (the
-    /// store-free path used by [`ClusterIndex`] when rebuilding from
-    /// cursor-accumulated records).
-    ///
-    /// # Panics
-    ///
-    /// Panics when fewer records than `k` are given.
-    pub fn build_from_records(
-        records: Vec<ExecutionRecord>,
-        k: usize,
-        rng: &mut dyn rand::RngCore,
-    ) -> Self {
-        assert!(
-            records.len() >= k,
-            "need at least k={k} records, got {}",
-            records.len()
-        );
-        let points: Vec<Vec<f64>> = records
-            .iter()
-            .map(|r| r.signature.features().to_vec())
-            .collect();
-        let clustering = models::k_medoids(&points, k, 20, rng);
-        let medoids: Vec<WorkloadSignature> = clustering
-            .medoids
-            .iter()
-            .map(|&i| records[i].signature.clone())
-            .collect();
-        let mut members: Vec<Vec<ExecutionRecord>> = vec![Vec::new(); k];
-        for (i, r) in records.into_iter().enumerate() {
-            members[clustering.assignment[i]].push(r);
-        }
-        ClusteredHistory { medoids, members }
-    }
-
-    /// Assigns new records to their nearest existing medoid without
-    /// re-clustering (medoids drift is handled by the caller's periodic
-    /// full rebuild).
-    pub fn absorb(&mut self, fresh: impl IntoIterator<Item = ExecutionRecord>) {
-        for r in fresh {
-            let c = self.assign(&r.signature);
-            self.members[c].push(r);
-        }
-    }
-
-    /// Total records across all clusters.
-    pub fn len_records(&self) -> usize {
-        self.members.iter().map(Vec::len).sum()
-    }
-
-    /// Consumes the clustering, returning every member record.
-    pub fn into_records(self) -> Vec<ExecutionRecord> {
-        self.members.into_iter().flatten().collect()
-    }
-
-    /// Number of clusters.
-    pub fn k(&self) -> usize {
-        self.medoids.len()
-    }
-
-    /// Index of the cluster nearest to `sig`.
-    pub fn assign(&self, sig: &WorkloadSignature) -> usize {
-        self.medoids
-            .iter()
-            .enumerate()
-            .min_by(|a, b| sig.distance(a.1).total_cmp(&sig.distance(b.1)))
-            .map_or(0, |(i, _)| i)
-    }
-
-    /// The fastest `limit` records from `sig`'s cluster — the donor set
-    /// for a warm start.
-    pub fn donors_for(&self, sig: &WorkloadSignature, limit: usize) -> Vec<ExecutionRecord> {
-        let c = self.assign(sig);
-        let mut records = self.members[c].clone();
-        records.sort_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s));
-        records.truncate(limit);
-        records
-    }
-
-    /// The records of cluster `c`.
-    pub fn cluster_members(&self, c: usize) -> &[ExecutionRecord] {
-        &self.members[c]
-    }
-}
-
-/// A shared, incrementally maintained [`ClusteredHistory`] over a
-/// [`HistoryStore`].
-///
-/// The old clustered-donor path re-clustered the *entire* store snapshot
-/// on every tune — O(store) per tenant, the definition of a hot-path
-/// clone. `ClusterIndex` instead reads only records appended since its
-/// last query (via [`HistoryStore::records_since`]), absorbs them into
-/// the existing clusters, and re-clusters from scratch only when the
-/// history has doubled since the last build — amortized O(1) snapshots
-/// per insert.
-#[derive(Debug)]
-pub struct ClusterIndex {
-    k: usize,
-    /// Records required before the first clustering is attempted.
-    min_records: usize,
-    state: parking_lot::Mutex<ClusterIndexState>,
-}
-
-#[derive(Debug, Default)]
-struct ClusterIndexState {
-    clusters: Option<ClusteredHistory>,
-    cursor: crate::history::HistoryCursor,
-    /// Records not yet clustered (pre-build accumulation only).
-    pending: Vec<ExecutionRecord>,
-    /// Store size at the last full rebuild.
-    built_at: usize,
-}
-
-impl ClusterIndex {
-    /// Creates an index that clusters into `k` groups once `min_records`
-    /// records have accumulated.
-    pub fn new(k: usize, min_records: usize) -> Self {
-        ClusterIndex {
-            k: k.max(1),
-            min_records: min_records.max(k),
-            state: parking_lot::Mutex::new(ClusterIndexState::default()),
-        }
-    }
-
-    /// Donor records for `sig`, fastest first, absorbing any records
-    /// appended to `store` since the last call. Falls back to flat
-    /// nearest-neighbour search while the history is too small to
-    /// cluster. `seed` drives the (deterministic) k-medoids restarts
-    /// when a rebuild is due.
-    pub fn donors_for(
-        &self,
-        store: &HistoryStore,
-        sig: &WorkloadSignature,
-        limit: usize,
-        seed: u64,
-    ) -> Vec<ExecutionRecord> {
-        use rand::SeedableRng;
-        let reg = obs::registry();
-        let st = &mut *self.state.lock();
-        // Censored runs (aborted/timed-out trials) never enter the
-        // clustering: their penalty runtimes would distort medoids and
-        // they carry no transferable signal — mirrors the filter in
-        // [`HistoryStore::most_similar`].
-        st.pending.extend(
-            store
-                .records_since(&mut st.cursor)
-                .into_iter()
-                .filter(|r| r.outcome == crate::history::RecordOutcome::Ok),
-        );
-
-        let total = st
-            .clusters
-            .as_ref()
-            .map_or(0, ClusteredHistory::len_records)
-            + st.pending.len();
-        let rebuild_due = match &st.clusters {
-            None => total >= self.min_records,
-            // Absorbed growth has doubled the clustered set: medoids
-            // are stale, re-cluster from scratch.
-            Some(_) => total >= 2 * st.built_at.max(1),
-        };
-        if rebuild_due && total >= self.k {
-            let mut all: Vec<ExecutionRecord> = match st.clusters.take() {
-                Some(c) => c.into_records(),
-                None => Vec::new(),
-            };
-            all.append(&mut st.pending);
-            all.sort_by_key(|r| r.seq);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            st.built_at = all.len();
-            st.clusters = Some(ClusteredHistory::build_from_records(all, self.k, &mut rng));
-            reg.counter("transfer.cluster_rebuilds").inc();
-        } else if let Some(clusters) = st.clusters.as_mut() {
-            if !st.pending.is_empty() {
-                reg.counter("transfer.cluster_absorbed")
-                    .add(st.pending.len() as u64);
-                clusters.absorb(std::mem::take(&mut st.pending));
-            }
-        }
-
-        match &st.clusters {
-            Some(clusters) => clusters.donors_for(sig, limit),
-            // Too little history to cluster: flat similarity search.
-            None => store.most_similar(sig, limit, None),
-        }
-    }
-
-    /// Whether a clustering has been built yet.
-    pub fn is_built(&self) -> bool {
-        self.state.lock().clusters.is_some()
-    }
-}
-
-#[cfg(test)]
-mod clustered_tests {
-    use super::*;
-    use simcluster::{ExecMetrics, StageMetrics};
-
-    fn sig(cpu: f64, net: f64) -> WorkloadSignature {
-        WorkloadSignature::from_metrics(&ExecMetrics {
-            runtime_s: 50.0,
-            stages: vec![StageMetrics {
-                name: "s".into(),
-                cpu_s: cpu,
-                net_s: net,
-                io_s: 100.0 - cpu - net,
-                ..Default::default()
-            }],
-            input_mb: 1000.0,
-            ..Default::default()
-        })
-    }
-
-    fn record(cpu: f64, net: f64, runtime: f64) -> ExecutionRecord {
-        ExecutionRecord {
-            client: "c".into(),
-            workload: "w".into(),
-            signature: sig(cpu, net),
-            config: Configuration::new().with("p", runtime as i64),
-            runtime_s: runtime,
-            cost_usd: 0.0,
-            seq: 0,
-            outcome: crate::history::RecordOutcome::Ok,
-        }
-    }
-
-    fn two_regime_store() -> HistoryStore {
-        let store = HistoryStore::new();
-        for i in 0..8 {
-            store.insert(record(90.0, 5.0, 20.0 + i as f64)); // cpu-bound
-            store.insert(record(10.0, 80.0, 50.0 + i as f64)); // net-bound
-        }
-        store
-    }
-
-    #[test]
-    fn clusters_separate_bottleneck_regimes() {
-        let store = two_regime_store();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        use rand::SeedableRng;
-        let ch = ClusteredHistory::build(&store, 2, &mut rng);
-        assert_eq!(ch.k(), 2);
-        let cpu_cluster = ch.assign(&sig(85.0, 8.0));
-        let net_cluster = ch.assign(&sig(15.0, 75.0));
-        assert_ne!(cpu_cluster, net_cluster);
-        // Every member of the cpu cluster is cpu-bound (runtime < 40).
-        assert!(ch
-            .cluster_members(cpu_cluster)
-            .iter()
-            .all(|r| r.runtime_s < 40.0));
-    }
-
-    #[test]
-    fn donors_come_from_the_right_cluster_fastest_first() {
-        let store = two_regime_store();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        use rand::SeedableRng;
-        let ch = ClusteredHistory::build(&store, 2, &mut rng);
-        let donors = ch.donors_for(&sig(88.0, 6.0), 3);
-        assert_eq!(donors.len(), 3);
-        assert!(donors.windows(2).all(|w| w[0].runtime_s <= w[1].runtime_s));
-        assert!(donors.iter().all(|r| r.runtime_s < 40.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least k")]
-    fn too_few_records_panics() {
-        let store = HistoryStore::new();
-        store.insert(record(50.0, 20.0, 10.0));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        use rand::SeedableRng;
-        let _ = ClusteredHistory::build(&store, 4, &mut rng);
     }
 }

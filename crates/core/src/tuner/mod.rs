@@ -9,7 +9,7 @@
 //! | [`lhs`] | Latin-hypercube search | stratified baseline |
 //! | [`hillclimb`] | restart hill climbing | MROnline \[25\] |
 //! | [`bo`] | GP Bayesian optimization (Matérn 5/2 + EI) | CherryPick \[10\] |
-//! | [`additive_bo`] | BO with additive GP kernel | Duvenaud et al. (§V-A) |
+//! | [`bo`] ([`BayesOpt::additive`]) | BO with additive GP kernel | Duvenaud et al. (§V-A) |
 //! | [`genetic`] | surrogate-assisted genetic search | DAC \[31\] |
 //! | [`bestconfig`] | divide-&-diverge + recursive bound-&-search | BestConfig \[35\] |
 //! | [`rtree`] | regression-tree surrogate search | Wang et al. \[29\] |
@@ -17,7 +17,6 @@
 //! | [`ernest`] | analytic machine-scaling model | Ernest \[28\] |
 //! | [`rl`] | ε-greedy Q-learning over parameter nudges | Bu et al. \[11\] |
 
-pub mod additive_bo;
 pub mod bestconfig;
 pub mod bo;
 pub mod ernest;
@@ -38,7 +37,6 @@ use crate::executor::{DegradationReport, RetryPolicy, TrialExecutor, TrialOutcom
 use crate::faults::FaultInjector;
 use crate::objective::{Objective, Observation};
 
-pub use additive_bo::AdditiveBayesOpt;
 pub use bestconfig::BestConfig;
 pub use bo::BayesOpt;
 pub use ernest::Ernest;
@@ -177,7 +175,7 @@ impl TunerKind {
             TunerKind::Lhs => Box::new(LhsSearch::new(16)),
             TunerKind::HillClimb => Box::new(HillClimb::new()),
             TunerKind::BayesOpt => Box::new(BayesOpt::new()),
-            TunerKind::AdditiveBayesOpt => Box::new(AdditiveBayesOpt::new()),
+            TunerKind::AdditiveBayesOpt => Box::new(BayesOpt::additive()),
             TunerKind::Genetic => Box::new(Genetic::new()),
             TunerKind::BestConfig => Box::new(BestConfig::new(12)),
             TunerKind::RegressionTree => Box::new(RegressionTreeTuner::new()),
@@ -214,8 +212,7 @@ impl std::fmt::Display for TunerKind {
 /// The result of one tuning session.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TuningOutcome {
-    /// Every observation, in evaluation order (warm-start observations
-    /// excluded).
+    /// Every observation, in evaluation order.
     pub history: Vec<Observation>,
     /// The best successful observation, if any run succeeded.
     pub best: Option<Observation>,
@@ -327,7 +324,6 @@ pub struct TuningSession {
     tuner: Box<dyn Tuner>,
     rng: StdRng,
     seed: u64,
-    warm: Vec<Observation>,
     batch: usize,
     policy: RetryPolicy,
     injector: FaultInjector,
@@ -346,7 +342,6 @@ impl TuningSession {
             tuner,
             rng: StdRng::seed_from_u64(seed),
             seed,
-            warm: Vec::new(),
             batch: 1,
             policy: RetryPolicy::default(),
             injector: FaultInjector::none(),
@@ -367,14 +362,6 @@ impl TuningSession {
     pub fn with_resilience(&mut self, policy: RetryPolicy, injector: FaultInjector) -> &mut Self {
         self.policy = policy;
         self.injector = injector;
-        self
-    }
-
-    /// Seeds the session with transferred observations (§V-B): they are
-    /// visible to the strategy but not charged against the budget and
-    /// not reported in the outcome history.
-    pub fn warm_start(&mut self, observations: Vec<Observation>) -> &mut Self {
-        self.warm = observations;
         self
     }
 
@@ -402,13 +389,11 @@ impl TuningSession {
             let mut round = obs::span("proposal")
                 .with("idx", history.len())
                 .with("q", q);
-            let visible: Vec<Observation> =
-                self.warm.iter().chain(history.iter()).cloned().collect();
             let cfgs = {
                 let _propose = obs::span("propose");
                 reg.histogram("tuner.propose_s").time(|| {
                     self.tuner
-                        .propose_batch(objective.space(), &visible, q, &mut self.rng)
+                        .propose_batch(objective.space(), &history, q, &mut self.rng)
                 })
             };
             if cfgs.is_empty() {

@@ -311,6 +311,55 @@ fn service_fingerprints(config: ServiceConfig) -> Vec<(u64, String, String)> {
         .collect()
 }
 
+/// The default service path — batch 1, no faults, transfer on —
+/// replays the pinned outcome bit for bit.
+#[test]
+fn batch_1_service_tune_matches_its_pinned_fingerprint() {
+    let got = service_fingerprints(ServiceConfig {
+        stage1_budget: 10,
+        stage2_budget: 14,
+        ..ServiceConfig::default()
+    });
+    let want = [
+        (
+            4623560622410178765,
+            "{cloud.instance.family=i3, cloud.instance.size=large, cloud.node.count=16}",
+            "house default",
+        ),
+        (
+            4626163978277326135,
+            "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
+            "{spark.broadcast.blockSize.mb=71, spark.default.parallelism=432, spark.driver.memory.mb=8192, spark.dynamicAllocation.enabled=false, spark.executor.cores=6, spark.executor.instances=27, spark.executor.memory.mb=17408, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=96, spark.locality.wait.ms=9000, spark.memory.fraction=0.8911419273150993, spark.memory.storageFraction=0.5555683209410196, spark.network.timeout.s=53, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=39, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=656, spark.shuffle.sort.bypassMergeThreshold=764, spark.shuffle.spill.compress=false, spark.speculation=true, spark.speculation.multiplier=1.225837732499041, spark.speculation.quantile=0.6986227500565719, spark.sql.shuffle.partitions=617, spark.storage.level=MEMORY_ONLY}",
+        ),
+    ];
+    assert_fingerprints(&got, &want);
+}
+
+/// The same default path with the additive-kernel BayesOpt replays its
+/// pinned outcome bit for bit.
+#[test]
+fn additive_batch_1_service_tune_matches_its_pinned_fingerprint() {
+    let got = service_fingerprints(ServiceConfig {
+        tuner: TunerKind::AdditiveBayesOpt,
+        stage1_budget: 10,
+        stage2_budget: 14,
+        ..ServiceConfig::default()
+    });
+    let want = [
+        (
+            4619004634660142882,
+            "{cloud.instance.family=h1, cloud.instance.size=4xlarge, cloud.node.count=11}",
+            "{spark.broadcast.blockSize.mb=127, spark.default.parallelism=221, spark.driver.memory.mb=4608, spark.dynamicAllocation.enabled=false, spark.executor.cores=4, spark.executor.instances=34, spark.executor.memory.mb=23040, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=57, spark.locality.wait.ms=7500, spark.memory.fraction=0.31796526985367357, spark.memory.storageFraction=0.44221100701796934, spark.network.timeout.s=52, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=56, spark.scheduler.mode=FAIR, spark.serializer=java, spark.shuffle.compress=false, spark.shuffle.file.buffer.kb=336, spark.shuffle.sort.bypassMergeThreshold=33, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=2.601063644919469, spark.speculation.quantile=0.902461766042196, spark.sql.shuffle.partitions=769, spark.storage.level=MEMORY_ONLY}",
+        ),
+        (
+            4627399236279170429,
+            "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
+            "{spark.broadcast.blockSize.mb=120, spark.default.parallelism=442, spark.driver.memory.mb=6656, spark.dynamicAllocation.enabled=false, spark.executor.cores=4, spark.executor.instances=30, spark.executor.memory.mb=4096, spark.io.compression.codec=zstd, spark.kryoserializer.buffer.max.mb=100, spark.locality.wait.ms=3000, spark.memory.fraction=0.48682850417000856, spark.memory.storageFraction=0.7659233430646809, spark.network.timeout.s=237, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=19, spark.scheduler.mode=FIFO, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=784, spark.shuffle.sort.bypassMergeThreshold=690, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=2.317028537995605, spark.speculation.quantile=0.9271469501978749, spark.sql.shuffle.partitions=782, spark.storage.level=MEMORY_ONLY}",
+        ),
+    ];
+    assert_fingerprints(&got, &want);
+}
+
 /// A batch-4 service tune replays the pinned outcome bit for bit.
 #[test]
 fn batch_4_service_tune_matches_its_pinned_fingerprint() {

@@ -1,5 +1,5 @@
 //! Concurrency stress tests for the sharded [`HistoryStore`]: many
-//! tenants inserting, querying, and cursor-reading at once must never
+//! tenants inserting and querying at once must never
 //! lose a record, duplicate a sequence number, or deadlock — the store
 //! is the one piece of shared state behind `tune_many`.
 
@@ -7,9 +7,7 @@ use std::sync::Arc;
 use std::thread;
 
 use confspace::Configuration;
-use seamless_core::{
-    ExecutionRecord, HistoryCursor, HistoryStore, RecordOutcome, WorkloadSignature,
-};
+use seamless_core::{ExecutionRecord, HistoryStore, RecordOutcome, WorkloadSignature};
 use simcluster::{ExecMetrics, StageMetrics};
 
 const WRITERS: usize = 8;
@@ -43,27 +41,13 @@ fn record(client: &str, i: usize) -> ExecutionRecord {
     }
 }
 
-/// Writers, similarity readers, and a cursor consumer all hammer one
-/// store; afterwards every record must be present exactly once with a
-/// unique sequence number, and the cursor must have seen each exactly
-/// once.
+/// Writers and similarity readers all hammer one store; afterwards
+/// every record must be present exactly once with a unique sequence
+/// number.
 #[test]
-fn concurrent_insert_query_and_cursor_reads() {
+fn concurrent_inserts_and_queries_keep_every_record_once() {
     let store = Arc::new(HistoryStore::new());
     let total = WRITERS * PER_WRITER;
-
-    let cursor_store = Arc::clone(&store);
-    let cursor_thread = thread::spawn(move || {
-        let mut cursor = HistoryCursor::new();
-        let mut seen: Vec<u64> = Vec::new();
-        while seen.len() < total {
-            for r in cursor_store.records_since(&mut cursor) {
-                seen.push(r.seq);
-            }
-            thread::yield_now();
-        }
-        seen
-    });
 
     let mut handles = Vec::new();
     for w in 0..WRITERS {
@@ -99,37 +83,6 @@ fn concurrent_insert_query_and_cursor_reads() {
     assert_eq!(snapshot.len(), total);
     let seqs: Vec<u64> = snapshot.iter().map(|r| r.seq).collect();
     assert_eq!(seqs, (0..total as u64).collect::<Vec<_>>());
-
-    // The concurrent cursor saw each record exactly once.
-    let mut cursor_seqs = cursor_thread.join().expect("cursor panicked");
-    cursor_seqs.sort_unstable();
-    assert_eq!(cursor_seqs, (0..total as u64).collect::<Vec<_>>());
-}
-
-/// A cursor opened after the stress run drains everything in one call
-/// and then stays empty.
-#[test]
-fn cursor_after_concurrent_inserts_drains_once() {
-    let store = Arc::new(HistoryStore::new());
-    let handles: Vec<_> = (0..WRITERS)
-        .map(|w| {
-            let store = Arc::clone(&store);
-            thread::spawn(move || {
-                for i in 0..PER_WRITER {
-                    store.insert(record(&format!("c{w}"), i));
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().expect("writer panicked");
-    }
-
-    let mut cursor = HistoryCursor::new();
-    let drained = store.records_since(&mut cursor);
-    assert_eq!(drained.len(), WRITERS * PER_WRITER);
-    assert!(drained.windows(2).all(|p| p[0].seq < p[1].seq));
-    assert!(store.records_since(&mut cursor).is_empty());
 }
 
 /// The JSONL round-trip must survive a store populated concurrently:

@@ -104,6 +104,21 @@ fn legacy_service_config_without_resilience_fields_still_parses() {
 }
 
 #[test]
+fn service_config_with_a_removed_key_still_parses() {
+    // Configs stored while the service had a clustered-donor option
+    // still carry its key; it is ignored on load.
+    let json = serde_json::to_string(&ServiceConfig::default()).expect("serializes");
+    let v: serde::Value = serde_json::from_str(&json).expect("parses as value");
+    let serde::Value::Object(mut pairs) = v else {
+        panic!("config serializes as an object");
+    };
+    pairs.push(("clustered_donors".to_owned(), serde::Value::Bool(true)));
+    let stored = serde_json::to_string(&serde::Value::Object(pairs)).expect("serializes");
+    let back: ServiceConfig = serde_json::from_str(&stored).expect("stored config parses");
+    assert_eq!(back, ServiceConfig::default());
+}
+
+#[test]
 fn degraded_tuning_outcome_round_trips_through_json() {
     let obj = DiscObjective::new(
         ClusterSpec::table1_testbed(),

@@ -1,48 +1,9 @@
-//! Crate-level tests for the service's optional features: clustered
-//! donor selection (§II-B/AROMA) and goal-aware tuning (§IV-D).
-
-use std::sync::Arc;
+//! Crate-level tests for goal-aware tuning (§IV-D).
 
 use seamless_core::goal::{GoalObjective, TuningGoal};
-use seamless_core::service::ServiceConfig;
 use seamless_core::tuner::{TunerKind, TuningSession};
-use seamless_core::{CloudObjective, HistoryStore, Objective, SeamlessTuner, SimEnvironment};
-use workloads::{DataScale, KMeans, Pagerank, Wordcount, Workload};
-
-#[test]
-fn clustered_donor_service_tunes_after_history_builds_up() {
-    let store = Arc::new(HistoryStore::new());
-    let svc = SeamlessTuner::new(
-        Arc::clone(&store),
-        SimEnvironment::dedicated(41),
-        ServiceConfig {
-            stage1_budget: 3,
-            stage2_budget: 6,
-            clustered_donors: true,
-            ..ServiceConfig::default()
-        },
-    );
-    // Populate the history with three distinct workload families.
-    for (i, w) in [
-        Box::new(Wordcount::new()) as Box<dyn Workload>,
-        Box::new(Pagerank::new()),
-        Box::new(KMeans::new()),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let job = w.job(DataScale::Tiny);
-        let out = svc.tune(&format!("seed-{i}"), w.name(), &job, 900 + i as u64);
-        assert!(out.best_runtime_s.is_finite());
-    }
-    assert!(store.len() >= 12, "history should have built up");
-
-    // A new tenant running a pagerank variant gets clustered donors.
-    let job = Pagerank::with_iterations(4).job(DataScale::Tiny);
-    let out = svc.tune("newbie", "pr-variant", &job, 990);
-    assert!(out.used_transfer, "clustered donors should be available");
-    assert!(out.best_runtime_s.is_finite() && out.best_runtime_s > 0.0);
-}
+use seamless_core::{CloudObjective, Objective, SeamlessTuner, SimEnvironment};
+use workloads::{DataScale, Wordcount, Workload};
 
 #[test]
 fn goal_objective_preserves_true_cost_for_reporting() {

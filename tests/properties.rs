@@ -238,3 +238,124 @@ proptest! {
         }
     }
 }
+
+/// One persisted execution record drawn from a proptest seed: a real
+/// Spark configuration, a bottleneck mix, a runtime and an outcome tag.
+fn arb_record() -> impl Strategy<Value = seamless_tuning::core::ExecutionRecord> {
+    (arb_spark_config(), 0.0f64..100.0, 0.1f64..1e4, 0u8..3).prop_map(
+        |(config, cpu, runtime_s, tag)| {
+            use seamless_tuning::core::{ExecutionRecord, RecordOutcome};
+            use seamless_tuning::simcluster::{ExecMetrics, StageMetrics};
+            let metrics = ExecMetrics {
+                runtime_s,
+                stages: vec![StageMetrics {
+                    name: "stage".into(),
+                    cpu_s: cpu,
+                    io_s: 100.0 - cpu,
+                    ..Default::default()
+                }],
+                input_mb: 1000.0,
+                shuffle_mb: 10.0 * cpu,
+                ..Default::default()
+            };
+            ExecutionRecord {
+                client: format!("tenant-{tag}"),
+                workload: "job".to_owned(),
+                signature: WorkloadSignature::from_metrics(&metrics),
+                config,
+                runtime_s,
+                cost_usd: runtime_s / 3600.0,
+                seq: 0,
+                outcome: match tag {
+                    0 => RecordOutcome::Ok,
+                    1 => RecordOutcome::Failed,
+                    _ => RecordOutcome::TimedOut,
+                },
+            }
+        },
+    )
+}
+
+/// A history dump of 1–7 records.
+fn arb_dump() -> impl Strategy<Value = String> {
+    (1usize..8).prop_flat_map(|n| {
+        (0..n)
+            .map(|_| arb_record())
+            .collect::<Vec<_>>()
+            .prop_map(|records| {
+                let store = HistoryStore::new();
+                for r in records {
+                    store.insert(r);
+                }
+                store.to_jsonl().expect("records serialize")
+            })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The history store is the only durable state: a dump cut at any
+    /// byte, or with any one byte overwritten by printable ASCII, still
+    /// loads. Every line the damage did not reach comes back, in order,
+    /// and each remaining line is either loaded or counted as skipped.
+    #[test]
+    fn damaged_history_dumps_load_every_intact_line(
+        dump in arb_dump(),
+        cut in any::<bool>(),
+        at in any::<u64>(),
+        on_boundary in any::<bool>(),
+        byte in 0x20u8..0x7f,
+    ) {
+        let mut bytes = dump.clone().into_bytes();
+        // Byte range [start, end) of every line, newline excluded.
+        let mut spans = Vec::new();
+        let mut start = 0;
+        for line in dump.split_inclusive('\n') {
+            spans.push((start, start + line.trim_end_matches('\n').len()));
+            start += line.len();
+        }
+        // Half the cases land exactly on a line's newline, where an
+        // off-by-one in the loader would show.
+        let pos = if on_boundary {
+            spans[(at % spans.len() as u64) as usize].1
+        } else {
+            (at % (bytes.len() as u64 + u64::from(cut))) as usize
+        };
+        // A cut keeps the lines that end at or before it; an overwrite
+        // damages the line it lands in (both neighbours when it lands
+        // on a newline).
+        let intact: Vec<bool> = if cut {
+            bytes.truncate(pos);
+            spans.iter().map(|&(_, end)| end <= pos).collect()
+        } else {
+            bytes[pos] = byte;
+            spans.iter().map(|&(s, end)| pos + 1 < s || pos > end).collect()
+        };
+        let damaged = String::from_utf8(bytes).expect("printable ASCII keeps UTF-8");
+
+        let (restored, skipped) = HistoryStore::from_jsonl_lossy(&damaged);
+
+        let unseq = |mut r: seamless_tuning::core::ExecutionRecord| {
+            r.seq = 0;
+            r
+        };
+        let originals: Vec<_> = HistoryStore::from_jsonl(&dump)
+            .expect("undamaged dump loads")
+            .snapshot()
+            .into_iter()
+            .map(unseq)
+            .collect();
+        prop_assert_eq!(originals.len(), spans.len());
+        let loaded: Vec<_> = restored.snapshot().into_iter().map(unseq).collect();
+        let mut next = loaded.iter();
+        for (i, original) in originals.iter().enumerate().filter(|(i, _)| intact[*i]) {
+            prop_assert!(
+                next.any(|r| r == original),
+                "intact line {i} missing or out of order after damage at byte {pos} (cut: {cut})"
+            );
+        }
+        let non_blank = damaged.lines().filter(|l| !l.trim().is_empty()).count();
+        prop_assert_eq!(restored.len() + skipped, non_blank);
+    }
+}

@@ -1,6 +1,7 @@
 //! Integration test: every tuning strategy drives the real simulator
 //! and behaves sanely; model-guided search beats blind search.
 
+use seamless_tuning::core::TransferTuner;
 use seamless_tuning::prelude::*;
 
 fn tune(kind: TunerKind, budget: usize, seed: u64) -> TuningOutcome {
@@ -83,13 +84,18 @@ fn warm_start_is_visible_to_the_strategy_but_not_charged() {
         Pagerank::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(5),
     );
-    let donated = tune(TunerKind::Random, 10, 21).history;
-    let mut session = TuningSession::new(TunerKind::BayesOpt, 99);
-    session.warm_start(donated);
+    let donor = tune(TunerKind::Random, 10, 21);
+    let donated_best = donor.best_config().expect("a donor run succeeded").clone();
+    let tuner = TransferTuner::new(TunerKind::BayesOpt.build(), donor.history);
+    let mut session = TuningSession::with_tuner(Box::new(tuner), 99);
     let outcome = session.run(&obj, 8);
+    assert_eq!(
+        outcome.history[0].config, donated_best,
+        "the donated incumbent is probed first"
+    );
     assert_eq!(
         outcome.history.len(),
         8,
-        "warm observations are not in the outcome"
+        "donated observations are not charged to the budget"
     );
 }
