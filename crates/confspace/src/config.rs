@@ -41,17 +41,14 @@ impl Configuration {
         self.values.get(name)
     }
 
-    /// Integer value of `name`; panics message points at the parameter.
+    /// Integer value of `name`; see [`ParamLookup::int`].
     ///
     /// # Panics
     ///
     /// Panics if the parameter is absent or not an integer. Use
     /// [`get`](Self::get) for fallible access.
     pub fn int(&self, name: &str) -> i64 {
-        self.values
-            .get(name)
-            .and_then(ParamValue::as_int)
-            .unwrap_or_else(|| panic!("configuration missing int parameter `{name}`"))
+        ParamLookup::int(self, name)
     }
 
     /// Float value of `name` (integers widen to `f64`).
@@ -60,10 +57,7 @@ impl Configuration {
     ///
     /// Panics if the parameter is absent or not numeric.
     pub fn float(&self, name: &str) -> f64 {
-        self.values
-            .get(name)
-            .and_then(ParamValue::as_float)
-            .unwrap_or_else(|| panic!("configuration missing float parameter `{name}`"))
+        ParamLookup::float(self, name)
     }
 
     /// Boolean value of `name`.
@@ -72,10 +66,7 @@ impl Configuration {
     ///
     /// Panics if the parameter is absent or not a boolean.
     pub fn bool(&self, name: &str) -> bool {
-        self.values
-            .get(name)
-            .and_then(ParamValue::as_bool)
-            .unwrap_or_else(|| panic!("configuration missing bool parameter `{name}`"))
+        ParamLookup::bool(self, name)
     }
 
     /// Categorical value of `name`.
@@ -84,10 +75,7 @@ impl Configuration {
     ///
     /// Panics if the parameter is absent or not categorical.
     pub fn str(&self, name: &str) -> &str {
-        self.values
-            .get(name)
-            .and_then(ParamValue::as_str)
-            .unwrap_or_else(|| panic!("configuration missing categorical parameter `{name}`"))
+        ParamLookup::str(self, name)
     }
 
     /// Whether the configuration assigns a value to `name`.
@@ -128,6 +116,68 @@ impl Configuration {
                 .map(|(k, v)| (k.clone(), v.clone()))
                 .collect(),
         }
+    }
+}
+
+/// Read access to parameter values by name.
+///
+/// Cross-parameter [`Constraint`](crate::Constraint)s read values
+/// through this trait, so one predicate checks both a [`Configuration`]
+/// and a dense candidate row (see [`ParamSpace::validate_row`]).
+///
+/// [`ParamSpace::validate_row`]: crate::ParamSpace::validate_row
+pub trait ParamLookup {
+    /// The value assigned to `name`, if any.
+    fn value(&self, name: &str) -> Option<&ParamValue>;
+
+    /// Integer value of `name`; the panic message names the parameter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameter is absent or not an integer.
+    fn int(&self, name: &str) -> i64 {
+        self.value(name)
+            .and_then(ParamValue::as_int)
+            .unwrap_or_else(|| panic!("configuration missing int parameter `{name}`"))
+    }
+
+    /// Float value of `name` (integers widen to `f64`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameter is absent or not numeric.
+    fn float(&self, name: &str) -> f64 {
+        self.value(name)
+            .and_then(ParamValue::as_float)
+            .unwrap_or_else(|| panic!("configuration missing float parameter `{name}`"))
+    }
+
+    /// Boolean value of `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameter is absent or not a boolean.
+    fn bool(&self, name: &str) -> bool {
+        self.value(name)
+            .and_then(ParamValue::as_bool)
+            .unwrap_or_else(|| panic!("configuration missing bool parameter `{name}`"))
+    }
+
+    /// Categorical value of `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameter is absent or not categorical.
+    fn str(&self, name: &str) -> &str {
+        self.value(name)
+            .and_then(ParamValue::as_str)
+            .unwrap_or_else(|| panic!("configuration missing categorical parameter `{name}`"))
+    }
+}
+
+impl ParamLookup for Configuration {
+    fn value(&self, name: &str) -> Option<&ParamValue> {
+        self.values.get(name)
     }
 }
 

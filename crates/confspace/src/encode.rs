@@ -33,6 +33,27 @@ impl ParamSpace {
             .collect()
     }
 
+    /// The row form of [`encode`](Self::encode): bit-equal to
+    /// `encode(&config_of_row(row))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len()` differs from [`ParamSpace::len`].
+    pub fn encode_row(&self, row: &[ParamValue]) -> Vec<f64> {
+        assert_eq!(
+            row.len(),
+            self.len(),
+            "row has wrong dimension: {} != {}",
+            row.len(),
+            self.len()
+        );
+        self.params()
+            .iter()
+            .zip(row)
+            .map(|(p, v)| encode_value(&p.kind, v))
+            .collect()
+    }
+
     /// Decodes a feature vector into a valid configuration, rounding each
     /// coordinate to the nearest admissible value. Coordinates outside
     /// `[0, 1]` are clamped.
@@ -41,6 +62,15 @@ impl ParamSpace {
     ///
     /// Panics if `v.len()` differs from [`ParamSpace::len`].
     pub fn decode(&self, v: &[f64]) -> Configuration {
+        self.config_of_row(self.decode_row(v))
+    }
+
+    /// The row form of [`decode`](Self::decode).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len()` differs from [`ParamSpace::len`].
+    pub fn decode_row(&self, v: &[f64]) -> Vec<ParamValue> {
         assert_eq!(
             v.len(),
             self.len(),
@@ -51,7 +81,7 @@ impl ParamSpace {
         self.params()
             .iter()
             .zip(v)
-            .map(|(p, &x)| (p.name.clone(), decode_value(&p.kind, x.clamp(0.0, 1.0))))
+            .map(|(p, &x)| decode_value(&p.kind, x.clamp(0.0, 1.0)))
             .collect()
     }
 }

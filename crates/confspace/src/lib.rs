@@ -7,7 +7,9 @@
 //!   parameter (integer range, continuous range, boolean, categorical);
 //! * [`ParamSpace`] — an ordered collection of parameter definitions with
 //!   optional cross-parameter constraints;
-//! * [`Configuration`] — a concrete assignment of values to parameters;
+//! * [`Configuration`] — a concrete assignment of values to parameters,
+//!   and its dense *row* form (`Vec<ParamValue>` in space order) for
+//!   search loops that score many candidates and keep few;
 //! * [`spark::spark_space`] and [`cloud::cloud_space`] — the parameter
 //!   catalogs used throughout the paper reproduction (≈26 Spark parameters
 //!   mirroring `spark.*` knobs, and the cloud-layer instance
@@ -42,10 +44,11 @@ pub mod sample;
 pub mod space;
 pub mod spark;
 
-pub use config::Configuration;
+pub use config::{Configuration, ParamLookup};
 pub use error::ConfigError;
 pub use param::{ParamDef, ParamKind, ParamValue};
 pub use sample::{
-    crossover, mutate, neighbor, DivideAndDiverge, LatinHypercube, Sampler, UniformSampler,
+    crossover, mutate, neighbor, neighbor_row, DivideAndDiverge, LatinHypercube, Sampler,
+    UniformSampler,
 };
 pub use space::{Constraint, ParamSpace};

@@ -37,19 +37,26 @@ pub trait Sampler {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UniformSampler;
 
-impl Sampler for UniformSampler {
-    fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration {
+impl UniformSampler {
+    /// Draws one configuration as a dense row (values in space order):
+    /// what [`Sampler::sample`] returns, draw for draw, without naming
+    /// the values.
+    pub fn sample_row<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Vec<ParamValue> {
+        let mut row = Vec::with_capacity(space.len());
         for _ in 0..MAX_REJECTS {
-            let cfg: Configuration = space
-                .params()
-                .iter()
-                .map(|p| (p.name.clone(), sample_value(p, rng)))
-                .collect();
-            if space.validate(&cfg).is_ok() {
-                return cfg;
+            row.clear();
+            row.extend(space.params().iter().map(|p| sample_value(p, rng)));
+            if space.validate_row(&row).is_ok() {
+                return row;
             }
         }
-        space.default_configuration()
+        space.default_row()
+    }
+}
+
+impl Sampler for UniformSampler {
+    fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration {
+        space.config_of_row(self.sample_row(space, rng))
     }
 }
 
@@ -194,7 +201,24 @@ pub fn neighbor<R: Rng + ?Sized>(
     rate: f64,
     rng: &mut R,
 ) -> Configuration {
-    let mut v = space.encode(cfg);
+    match neighbor_row(space, &space.encode(cfg), scale, rate, rng) {
+        Some(row) => space.config_of_row(row),
+        None => space.clamp(cfg),
+    }
+}
+
+/// The row form of [`neighbor`], from the base configuration's encoding:
+/// callers drawing many neighbours of one base encode it once. Returns
+/// `None` when the move lands on an invalid row; [`neighbor`] then falls
+/// back to the clamped base ([`ParamSpace::clamp_row`] in row form).
+pub fn neighbor_row<R: Rng + ?Sized>(
+    space: &ParamSpace,
+    encoded_base: &[f64],
+    scale: f64,
+    rate: f64,
+    rng: &mut R,
+) -> Option<Vec<ParamValue>> {
+    let mut v = encoded_base.to_vec();
     for x in v.iter_mut() {
         if rng.gen::<f64>() < rate {
             // Box-Muller-free Gaussian-ish step: sum of 4 uniforms.
@@ -202,12 +226,8 @@ pub fn neighbor<R: Rng + ?Sized>(
             *x = (*x + g * scale * 2.0).clamp(0.0, 1.0);
         }
     }
-    let cand = space.decode(&v);
-    if space.validate(&cand).is_ok() {
-        cand
-    } else {
-        space.clamp(cfg)
-    }
+    let cand = space.decode_row(&v);
+    space.validate_row(&cand).is_ok().then_some(cand)
 }
 
 /// Uniform crossover of two parent configurations (genetic search).

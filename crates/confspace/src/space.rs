@@ -4,17 +4,19 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::config::Configuration;
+use crate::config::{Configuration, ParamLookup};
 use crate::error::ConfigError;
 use crate::param::{ParamDef, ParamKind, ParamValue};
 
-type ConstraintFn = dyn Fn(&Configuration) -> bool + Send + Sync;
+type ConstraintFn = dyn Fn(&dyn ParamLookup) -> bool + Send + Sync;
 
 /// A named cross-parameter constraint.
 ///
 /// Constraints express relationships a single [`ParamDef`] cannot, e.g.
 /// "speculation quantile only matters when speculation is on" or
 /// "executors × cores must not exceed the cluster's virtual CPUs".
+/// The predicate reads values by name through [`ParamLookup`], so it
+/// checks a [`Configuration`] and a dense row alike.
 #[derive(Clone)]
 pub struct Constraint {
     name: String,
@@ -23,7 +25,10 @@ pub struct Constraint {
 
 impl Constraint {
     /// Creates a constraint from a name and a predicate.
-    pub fn new(name: &str, check: impl Fn(&Configuration) -> bool + Send + Sync + 'static) -> Self {
+    pub fn new(
+        name: &str,
+        check: impl Fn(&dyn ParamLookup) -> bool + Send + Sync + 'static,
+    ) -> Self {
         Constraint {
             name: name.to_owned(),
             check: Arc::new(check),
@@ -35,9 +40,9 @@ impl Constraint {
         &self.name
     }
 
-    /// Whether `cfg` satisfies the constraint.
-    pub fn holds(&self, cfg: &Configuration) -> bool {
-        (self.check)(cfg)
+    /// Whether `values` satisfy the constraint.
+    pub fn holds(&self, values: &dyn ParamLookup) -> bool {
+        (self.check)(values)
     }
 }
 
@@ -49,10 +54,32 @@ impl fmt::Debug for Constraint {
     }
 }
 
+/// A dense candidate row viewed through its space's name index, so
+/// constraints can read it by name.
+struct RowView<'a> {
+    space: &'a ParamSpace,
+    row: &'a [ParamValue],
+}
+
+impl ParamLookup for RowView<'_> {
+    fn value(&self, name: &str) -> Option<&ParamValue> {
+        self.space.index_of(name).and_then(|i| self.row.get(i))
+    }
+}
+
 /// An ordered collection of parameter definitions with constraints.
 ///
 /// The order of parameters is significant: it fixes the dimension order
-/// of the feature-vector encoding (see [`crate::encode`]).
+/// of the feature-vector encoding (see [`crate::encode`]) and of the
+/// *row* form of a configuration — a `Vec<ParamValue>` holding one value
+/// per parameter in space order. Rows skip the string-keyed map of a
+/// [`Configuration`]; search strategies that score many candidates and
+/// keep few sample, validate and encode rows
+/// ([`UniformSampler::sample_row`], [`ParamSpace::validate_row`],
+/// [`ParamSpace::encode_row`]) and build a configuration only for the
+/// winners ([`ParamSpace::config_of_row`]).
+///
+/// [`UniformSampler::sample_row`]: crate::UniformSampler::sample_row
 ///
 /// # Example
 ///
@@ -147,9 +174,32 @@ impl ParamSpace {
 
     /// The configuration assigning every parameter its default value.
     pub fn default_configuration(&self) -> Configuration {
+        self.config_of_row(self.default_row())
+    }
+
+    /// The row of default values, in space order.
+    pub(crate) fn default_row(&self) -> Vec<ParamValue> {
+        self.params.iter().map(|p| p.default.clone()).collect()
+    }
+
+    /// Names a row's values: the configuration assigning `row[i]` to the
+    /// `i`-th parameter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len()` differs from [`ParamSpace::len`].
+    pub fn config_of_row(&self, row: Vec<ParamValue>) -> Configuration {
+        assert_eq!(
+            row.len(),
+            self.len(),
+            "row has wrong dimension: {} != {}",
+            row.len(),
+            self.len()
+        );
         self.params
             .iter()
-            .map(|p| (p.name.clone(), p.default.clone()))
+            .zip(row)
+            .map(|(p, v)| (p.name.clone(), v))
             .collect()
     }
 
@@ -174,12 +224,38 @@ impl ParamSpace {
                 return Err(ConfigError::UnknownParam(name.to_owned()));
             }
         }
-        for c in &self.constraints {
-            if !c.holds(cfg) {
-                return Err(ConfigError::ConstraintViolated(c.name.clone()));
+        self.check_constraints(cfg)
+    }
+
+    /// The row form of [`validate`](Self::validate): `row` must hold an
+    /// admissible value for every parameter, in space order, and satisfy
+    /// all constraints. Agrees with `validate(&config_of_row(row))`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violation found: [`ConfigError::MissingParam`]
+    /// for the first parameter a short row lacks, a per-parameter
+    /// range/type error, [`ConfigError::UnknownParam`] naming the first
+    /// surplus position of a long row, or
+    /// [`ConfigError::ConstraintViolated`].
+    pub fn validate_row(&self, row: &[ParamValue]) -> Result<(), ConfigError> {
+        for (i, p) in self.params.iter().enumerate() {
+            match row.get(i) {
+                None => return Err(ConfigError::MissingParam(p.name.clone())),
+                Some(v) => p.check(v)?,
             }
         }
-        Ok(())
+        if row.len() > self.len() {
+            return Err(ConfigError::UnknownParam(format!("#{}", self.len())));
+        }
+        self.check_constraints(&RowView { space: self, row })
+    }
+
+    fn check_constraints(&self, values: &dyn ParamLookup) -> Result<(), ConfigError> {
+        match self.constraints.iter().find(|c| !c.holds(values)) {
+            Some(c) => Err(ConfigError::ConstraintViolated(c.name.clone())),
+            None => Ok(()),
+        }
     }
 
     /// Clamps every out-of-range value in `cfg` to the nearest admissible
@@ -188,15 +264,18 @@ impl ParamSpace {
     /// *not* repaired (callers resample instead).
     #[must_use]
     pub fn clamp(&self, cfg: &Configuration) -> Configuration {
-        let mut out = Configuration::new();
-        for p in &self.params {
-            let v = match cfg.get(&p.name) {
+        self.config_of_row(self.clamp_row(cfg))
+    }
+
+    /// The row form of [`clamp`](Self::clamp).
+    pub fn clamp_row(&self, cfg: &Configuration) -> Vec<ParamValue> {
+        self.params
+            .iter()
+            .map(|p| match cfg.get(&p.name) {
                 None => p.default.clone(),
                 Some(v) => clamp_value(p, v),
-            };
-            out.set(&p.name, v);
-        }
-        out
+            })
+            .collect()
     }
 
     /// Merges another space's parameters and constraints into this one.
@@ -291,6 +370,44 @@ mod tests {
         ));
         let ok = s.default_configuration().with("b", true).with("n", 3i64);
         assert!(s.validate(&ok).is_ok());
+    }
+
+    #[test]
+    fn validate_row_reports_short_and_long_rows() {
+        let s = small_space();
+        let mut row = s.default_row();
+        assert!(s.validate_row(&row).is_ok());
+        assert_eq!(s.config_of_row(row.clone()), s.default_configuration());
+        row.push(ParamValue::Int(1));
+        assert!(matches!(
+            s.validate_row(&row),
+            Err(ConfigError::UnknownParam(p)) if p == "#4"
+        ));
+        row.truncate(2);
+        assert!(matches!(
+            s.validate_row(&row),
+            Err(ConfigError::MissingParam(p)) if p == "b"
+        ));
+    }
+
+    #[test]
+    fn constraints_read_rows_by_name() {
+        let s = small_space().with_constraint(Constraint::new("n<=4 when b", |c| {
+            !c.bool("b") || c.int("n") <= 4
+        }));
+        let row = |n: i64, b: bool| {
+            vec![
+                ParamValue::Int(n),
+                ParamValue::Float(0.5),
+                ParamValue::Bool(b),
+                ParamValue::Str("x".into()),
+            ]
+        };
+        assert!(s.validate_row(&row(8, false)).is_ok());
+        assert!(matches!(
+            s.validate_row(&row(8, true)),
+            Err(ConfigError::ConstraintViolated(_))
+        ));
     }
 
     #[test]

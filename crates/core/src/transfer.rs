@@ -13,7 +13,7 @@ use rand::RngCore;
 
 use crate::history::HistoryStore;
 use crate::objective::Observation;
-use crate::tuner::Tuner;
+use crate::tuner::{constant_lie_runtime, Tuner};
 use crate::WorkloadSignature;
 
 /// Builds warm-start observations for a target workload: among the
@@ -63,6 +63,10 @@ pub struct TransferTuner {
     /// Real observations required before validating the donation.
     validate_after: usize,
     validated: bool,
+    /// The history the inner strategy sees: `donated` (runtimes
+    /// rescaled in place on every proposal), then the session history,
+    /// appended as it grows instead of re-cloned per proposal.
+    visible: Vec<Observation>,
 }
 
 impl TransferTuner {
@@ -70,10 +74,31 @@ impl TransferTuner {
     pub fn new(inner: Box<dyn Tuner>, donated: Vec<Observation>) -> Self {
         TransferTuner {
             inner,
+            visible: donated.clone(),
             donated,
             validate_after: 5,
             validated: false,
         }
+    }
+
+    /// The session history mirrored in `visible`.
+    fn seen(&self) -> &[Observation] {
+        &self.visible[self.donated.len()..]
+    }
+
+    /// Brings `visible` up to date with `history`. Within a session the
+    /// history only grows (the [`Tuner`] contract), so only new entries
+    /// are cloned; a shorter history means a new session and a rebuild.
+    fn sync(&mut self, history: &[Observation]) {
+        if history.len() < self.seen().len() {
+            self.visible.truncate(self.donated.len());
+        }
+        let seen = self.seen().len();
+        debug_assert!(
+            seen == 0 || self.seen()[seen - 1] == history[seen - 1],
+            "history was rewritten, not appended to"
+        );
+        self.visible.extend_from_slice(&history[seen..]);
     }
 
     /// Whether the donation is still active.
@@ -120,25 +145,17 @@ impl TransferTuner {
         // seen, the donated surface points the wrong way.
         near_mean > observed_best * 2.0
     }
-}
 
-impl Tuner for TransferTuner {
-    fn name(&self) -> &str {
-        "transfer"
-    }
-
-    fn propose(
-        &mut self,
-        space: &ParamSpace,
-        history: &[Observation],
-        rng: &mut dyn RngCore,
-    ) -> Configuration {
-        if !self.validated && history.len() >= self.validate_after {
-            if self.donation_misleads(space, history) {
+    /// One proposal against the history mirrored in `visible`.
+    fn propose_visible(&mut self, space: &ParamSpace, rng: &mut dyn RngCore) -> Configuration {
+        if !self.validated && self.seen().len() >= self.validate_after {
+            if self.donation_misleads(space, self.seen()) {
+                self.visible.drain(..self.donated.len());
                 self.donated.clear();
             }
             self.validated = true;
         }
+        let history = self.seen();
 
         // Probe the donated incumbent first: the single cheapest way to
         // cash in a similar workload's tuning knowledge.
@@ -171,24 +188,66 @@ impl Tuner for TransferTuner {
         } else {
             1.0
         };
-        let augmented: Vec<Observation> = self
-            .donated
-            .iter()
-            .map(|o| {
-                let mut d = o.clone();
-                if d.is_ok() {
-                    d.runtime_s *= scale;
-                }
-                d
-            })
-            .chain(history.iter().cloned())
-            .collect();
-        self.inner.propose(space, &augmented, rng)
+        for (shown, donor) in self.visible.iter_mut().zip(&self.donated) {
+            if donor.is_ok() {
+                shown.runtime_s = donor.runtime_s * scale;
+            }
+        }
+        self.inner.propose(space, &self.visible, rng)
+    }
+}
+
+impl Tuner for TransferTuner {
+    fn name(&self) -> &str {
+        "transfer"
+    }
+
+    fn propose(
+        &mut self,
+        space: &ParamSpace,
+        history: &[Observation],
+        rng: &mut dyn RngCore,
+    ) -> Configuration {
+        self.sync(history);
+        self.propose_visible(space, rng)
+    }
+
+    /// The default constant liar, run on `visible` so the lies never
+    /// outlive the batch: each proposal is committed as a fake
+    /// observation at the incumbent runtime, and the lies are dropped
+    /// before the next round appends the real outcomes.
+    fn propose_batch(
+        &mut self,
+        space: &ParamSpace,
+        history: &[Observation],
+        q: usize,
+        rng: &mut dyn RngCore,
+    ) -> Vec<Configuration> {
+        if q <= 1 {
+            return vec![self.propose(space, history, rng)];
+        }
+        self.sync(history);
+        let lie = constant_lie_runtime(history);
+        let mut batch = Vec::with_capacity(q);
+        for _ in 0..q {
+            let cfg = self.propose_visible(space, rng);
+            self.visible.push(Observation {
+                config: cfg.clone(),
+                runtime_s: lie,
+                cost_usd: 0.0,
+                metrics: None,
+                failure: None,
+            });
+            batch.push(cfg);
+        }
+        self.visible.truncate(self.donated.len() + history.len());
+        batch
     }
 
     fn reset(&mut self) {
         self.inner.reset();
         self.validated = false;
+        self.visible.truncate(self.donated.len());
     }
 }
 

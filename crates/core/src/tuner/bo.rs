@@ -4,7 +4,9 @@
 //! Latin-hypercube design — the data-efficient strategy the paper
 //! contrasts with 500-sample search (§IV-C).
 
-use confspace::{neighbor, Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler};
+use confspace::{
+    neighbor_row, Configuration, LatinHypercube, ParamSpace, ParamValue, Sampler, UniformSampler,
+};
 use models::{expected_improvement, FitKind, GpFitCache, Kernel};
 use rand::RngCore;
 
@@ -109,9 +111,7 @@ impl BayesOpt {
         space: &ParamSpace,
         history: &[Observation],
     ) -> models::GpRegressor {
-        let kept = self.subsample(history);
-        let owned: Vec<Observation> = kept.into_iter().cloned().collect();
-        let (x, y) = encode_history(space, &owned);
+        let (x, y) = encode_history(space, self.subsample(history));
         let reg = obs::registry();
         reg.gauge("par.threads")
             .set(models::par::num_threads() as f64);
@@ -139,18 +139,26 @@ impl BayesOpt {
         gp
     }
 
-    /// The candidate pool for one acquisition round: global uniform
-    /// samples plus local refinements around the incumbent.
+    /// The candidate pool for one acquisition round, as dense rows:
+    /// global uniform samples plus local refinements around the
+    /// incumbent, which is encoded once per pool.
+    /// Draw for draw the same pool `UniformSampler::sample_n` and
+    /// `neighbor` would build, without naming the values.
     fn candidate_pool(
         &self,
         space: &ParamSpace,
         history: &[Observation],
         rng: &mut dyn RngCore,
-    ) -> Vec<Configuration> {
-        let mut cands = UniformSampler.sample_n(space, self.candidates, rng);
+    ) -> Vec<Vec<ParamValue>> {
+        let mut cands: Vec<Vec<ParamValue>> = (0..self.candidates)
+            .map(|_| UniformSampler.sample_row(space, rng))
+            .collect();
         if let Some(best) = best_observation(history) {
+            let base = space.encode(&best.config);
             for _ in 0..self.local_candidates {
-                cands.push(neighbor(space, &best.config, 0.05, 0.4, rng));
+                let row = neighbor_row(space, &base, 0.05, 0.4, rng)
+                    .unwrap_or_else(|| space.clamp_row(&best.config));
+                cands.push(row);
             }
         }
         cands
@@ -239,7 +247,7 @@ impl Tuner for BayesOpt {
         let best_ln = best_observation(history)
             .map(|o| o.runtime_s.max(1e-3).ln())
             .unwrap_or(f64::INFINITY);
-        let cands = self.candidate_pool(space, history, rng);
+        let mut cands = self.candidate_pool(space, history, rng);
         let censored = encode_censored(space, history);
 
         let _acq = obs::span("acquisition")
@@ -250,7 +258,7 @@ impl Tuner for BayesOpt {
             // prediction reuses one set of scratch buffers. Scores come
             // back in candidate order, so each arg-max (last maximum on
             // ties) is thread-count independent.
-            let encoded: Vec<Vec<f64>> = cands.iter().map(|c| space.encode(c)).collect();
+            let encoded: Vec<Vec<f64>> = cands.iter().map(|c| space.encode_row(c)).collect();
             let mut scores = models::par::par_chunks(&encoded, EI_CHUNK, |chunk| {
                 gp.predict_batch(chunk)
                     .into_iter()
@@ -268,7 +276,7 @@ impl Tuner for BayesOpt {
                     break;
                 };
                 taken[i] = true;
-                out.push(cands[i].clone());
+                out.push(space.config_of_row(std::mem::take(&mut cands[i])));
                 if out.len() == q {
                     break;
                 }

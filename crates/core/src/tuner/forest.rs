@@ -69,11 +69,12 @@ impl Tuner for ForestTuner {
         let (x, y) = encode_history(space, history);
         let forest = RandomForest::fit(&x, &y, ForestParams::default(), rng);
         let censored = encode_censored(space, history);
-        UniformSampler
-            .sample_n(space, self.candidates, rng)
-            .into_iter()
-            .map(|c| {
-                let point = space.encode(&c);
+        // Score dense candidate rows; only the winner becomes a
+        // configuration.
+        (0..self.candidates)
+            .map(|_| UniformSampler.sample_row(space, rng))
+            .map(|row| {
+                let point = space.encode_row(&row);
                 let (m, s) = forest.predict_with_std(&point);
                 let mut score = lower_confidence_bound(m, s, self.beta);
                 if !censored.is_empty() {
@@ -90,10 +91,10 @@ impl Tuner for ForestTuner {
                         .fold(0.0, f64::max);
                     score += FAILURE_PENALTY_S.ln() * proximity;
                 }
-                (c, score)
+                (row, score)
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(c, _)| c)
+            .map(|(row, _)| space.config_of_row(row))
             .unwrap_or_else(|| space.default_configuration())
     }
 

@@ -298,14 +298,19 @@ pub fn best_observation(history: &[Observation]) -> Option<&Observation> {
 /// harness, not a measurement, so surrogates fit on survivors only.
 /// (Objective-level failures — OOM, fetch timeout — stay in: their
 /// penalty *is* the signal that a region misconfigures the job.)
-pub fn encode_history(space: &ParamSpace, history: &[Observation]) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let survivors: Vec<&Observation> = history.iter().filter(|o| !o.is_censored()).collect();
-    let x = survivors.iter().map(|o| space.encode(&o.config)).collect();
-    let y = survivors
-        .iter()
-        .map(|o| o.runtime_s.max(1e-3).ln())
-        .collect();
-    (x, y)
+///
+/// Takes any sequence of borrowed observations — a history slice or a
+/// subsample of one — so callers never clone observations to encode
+/// them.
+pub fn encode_history<'a>(
+    space: &ParamSpace,
+    history: impl IntoIterator<Item = &'a Observation>,
+) -> (Vec<Vec<f64>>, Vec<f64>) {
+    history
+        .into_iter()
+        .filter(|o| !o.is_censored())
+        .map(|o| (space.encode(&o.config), o.runtime_s.max(1e-3).ln()))
+        .unzip()
 }
 
 /// Encoded positions of a history's censored observations — the points

@@ -64,15 +64,16 @@ impl Tuner for RegressionTreeTuner {
         }
         let (x, y) = encode_history(space, history);
         let tree = RegressionTree::fit(&x, &y, TreeParams::default(), rng);
-        UniformSampler
-            .sample_n(space, self.candidates, rng)
-            .into_iter()
-            .map(|c| {
-                let pred = tree.predict(&space.encode(&c));
-                (c, pred)
+        // Score dense candidate rows; only the winner becomes a
+        // configuration.
+        (0..self.candidates)
+            .map(|_| UniformSampler.sample_row(space, rng))
+            .map(|row| {
+                let pred = tree.predict(&space.encode_row(&row));
+                (row, pred)
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(c, _)| c)
+            .map(|(row, _)| space.config_of_row(row))
             .unwrap_or_else(|| space.default_configuration())
     }
 

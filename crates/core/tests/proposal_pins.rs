@@ -1,0 +1,93 @@
+//! Pinned proposal sequences of the candidate-scoring tuners (GP
+//! BayesOpt, random forest, regression tree) on the 26-parameter Spark
+//! space. Their acquisition scans score hundreds of sampled candidates
+//! per proposal; how the candidates are represented is a performance
+//! detail, so the proposals themselves must replay bit for bit.
+
+use confspace::spark::{names, spark_space};
+use confspace::{Configuration, ParamSpace};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use seamless_core::tuner::{BayesOpt, ForestTuner, RegressionTreeTuner, Tuner};
+use seamless_core::{Observation, FAILURE_PENALTY_S};
+use simcluster::FailureKind;
+
+/// A smooth synthetic runtime over a few Spark knobs. Very wide
+/// executor fleets "time out" as censored trials, so the censored-region
+/// penalties of the acquisition scans are exercised too.
+fn observe(cfg: Configuration) -> Observation {
+    let instances = cfg.int(names::EXECUTOR_INSTANCES) as f64;
+    let fraction = cfg.float(names::MEMORY_FRACTION);
+    let partitions = cfg.int(names::SHUFFLE_PARTITIONS) as f64;
+    let kryo = cfg.str(names::SERIALIZER) == "kryo";
+    let censored = instances > 45.0;
+    let runtime_s = if censored {
+        FAILURE_PENALTY_S
+    } else {
+        20.0 + ((instances - 24.0) / 6.0).powi(2)
+            + 40.0 * (fraction - 0.7).powi(2)
+            + ((partitions - 400.0) / 150.0).powi(2)
+            + if kryo { 0.0 } else { 3.0 }
+    };
+    Observation {
+        config: cfg,
+        runtime_s,
+        cost_usd: 0.0,
+        metrics: None,
+        failure: censored.then_some(FailureKind::TrialTimeout),
+    }
+}
+
+/// FNV-1a over the display form of every proposal: `Display` prints
+/// floats in shortest round-trip form, so the hash pins every bit.
+fn proposal_hash(tuner: &mut dyn Tuner, budget: usize, seed: u64) -> (u64, String) {
+    let space: ParamSpace = spark_space();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut history = Vec::new();
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    let mut last = String::new();
+    for _ in 0..budget {
+        let cfg = tuner.propose(&space, &history, &mut rng);
+        assert!(space.validate(&cfg).is_ok(), "invalid proposal {cfg}");
+        last = cfg.to_string();
+        for b in last.bytes().chain([b'\n']) {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        history.push(observe(cfg));
+    }
+    (hash, last)
+}
+
+fn assert_pinned(tuner: &mut dyn Tuner, want_hash: u64, want_last: &str) {
+    let name = tuner.name().to_owned();
+    let (hash, last) = proposal_hash(tuner, 16, 5);
+    assert_eq!(last, want_last, "{name}: last proposal");
+    assert_eq!(hash, want_hash, "{name}: proposal sequence hash");
+}
+
+#[test]
+fn bayesopt_replays_its_pinned_proposals() {
+    assert_pinned(
+        &mut BayesOpt::new(),
+        11421691642649820655,
+        "{spark.broadcast.blockSize.mb=3, spark.default.parallelism=920, spark.driver.memory.mb=4864, spark.dynamicAllocation.enabled=false, spark.executor.cores=4, spark.executor.instances=24, spark.executor.memory.mb=13312, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=17, spark.locality.wait.ms=0, spark.memory.fraction=0.750962793968378, spark.memory.storageFraction=0.6012428493243702, spark.network.timeout.s=84, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=256, spark.scheduler.mode=FAIR, spark.serializer=java, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=992, spark.shuffle.sort.bypassMergeThreshold=687, spark.shuffle.spill.compress=false, spark.speculation=true, spark.speculation.multiplier=1.9813465373295833, spark.speculation.quantile=0.9277553120834969, spark.sql.shuffle.partitions=508, spark.storage.level=MEMORY_ONLY}",
+    );
+}
+
+#[test]
+fn forest_tuner_replays_its_pinned_proposals() {
+    assert_pinned(
+        &mut ForestTuner::new(),
+        18166972666835003630,
+        "{spark.broadcast.blockSize.mb=31, spark.default.parallelism=871, spark.driver.memory.mb=6144, spark.dynamicAllocation.enabled=true, spark.executor.cores=3, spark.executor.instances=29, spark.executor.memory.mb=9984, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=112, spark.locality.wait.ms=5500, spark.memory.fraction=0.7071926605333143, spark.memory.storageFraction=0.8599016387637393, spark.network.timeout.s=411, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=72, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=240, spark.shuffle.sort.bypassMergeThreshold=142, spark.shuffle.spill.compress=false, spark.speculation=false, spark.speculation.multiplier=1.7947333899464926, spark.speculation.quantile=0.7105043835325415, spark.sql.shuffle.partitions=299, spark.storage.level=MEMORY_AND_DISK}",
+    );
+}
+
+#[test]
+fn regression_tree_tuner_replays_its_pinned_proposals() {
+    assert_pinned(
+        &mut RegressionTreeTuner::new(),
+        15621466438666151240,
+        "{spark.broadcast.blockSize.mb=7, spark.default.parallelism=936, spark.driver.memory.mb=3840, spark.dynamicAllocation.enabled=true, spark.executor.cores=8, spark.executor.instances=46, spark.executor.memory.mb=2816, spark.io.compression.codec=zstd, spark.kryoserializer.buffer.max.mb=118, spark.locality.wait.ms=1000, spark.memory.fraction=0.8183377720595648, spark.memory.storageFraction=0.23068437704348732, spark.network.timeout.s=118, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=58, spark.scheduler.mode=FIFO, spark.serializer=java, spark.shuffle.compress=false, spark.shuffle.file.buffer.kb=272, spark.shuffle.sort.bypassMergeThreshold=813, spark.shuffle.spill.compress=false, spark.speculation=true, spark.speculation.multiplier=1.9340924090477936, spark.speculation.quantile=0.6104759822479093, spark.sql.shuffle.partitions=769, spark.storage.level=MEMORY_ONLY}",
+    );
+}

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use seamless_tuning::confspace::ParamValue;
 use seamless_tuning::prelude::*;
 
 /// Draws a valid random Spark configuration from a proptest seed.
@@ -235,6 +236,114 @@ proptest! {
                 metrics: None,
                 failure: None,
             });
+        }
+    }
+}
+
+/// The spaces the dense row path must agree on: Spark, cloud, the joint
+/// space, and a small space with the kinds those catalogs lack (a
+/// log-scale float, a float-reading constraint).
+fn row_spaces() -> [ParamSpace; 4] {
+    use seamless_tuning::confspace::{Constraint, ParamDef};
+    let log_space = ParamSpace::new()
+        .with(ParamDef::log_float("scale", 1.0, 100.0, 10.0, ""))
+        .with(ParamDef::int_step("n", 0, 64, 4, 8, ""))
+        .with(ParamDef::categorical("c", &["x", "y", "z"], "x", ""))
+        .with_constraint(Constraint::new("n <= 32 when scale > 50", |c| {
+            c.float("scale") <= 50.0 || c.int("n") <= 32
+        }));
+    [
+        spark_space(),
+        cloud_space(),
+        seamless_tuning::confspace::cloud::joint_space(),
+        log_space,
+    ]
+}
+
+/// Deliberately bad variants of a valid row, one defect each: speculation
+/// on with an inadmissible quantile, the constraint-violating `h1` /
+/// `large` instance, an out-of-range int and a log-float just past `hi`
+/// (each where the space has such a parameter).
+fn bad_rows(space: &ParamSpace, row: &[ParamValue]) -> Vec<Vec<ParamValue>> {
+    use seamless_tuning::confspace::cloud::names as cl;
+    use seamless_tuning::confspace::spark::names as sp;
+    use seamless_tuning::confspace::ParamKind;
+    let set = |pairs: &[(usize, ParamValue)]| {
+        let mut bad = row.to_vec();
+        for (i, v) in pairs {
+            bad[*i] = v.clone();
+        }
+        bad
+    };
+    let mut out = Vec::new();
+    if let (Some(on), Some(q)) = (
+        space.index_of(sp::SPECULATION),
+        space.index_of(sp::SPECULATION_QUANTILE),
+    ) {
+        out.push(set(&[
+            (on, ParamValue::Bool(true)),
+            (q, ParamValue::Float(0.3)),
+        ]));
+    }
+    if let (Some(family), Some(size)) = (
+        space.index_of(cl::INSTANCE_FAMILY),
+        space.index_of(cl::INSTANCE_SIZE),
+    ) {
+        out.push(set(&[(family, "h1".into()), (size, "large".into())]));
+    }
+    for (i, p) in space.params().iter().enumerate() {
+        if let ParamKind::Int { hi, .. } = p.kind {
+            out.push(set(&[(i, ParamValue::Int(hi + 1))]));
+            break;
+        }
+    }
+    for (i, p) in space.params().iter().enumerate() {
+        if let ParamKind::Float { hi, log: true, .. } = p.kind {
+            out.push(set(&[(
+                i,
+                ParamValue::Float(f64::from_bits(hi.to_bits() + 1)),
+            )]));
+            break;
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The dense row path used by acquisition scans and the
+    /// `Configuration` path agree draw for draw and bit for bit:
+    /// sampling, neighbourhood moves, encoding and validation.
+    #[test]
+    fn row_path_agrees_with_configuration_path(which in 0usize..4, seed in any::<u64>()) {
+        use rand::Rng;
+        use seamless_tuning::confspace::{neighbor, neighbor_row};
+        let space = &row_spaces()[which];
+
+        let mut cfg_rng = StdRng::seed_from_u64(seed);
+        let mut row_rng = StdRng::seed_from_u64(seed);
+        let cfg = UniformSampler.sample(space, &mut cfg_rng);
+        let row = UniformSampler.sample_row(space, &mut row_rng);
+        prop_assert_eq!(&cfg, &space.config_of_row(row.clone()));
+
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(bits(space.encode_row(&row)), bits(space.encode(&cfg)));
+
+        // A wide, frequent move so some candidates fall back.
+        let moved = neighbor(space, &cfg, 0.5, 0.8, &mut cfg_rng);
+        let moved_row = neighbor_row(space, &space.encode_row(&row), 0.5, 0.8, &mut row_rng)
+            .unwrap_or_else(|| space.clamp_row(&cfg));
+        prop_assert_eq!(&moved, &space.config_of_row(moved_row.clone()));
+        prop_assert_eq!(bits(space.encode_row(&moved_row)), bits(space.encode(&moved)));
+        prop_assert_eq!(cfg_rng.gen::<u64>(), row_rng.gen::<u64>(), "draw counts differ");
+
+        prop_assert_eq!(space.validate_row(&row), space.validate(&cfg));
+        prop_assert!(space.validate_row(&row).is_ok());
+        for bad in bad_rows(space, &row) {
+            let via_config = space.validate(&space.config_of_row(bad.clone()));
+            prop_assert!(via_config.is_err(), "bad row accepted: {:?}", bad);
+            prop_assert_eq!(space.validate_row(&bad), via_config);
         }
     }
 }
