@@ -49,8 +49,10 @@ pub struct ServiceConfig {
     pub retune_budget: usize,
     /// Trials proposed and evaluated per round in each tuning stage
     /// (default 1). Larger values amortize one surrogate fit across the
-    /// whole round and let the [`crate::executor::TrialExecutor`]
-    /// evaluate the round concurrently.
+    /// whole round — in stage 2 too, where the [`TransferTuner`] hands
+    /// the round to its inner strategy's batch — and let the
+    /// [`crate::executor::TrialExecutor`] evaluate the round
+    /// concurrently.
     pub batch: usize,
     /// Retry/backoff policy of the trial executor (retries, per-trial
     /// deadlines, quarantine). `None` means [`RetryPolicy::default`].

@@ -13,7 +13,7 @@ use rand::RngCore;
 
 use crate::history::HistoryStore;
 use crate::objective::Observation;
-use crate::tuner::{constant_lie_runtime, Tuner};
+use crate::tuner::Tuner;
 use crate::WorkloadSignature;
 
 /// Builds warm-start observations for a target workload: among the
@@ -57,6 +57,11 @@ pub fn donated_observations(
 /// A tuner wrapper injecting donated observations into the history its
 /// inner strategy sees — with a rank-agreement guard that drops the
 /// donation if it turns out to mislead (negative transfer).
+///
+/// Batch-native: a round of `q` is the unprobed donated incumbent (if
+/// any) followed by one inner `propose_batch` over the donated prefix
+/// and the real history, so nothing but real outcomes and donations
+/// ever reaches the inner strategy.
 pub struct TransferTuner {
     inner: Box<dyn Tuner>,
     donated: Vec<Observation>,
@@ -64,8 +69,8 @@ pub struct TransferTuner {
     validate_after: usize,
     validated: bool,
     /// The history the inner strategy sees: `donated` (runtimes
-    /// rescaled in place on every proposal), then the session history,
-    /// appended as it grows instead of re-cloned per proposal.
+    /// rescaled in place every round), then the session history,
+    /// appended as it grows instead of re-cloned per round.
     visible: Vec<Observation>,
 }
 
@@ -146,28 +151,22 @@ impl TransferTuner {
         near_mean > observed_best * 2.0
     }
 
-    /// One proposal against the history mirrored in `visible`.
-    fn propose_visible(&mut self, space: &ParamSpace, rng: &mut dyn RngCore) -> Configuration {
+    /// Readies `visible` for one round: syncs it with `history`, runs
+    /// the misleading-donor guard once enough real runs exist, and
+    /// rescales the donated runtimes to the observed scale. Returns the
+    /// donated incumbent if no trial has run it yet.
+    fn prepare_round(
+        &mut self,
+        space: &ParamSpace,
+        history: &[Observation],
+    ) -> Option<Configuration> {
+        self.sync(history);
         if !self.validated && self.seen().len() >= self.validate_after {
             if self.donation_misleads(space, self.seen()) {
                 self.visible.drain(..self.donated.len());
                 self.donated.clear();
             }
             self.validated = true;
-        }
-        let history = self.seen();
-
-        // Probe the donated incumbent first: the single cheapest way to
-        // cash in a similar workload's tuning knowledge.
-        if let Some(donated_best) = self
-            .donated
-            .iter()
-            .filter(|o| o.is_ok())
-            .min_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s))
-        {
-            if !history.iter().any(|o| o.config == donated_best.config) {
-                return donated_best.config.clone();
-            }
         }
 
         // Align the donated runtimes to the target's observed scale so
@@ -193,7 +192,16 @@ impl TransferTuner {
                 shown.runtime_s = donor.runtime_s * scale;
             }
         }
-        self.inner.propose(space, &self.visible, rng)
+
+        // Probe the donated incumbent first: the single cheapest way to
+        // cash in a similar workload's tuning knowledge.
+        let donated_best = self
+            .donated
+            .iter()
+            .filter(|o| o.is_ok())
+            .min_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s))?;
+        (!history.iter().any(|o| o.config == donated_best.config))
+            .then(|| donated_best.config.clone())
     }
 }
 
@@ -208,14 +216,16 @@ impl Tuner for TransferTuner {
         history: &[Observation],
         rng: &mut dyn RngCore,
     ) -> Configuration {
-        self.sync(history);
-        self.propose_visible(space, rng)
+        match self.prepare_round(space, history) {
+            Some(probe) => probe,
+            None => self.inner.propose(space, &self.visible, rng),
+        }
     }
 
-    /// The default constant liar, run on `visible` so the lies never
-    /// outlive the batch: each proposal is committed as a fake
-    /// observation at the incumbent runtime, and the lies are dropped
-    /// before the next round appends the real outcomes.
+    /// One round: the unprobed donated incumbent (if any) first, then
+    /// one inner `propose_batch` call over `visible` for the rest, so a
+    /// batch-native inner strategy (BayesOpt's q-EI) fits its surrogate
+    /// once per round.
     fn propose_batch(
         &mut self,
         space: &ParamSpace,
@@ -223,24 +233,13 @@ impl Tuner for TransferTuner {
         q: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<Configuration> {
-        if q <= 1 {
-            return vec![self.propose(space, history, rng)];
+        let q = q.max(1);
+        let mut batch: Vec<Configuration> =
+            self.prepare_round(space, history).into_iter().collect();
+        if batch.len() < q {
+            let rest = q - batch.len();
+            batch.extend(self.inner.propose_batch(space, &self.visible, rest, rng));
         }
-        self.sync(history);
-        let lie = constant_lie_runtime(history);
-        let mut batch = Vec::with_capacity(q);
-        for _ in 0..q {
-            let cfg = self.propose_visible(space, rng);
-            self.visible.push(Observation {
-                config: cfg.clone(),
-                runtime_s: lie,
-                cost_usd: 0.0,
-                metrics: None,
-                failure: None,
-            });
-            batch.push(cfg);
-        }
-        self.visible.truncate(self.donated.len() + history.len());
         batch
     }
 
@@ -255,8 +254,11 @@ impl Tuner for TransferTuner {
 mod tests {
     use super::*;
     use crate::tuner::BayesOpt;
+    use confspace::{Sampler, UniformSampler};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn space() -> ParamSpace {
         ParamSpace::new().with(confspace::ParamDef::int("a", 0, 100, 50, ""))
@@ -285,6 +287,117 @@ mod tests {
         // the first proposal is model-guided.
         let c = t.propose(&s, &[], &mut rng);
         assert!(c.int("a") <= 40, "should exploit the donated trend: {c}");
+    }
+
+    /// Each inner `propose_batch` call's `q` and the history it was shown.
+    type Calls = Rc<RefCell<Vec<(usize, Vec<Observation>)>>>;
+
+    /// Records every `propose_batch` call; proposes `a = 0, 1, 2, …`
+    /// in call order.
+    struct Spy {
+        calls: Calls,
+        next: i64,
+    }
+
+    impl Tuner for Spy {
+        fn name(&self) -> &str {
+            "spy"
+        }
+
+        fn propose(
+            &mut self,
+            space: &ParamSpace,
+            history: &[Observation],
+            rng: &mut dyn RngCore,
+        ) -> Configuration {
+            self.propose_batch(space, history, 1, rng).remove(0)
+        }
+
+        fn propose_batch(
+            &mut self,
+            space: &ParamSpace,
+            history: &[Observation],
+            q: usize,
+            _rng: &mut dyn RngCore,
+        ) -> Vec<Configuration> {
+            self.calls.borrow_mut().push((q, history.to_vec()));
+            (0..q)
+                .map(|_| {
+                    self.next += 1;
+                    space.default_configuration().with("a", self.next - 1)
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn a_round_is_the_donated_probe_then_one_inner_batch_without_lies() {
+        let s = space();
+        let donated = vec![obs(&s, 90, 5.0), obs(&s, 80, 7.0), obs(&s, 70, 9.0)];
+        let calls = Calls::default();
+        let spy = Spy {
+            calls: Rc::clone(&calls),
+            next: 0,
+        };
+        let mut t = TransferTuner::new(Box::new(spy), donated.clone());
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut history = Vec::new();
+        for round in 0..3 {
+            let batch = t.propose_batch(&s, &history, 8, &mut rng);
+            assert_eq!(batch.len(), 8, "round {round}");
+            let calls = calls.borrow();
+            assert_eq!(calls.len(), round + 1, "one inner call per round");
+            let (q, shown) = calls.last().unwrap();
+            if round == 0 {
+                assert_eq!(batch[0], donated[0].config, "donated best first");
+                assert_eq!(*q, 7);
+            } else {
+                assert_eq!(*q, 8);
+            }
+            // The donated prefix, then exactly the real history.
+            assert_eq!(shown.len(), donated.len() + history.len());
+            for (seen, donor) in shown.iter().zip(&donated) {
+                assert_eq!(seen.config, donor.config);
+            }
+            assert_eq!(&shown[donated.len()..], &history[..]);
+            drop(calls);
+            for (i, cfg) in batch.into_iter().enumerate() {
+                history.push(Observation {
+                    config: cfg,
+                    runtime_s: 10.0 + i as f64,
+                    cost_usd: 0.0,
+                    metrics: None,
+                    failure: None,
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn a_q8_round_over_bayesopt_is_eight_distinct_valid_configs() {
+        let s = confspace::spark::spark_space();
+        let mut rng = StdRng::seed_from_u64(6);
+        let observe = |config: Configuration, runtime_s: f64| Observation {
+            config,
+            runtime_s,
+            cost_usd: 0.0,
+            metrics: None,
+            failure: None,
+        };
+        let donated: Vec<Observation> = (0..4)
+            .map(|i| observe(UniformSampler.sample(&s, &mut rng), 50.0 + i as f64))
+            .collect();
+        // Ten real runs: past BayesOpt's 8-point warm-up.
+        let history: Vec<Observation> = (0..10)
+            .map(|i| observe(UniformSampler.sample(&s, &mut rng), 40.0 + 3.0 * i as f64))
+            .collect();
+        let mut t = TransferTuner::new(Box::new(BayesOpt::new()), donated);
+        let batch = t.propose_batch(&s, &history, 8, &mut rng);
+        assert_eq!(batch.len(), 8);
+        for (i, cfg) in batch.iter().enumerate() {
+            assert!(s.validate(cfg).is_ok(), "invalid proposal {cfg}");
+            assert!(!batch[..i].contains(cfg), "duplicate proposal {cfg}");
+        }
     }
 
     #[test]

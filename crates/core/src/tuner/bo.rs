@@ -53,11 +53,6 @@ pub struct BayesOpt {
     pub candidates: usize,
     /// Extra neighbourhood candidates around the incumbent.
     pub local_candidates: usize,
-    /// Whether consecutive proposals reuse cached Cholesky factors
-    /// (incremental O(n²) updates while history only grows). The
-    /// proposals are identical either way; disabling only exists for
-    /// benchmarks and equivalence tests.
-    pub use_fit_cache: bool,
     kernel: Kernel,
     pending_init: Vec<Configuration>,
     fit_cache: GpFitCache,
@@ -97,7 +92,6 @@ impl BayesOpt {
             init_samples: 8,
             candidates: 256,
             local_candidates: 64,
-            use_fit_cache: true,
             kernel,
             pending_init: Vec::new(),
             fit_cache: GpFitCache::new(),
@@ -117,12 +111,7 @@ impl BayesOpt {
             .set(models::par::num_threads() as f64);
         let _fit = obs::span("surrogate_fit").with("points", y.len());
         let start = std::time::Instant::now();
-        let (gp, kind) = if self.use_fit_cache {
-            self.fit_cache.fit_auto(&x, &y, self.kernel)
-        } else {
-            self.fit_cache.clear();
-            self.fit_cache.fit_auto(&x, &y, self.kernel)
-        };
+        let (gp, kind) = self.fit_cache.fit_auto(&x, &y, self.kernel);
         let secs = start.elapsed().as_secs_f64();
         reg.histogram("bo.surrogate_fit_s").record_secs(secs);
         match kind {

@@ -1,7 +1,8 @@
 //! The batch-execution equivalence contract: `propose_batch` at q = 1
-//! must equal `propose` for every strategy, trial outcomes must not
-//! depend on how rounds are partitioned or on the worker count, larger
-//! batches must stay valid and deterministic, and the multi-tenant
+//! must equal `propose` for every strategy and for the transfer
+//! wrapper, trial outcomes must not depend on how rounds are
+//! partitioned or on the worker count, larger batches must stay valid
+//! and deterministic, and the multi-tenant
 //! `tune_many` must match sequential `tune` calls whenever tenants
 //! cannot observe each other (transfer disabled). Pinned service
 //! fingerprints guard the executor path against unplanned bitwise
@@ -14,10 +15,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seamless_core::objective::{DiscObjective, Objective, SimEnvironment};
 use seamless_core::service::TenantRequest;
-use seamless_core::tuner::{TunerKind, TuningSession};
+use seamless_core::tuner::{BayesOpt, Tuner, TunerKind, TuningSession};
 use seamless_core::{
     FaultInjector, FaultPlan, HistoryStore, Observation, SeamlessTuner, ServiceConfig,
-    TrialExecutor, TrialOutcome,
+    TransferTuner, TrialExecutor, TrialOutcome,
 };
 use simcluster::ClusterSpec;
 use workloads::{DataScale, Pagerank, Wordcount, Workload};
@@ -44,30 +45,53 @@ fn push(history: &mut Vec<Observation>, cfg: Configuration) {
     });
 }
 
+/// Drives two fresh tuners through 20 rounds, one with `propose` and
+/// one with `propose_batch` at q = 1, and asserts identical proposals.
+fn assert_q1_matches_propose(label: &str, build: impl Fn() -> Box<dyn Tuner>) {
+    let space = synth_space();
+    let mut seq_tuner = build();
+    let mut batch_tuner = build();
+    let mut seq_rng = StdRng::seed_from_u64(17);
+    let mut batch_rng = StdRng::seed_from_u64(17);
+    let mut seq_hist = Vec::new();
+    let mut batch_hist = Vec::new();
+    for i in 0..20 {
+        let a = seq_tuner.propose(&space, &seq_hist, &mut seq_rng);
+        let batch = batch_tuner.propose_batch(&space, &batch_hist, 1, &mut batch_rng);
+        assert_eq!(batch.len(), 1, "{label}: q=1 batch length");
+        assert_eq!(a, batch[0], "{label}: proposal {i} diverges at q=1");
+        push(&mut seq_hist, a);
+        push(&mut batch_hist, batch[0].clone());
+    }
+}
+
 #[test]
 fn propose_batch_q1_matches_propose_for_every_tuner() {
-    let space = synth_space();
     for kind in TunerKind::all() {
-        let mut seq_tuner = kind.build();
-        let mut batch_tuner = kind.build();
-        let mut seq_rng = StdRng::seed_from_u64(17);
-        let mut batch_rng = StdRng::seed_from_u64(17);
-        let mut seq_hist = Vec::new();
-        let mut batch_hist = Vec::new();
-        for i in 0..20 {
-            let a = seq_tuner.propose(&space, &seq_hist, &mut seq_rng);
-            let batch = batch_tuner.propose_batch(&space, &batch_hist, 1, &mut batch_rng);
-            assert_eq!(batch.len(), 1, "{}: q=1 batch length", kind.label());
-            assert_eq!(
-                a,
-                batch[0],
-                "{}: proposal {i} diverges at q=1",
-                kind.label()
-            );
-            push(&mut seq_hist, a);
-            push(&mut batch_hist, batch[0].clone());
-        }
+        assert_q1_matches_propose(kind.label(), || kind.build());
     }
+    // The transfer wrapper over BayesOpt, donated five points on a
+    // 3x runtime scale: covers the donated probe, the warm-up, the
+    // rescale and the donation guard.
+    let donated: Vec<Observation> = [(60i64, 40i64), (75, 25), (20, 80), (90, 10), (50, 50)]
+        .iter()
+        .map(|&(a, b)| {
+            let config = Configuration::new().with("a", a).with("b", b);
+            Observation {
+                runtime_s: 3.0 * synth_eval(&config),
+                config,
+                cost_usd: 0.0,
+                metrics: None,
+                failure: None,
+            }
+        })
+        .collect();
+    assert_q1_matches_propose("transfer(bayesopt)", || {
+        Box::new(TransferTuner::new(
+            Box::new(BayesOpt::new()),
+            donated.clone(),
+        ))
+    });
 }
 
 #[test]
@@ -360,7 +384,10 @@ fn additive_batch_1_service_tune_matches_its_pinned_fingerprint() {
     assert_fingerprints(&got, &want);
 }
 
-/// A batch-4 service tune replays the pinned outcome bit for bit.
+/// A batch-4 service tune replays the pinned outcome bit for bit. In
+/// stage 2 each round is the donated probe (first round only) plus one
+/// q-EI batch from the inner BayesOpt over the donations and the real
+/// history.
 #[test]
 fn batch_4_service_tune_matches_its_pinned_fingerprint() {
     let got = service_fingerprints(ServiceConfig {
@@ -376,9 +403,9 @@ fn batch_4_service_tune_matches_its_pinned_fingerprint() {
             "house default",
         ),
         (
-            4626546047062688622,
+            4627253398745712081,
             "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
-            "{spark.broadcast.blockSize.mb=50, spark.default.parallelism=243, spark.driver.memory.mb=7168, spark.dynamicAllocation.enabled=false, spark.executor.cores=12, spark.executor.instances=41, spark.executor.memory.mb=24320, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=94, spark.locality.wait.ms=9500, spark.memory.fraction=0.6264720896649636, spark.memory.storageFraction=0.2909815478974599, spark.network.timeout.s=467, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=160, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=928, spark.shuffle.sort.bypassMergeThreshold=823, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.2097860410866292, spark.speculation.quantile=0.6251004799118746, spark.sql.shuffle.partitions=664, spark.storage.level=MEMORY_AND_DISK}",
+            "{spark.broadcast.blockSize.mb=51, spark.default.parallelism=219, spark.driver.memory.mb=6912, spark.dynamicAllocation.enabled=false, spark.executor.cores=13, spark.executor.instances=38, spark.executor.memory.mb=25856, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=89, spark.locality.wait.ms=9500, spark.memory.fraction=0.6264720896649636, spark.memory.storageFraction=0.2909815478974599, spark.network.timeout.s=523, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=160, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=912, spark.shuffle.sort.bypassMergeThreshold=823, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.2097860410866292, spark.speculation.quantile=0.6304126919184099, spark.sql.shuffle.partitions=609, spark.storage.level=MEMORY_AND_DISK}",
         ),
     ];
     assert_fingerprints(&got, &want);

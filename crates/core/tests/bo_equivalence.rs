@@ -1,7 +1,7 @@
-//! End-to-end determinism of the optimized BO hot path: the incremental
-//! fit cache and the parallel acquisition scoring are pure performance
-//! features, so a cached tuner must emit *exactly* the proposal
-//! sequence an uncached one does for the same seed.
+//! The BO fit cache must not leak across sessions: after `reset` a
+//! tuner emits *exactly* the proposal sequence a fresh one does. That
+//! cached and full refits agree is pinned in the models crate
+//! (`par_equivalence.rs`) and by `proposal_pins.rs`.
 
 use confspace::{Configuration, ParamDef, ParamSpace};
 use rand::rngs::StdRng;
@@ -39,20 +39,6 @@ fn proposal_sequence(tuner: &mut BayesOpt, budget: usize, seed: u64) -> Vec<Conf
         });
     }
     proposals
-}
-
-#[test]
-fn cached_bo_proposes_exactly_what_uncached_bo_does() {
-    for seed in [1u64, 9, 42] {
-        let mut cached = BayesOpt::new();
-        assert!(cached.use_fit_cache, "cache is on by default");
-        let mut uncached = BayesOpt::new();
-        uncached.use_fit_cache = false;
-
-        let a = proposal_sequence(&mut cached, 28, seed);
-        let b = proposal_sequence(&mut uncached, 28, seed);
-        assert_eq!(a, b, "proposal sequences diverge for seed {seed}");
-    }
 }
 
 #[test]

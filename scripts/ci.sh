@@ -45,17 +45,20 @@ cargo build -q -p bench --bins --benches
 echo "==> cargo build --release --manifest-path e2ebench/Cargo.toml"
 CARGO_TARGET_DIR=.bench_build cargo build --release --manifest-path e2ebench/Cargo.toml
 
-# End-to-end smoke run: the minimum 8 passes of one workload. The run
-# checks outcome invariants and bitwise replay across passes itself and
-# reports the verdict on its last line.
-echo "==> e2ebench smoke (tenant_stream, seed 1, 8 passes)"
-smoke="$(python3 e2ebench/run.py --workload tenant_stream --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-echo "$smoke" | python3 -c '
+# End-to-end smoke runs: the minimum 8 passes of one workload each.
+# The run checks outcome invariants and bitwise replay across passes
+# itself and reports the verdict on its last line. batch_wave is the
+# only workload that runs transfer at batch > 1.
+for workload in tenant_stream batch_wave; do
+  echo "==> e2ebench smoke (${workload}, seed 1, 8 passes)"
+  smoke="$(python3 e2ebench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+  echo "$smoke" | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
 if r.get("correct") is not True or r.get("failed") != 0:
     sys.exit("e2ebench smoke run failed: correct=%r failed=%r" % (r.get("correct"), r.get("failed")))
 '
+done
 
 # Live-telemetry smoke: a chaos-heavy stune run with the flight
 # recorder armed must leave Chrome-trace dumps behind, and every dump
