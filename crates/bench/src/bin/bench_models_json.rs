@@ -8,7 +8,8 @@
 //!   shape: 15 independent full `GpRegressor::fit` calls, one per
 //!   hyperparameter grid point, each rebuilding its own kernel matrix;
 //! * `fit_auto_s` — the shipped `fit_auto` (shared Gram per length
-//!   scale, grid parallelized over [`models::par`]);
+//!   scale; the grid fans out over [`models::par`] only above its work
+//!   cutoff, so n = 32 runs inline and n = 120 / 512 in parallel);
 //! * `fit_cached_incremental_s` — `GpFitCache` warm path: cache holds
 //!   n−1 points, one new row arrives (the steady state of a BO loop);
 //! * `predict_s` / `predict_batch_s` — single-point vs batched

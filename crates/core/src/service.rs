@@ -364,11 +364,17 @@ impl SeamlessTuner {
 
     /// Tunes many tenants concurrently over the shared (sharded)
     /// history store — the provider-side multi-tenant service of §IV.
-    /// Outcomes are returned in request order. Each tenant's session is
-    /// driven entirely by its own seed, so results match running the
-    /// same requests sequentially whenever tenants do not read each
-    /// other's history mid-flight (`transfer_k == 0`, or disjoint
-    /// signatures).
+    /// Outcomes are returned in request order.
+    ///
+    /// This is the outermost fan-out: tenants are claimed one at a time
+    /// by [`models::par`] workers, and everything a tenant's tune runs
+    /// under it (trial rounds, surrogate fits, acquisition scans) stays
+    /// inline on that worker.
+    ///
+    /// Each tenant's session is driven entirely by its own seed, so
+    /// results match running the same requests sequentially whenever
+    /// tenants do not read each other's history mid-flight
+    /// (`transfer_k == 0`, or disjoint signatures).
     pub fn tune_many(&self, requests: &[TenantRequest]) -> Vec<ServiceOutcome> {
         let _span = obs::span("tune_many").with("tenants", requests.len());
         let reg = obs::registry();

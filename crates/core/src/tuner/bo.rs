@@ -107,11 +107,15 @@ impl BayesOpt {
     ) -> models::GpRegressor {
         let (x, y) = encode_history(space, self.subsample(history));
         let reg = obs::registry();
-        reg.gauge("par.threads")
-            .set(models::par::num_threads() as f64);
+        // The worker count this fit actually runs on: one for service
+        // -sized fits and for fits nested under a tenant or trial worker.
+        let threads = self.fit_cache.fit_threads(&x, self.kernel);
+        reg.gauge("par.threads").set(threads as f64);
         let _fit = obs::span("surrogate_fit").with("points", y.len());
         let start = std::time::Instant::now();
-        let (gp, kind) = self.fit_cache.fit_auto(&x, &y, self.kernel);
+        let (gp, kind) = self
+            .fit_cache
+            .fit_auto_threads(&x, &y, self.kernel, threads);
         let secs = start.elapsed().as_secs_f64();
         reg.histogram("bo.surrogate_fit_s").record_secs(secs);
         match kind {
@@ -243,17 +247,21 @@ impl Tuner for BayesOpt {
             .with("candidates", cands.len())
             .with("q", q);
         reg.histogram("bo.acquisition_s").time(|| {
-            // Score candidates in parallel chunks; each chunk's batched
-            // prediction reuses one set of scratch buffers. Scores come
-            // back in candidate order, so each arg-max (last maximum on
-            // ties) is thread-count independent.
+            // Score candidates in chunks, in parallel only when the scan
+            // (≈ candidates·n·(d + n) for n GP points) is large enough;
+            // each chunk's batched prediction reuses one set of scratch
+            // buffers. Scores come back in candidate order, so each
+            // arg-max (last maximum on ties) is thread-count independent.
             let encoded: Vec<Vec<f64>> = cands.iter().map(|c| space.encode_row(c)).collect();
-            let mut scores = models::par::par_chunks(&encoded, EI_CHUNK, |chunk| {
-                gp.predict_batch(chunk)
-                    .into_iter()
-                    .map(|(m, s)| expected_improvement(m, s, best_ln))
-                    .collect()
-            });
+            let (n, d) = (gp.len(), encoded.first().map_or(0, Vec::len));
+            let threads = models::par::threads_for((encoded.len() * n * (d + n)) as u64);
+            let mut scores =
+                models::par::par_chunks_threads(&encoded, threads, EI_CHUNK, |chunk| {
+                    gp.predict_batch(chunk)
+                        .into_iter()
+                        .map(|(m, s)| expected_improvement(m, s, best_ln))
+                        .collect()
+                });
             penalize_censored(&mut scores, &encoded, &censored);
             let mut taken = vec![false; scores.len()];
             let mut out: Vec<Configuration> = Vec::with_capacity(q);

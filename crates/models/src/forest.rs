@@ -27,6 +27,26 @@ impl Default for ForestParams {
     }
 }
 
+/// Candidate features per split: the configured subsample, or √d.
+fn feature_subsample(d: usize, params: &ForestParams) -> usize {
+    params
+        .tree
+        .feature_subsample
+        .unwrap_or_else(|| ((d as f64).sqrt().ceil() as usize).max(1))
+}
+
+/// Estimated work of growing the forest on `x`, in the units of
+/// [`par::PAR_WORK_CUTOFF`]: every tree scans each candidate feature's
+/// thresholds over the node's points at each of ~log₂ n levels. A
+/// threshold scan reads its points through an index, which measures
+/// at about 8 multiply-adds per point.
+fn fit_work(x: &[Vec<f64>], params: &ForestParams) -> u64 {
+    let n = x.len().max(1);
+    let subsample = feature_subsample(x.first().map_or(0, Vec::len), params);
+    let levels = n.next_power_of_two().trailing_zeros() as usize;
+    (params.n_trees * n * levels * subsample * params.tree.max_thresholds * 8) as u64
+}
+
 /// A fitted random forest.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
@@ -36,10 +56,11 @@ pub struct RandomForest {
 impl RandomForest {
     /// Fits a forest on `(x, y)` with bootstrap resampling.
     ///
-    /// Trees are induced in parallel over [`par::num_threads`] scoped
-    /// workers. Each tree gets its own seed split off the master RNG up
-    /// front, so the fitted forest depends only on the seed — not on
-    /// the thread count or interleaving.
+    /// Trees are induced in parallel over [`par::threads_for`] the
+    /// fit's estimated work, so forests on fewer than ~20 points are
+    /// grown inline. Each tree gets its own seed split off the master
+    /// RNG up front, so the fitted forest depends only on the seed —
+    /// not on the thread count or interleaving.
     ///
     /// # Panics
     ///
@@ -50,7 +71,8 @@ impl RandomForest {
         params: ForestParams,
         rng: &mut R,
     ) -> Self {
-        Self::fit_threads(x, y, params, rng, par::num_threads())
+        let threads = par::threads_for(fit_work(x, &params));
+        Self::fit_threads(x, y, params, rng, threads)
     }
 
     /// [`RandomForest::fit`] with an explicit worker count
@@ -68,11 +90,7 @@ impl RandomForest {
     ) -> Self {
         assert!(!x.is_empty(), "forest needs at least one sample");
         assert_eq!(x.len(), y.len(), "X and y length mismatch");
-        let d = x[0].len();
-        let subsample = params
-            .tree
-            .feature_subsample
-            .unwrap_or_else(|| ((d as f64).sqrt().ceil() as usize).max(1));
+        let subsample = feature_subsample(x[0].len(), &params);
         let tree_params = TreeParams {
             feature_subsample: Some(subsample),
             ..params.tree

@@ -202,6 +202,14 @@ fn factorize(
     Ok((chol, alpha, lml))
 }
 
+/// Estimated work of a full `fit_auto` grid fit on `n` points of
+/// dimension `d`: one Cholesky factorization (n³/3) per grid point plus
+/// one Gram matrix (n²·d) per length scale.
+fn full_fit_work(n: usize, d: usize) -> u64 {
+    let (n, d) = (n as u64, d as u64);
+    (LS_GRID.len() * NOISE_GRID.len()) as u64 * n * n * n / 3 + LS_GRID.len() as u64 * n * n * d
+}
+
 /// Factorizes the whole `fit_auto` grid, building each length scale's
 /// Gram matrix once and refactorizing per noise level (5 builds instead
 /// of 15). Length scales fan out over `threads` scoped workers; the
@@ -258,16 +266,18 @@ impl GpRegressor {
     /// marginal likelihood over a small grid — the pragmatic
     /// hyperparameter treatment CherryPick-style tuners use.
     ///
-    /// The grid is evaluated in parallel ([`par::num_threads`] scoped
-    /// workers, one Gram matrix per length scale shared across noise
-    /// levels); the selected model is identical to a sequential scan of
-    /// the grid regardless of the thread count.
+    /// One Gram matrix is built per length scale and shared across
+    /// noise levels. The length scales fan out over
+    /// [`par::threads_for`] the fit's estimated work, so fits up to ~60
+    /// points run inline; the selected model is identical to a
+    /// sequential scan of the grid regardless of the thread count.
     ///
     /// # Panics
     ///
     /// Panics if `x` is empty or lengths mismatch.
     pub fn fit_auto(x: &[Vec<f64>], y: &[f64], base: Kernel) -> Self {
-        Self::fit_auto_threads(x, y, base, par::num_threads())
+        let d = x.first().map_or(0, Vec::len);
+        Self::fit_auto_threads(x, y, base, par::threads_for(full_fit_work(x.len(), d)))
     }
 
     /// [`GpRegressor::fit_auto`] with an explicit worker count
@@ -399,13 +409,37 @@ impl GpFitCache {
 
     /// Cached [`GpRegressor::fit_auto`]: incremental when the training
     /// set extends the cached one under the same base kernel, full grid
-    /// refit otherwise.
+    /// refit otherwise. Runs on [`GpFitCache::fit_threads`] workers.
     ///
     /// # Panics
     ///
     /// Panics if `x` is empty or lengths mismatch.
     pub fn fit_auto(&mut self, x: &[Vec<f64>], y: &[f64], base: Kernel) -> (GpRegressor, FitKind) {
-        self.fit_auto_threads(x, y, base, par::num_threads())
+        let threads = self.fit_threads(x, base);
+        self.fit_auto_threads(x, y, base, threads)
+    }
+
+    /// The worker count [`GpFitCache::fit_auto`] uses on `x`:
+    /// [`par::threads_for`] the estimated work of the path the fit will
+    /// take. A cached append of `new` rows costs ≈ 15·n²·(new + 2) (the
+    /// appended rows plus two triangular solves per grid point), a full
+    /// refit ≈ 15·n³/3 + 5·n²·d.
+    pub fn fit_threads(&self, x: &[Vec<f64>], base: Kernel) -> usize {
+        let n = x.len();
+        let work = match self.cached_prefix(x, base) {
+            Some(old) => (LS_GRID.len() * NOISE_GRID.len() * n * n * (n - old + 2)) as u64,
+            None => full_fit_work(n, x.first().map_or(0, Vec::len)),
+        };
+        par::threads_for(work)
+    }
+
+    /// Length of the cached training set when `x` extends it under the
+    /// same base kernel (a cache hit), `None` when a full refit is due.
+    fn cached_prefix(&self, x: &[Vec<f64>], base: Kernel) -> Option<usize> {
+        self.state
+            .as_ref()
+            .filter(|s| s.base == base && x.len() >= s.x.len() && x[..s.x.len()] == s.x[..])
+            .map(|s| s.x.len())
     }
 
     /// [`GpFitCache::fit_auto`] with an explicit worker count.
@@ -422,16 +456,11 @@ impl GpFitCache {
     ) -> (GpRegressor, FitKind) {
         assert!(!x.is_empty(), "GP needs at least one observation");
         assert_eq!(x.len(), y.len(), "X and y length mismatch");
-        let hit = self
-            .state
-            .as_ref()
-            .is_some_and(|s| s.base == base && x.len() >= s.x.len() && x[..s.x.len()] == s.x[..]);
-        if !hit {
+        let Some(n_old) = self.cached_prefix(x, base) else {
             return (self.refit_full(x, y, base, threads), FitKind::Full);
-        }
+        };
 
         let state = self.state.as_mut().expect("hit implies cached state");
-        let n_old = state.x.len();
         let new_points = &x[n_old..];
         if !new_points.is_empty() {
             // Grow every factor by the appended points; length scales

@@ -16,8 +16,10 @@
 //!   fixed-threshold baseline (§V-D re-tuning detection);
 //! * [`linalg`] — the small dense linear algebra (Cholesky, ridge
 //!   solves) the above need;
-//! * [`par`] — scoped-thread fork/join helpers the fitting hot paths
-//!   fan out over (`SEAMLESS_THREADS` overrides the worker count);
+//! * [`par`] — one-level scoped-thread fork/join: the outermost call
+//!   (tenants, trials) fans out with dynamic item claiming, nested calls
+//!   run inline on their worker, and model kernels fan out only above a
+//!   work cutoff (`SEAMLESS_THREADS` overrides the worker count);
 //! * [`stats`] — shared statistics helpers.
 
 pub mod changepoint;

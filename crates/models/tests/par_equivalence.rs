@@ -4,7 +4,8 @@
 //! (`models::GpFitCache`) are pure performance features: every result
 //! they produce must be bit-for-bit identical to the sequential,
 //! from-scratch computation. These tests pin that contract across
-//! thread counts 1, 2 and 8 and across warm/cold cache states.
+//! thread counts 1, 2 and 8, inside a `par` worker, and across
+//! warm/cold cache states.
 
 use models::{FitKind, ForestParams, GpFitCache, GpRegressor, Kernel, RandomForest};
 use rand::rngs::StdRng;
@@ -184,5 +185,24 @@ fn par_equivalence_holds_for_additive_kernel() {
     let par = GpRegressor::fit_auto_threads(&x, &y, base, 8);
     for q in &queries(10, 4, 72) {
         assert_eq!(seq.predict(q), par.predict(q));
+    }
+}
+
+#[test]
+fn fit_nested_in_a_worker_matches_sequential_fit() {
+    // Under `tune_many` every surrogate fit runs inside a tenant or
+    // trial worker, where the fit's own fan-out runs inline; the model
+    // must still be the sequential one bit for bit.
+    let (x, y) = dataset(40, 5, 81);
+    let qs = queries(12, 5, 82);
+    let seq = GpRegressor::fit_auto_threads(&x, &y, BASE, 1);
+    let nested = models::par::par_map_threads(&[0u8, 1], 2, |_| {
+        GpRegressor::fit_auto_threads(&x, &y, BASE, 8)
+    });
+    for gp in &nested {
+        assert_eq!(seq.log_marginal_likelihood(), gp.log_marginal_likelihood());
+        for q in &qs {
+            assert_eq!(seq.predict(q), gp.predict(q));
+        }
     }
 }

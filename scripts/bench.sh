@@ -14,8 +14,13 @@
 # in `BENCHMARK.json` (`python3 e2ebench/run.py --workload <w> ...`).
 #
 # `SEAMLESS_THREADS=<k>` overrides the worker count used by the
-# parallel model-fitting layer (defaults to the machine's available
-# parallelism).
+# parallel layer `models::par` (defaults to the machine's available
+# parallelism). That layer parallelizes at one level: a model kernel
+# fans out only when its estimated work reaches `PAR_WORK_CUTOFF`
+# (2^21; a GP full refit crosses it at 68 points at d = 26), and runs
+# inline when called from another `par` worker. So in
+# `BENCH_models.json` the n = 32 fits run on one thread and the
+# n = 120 / 512 cold fits on every worker.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -22,11 +22,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-# Re-run the concurrency suites with an explicit worker count: the
-# batched executor and sharded history store must behave identically
-# whatever SEAMLESS_THREADS says.
-echo "==> SEAMLESS_THREADS=2 cargo test -q -p seamless-core --test batch_equivalence --test history_stress"
-SEAMLESS_THREADS=2 cargo test -q -p seamless-core --test batch_equivalence --test history_stress
+# Re-run the concurrency suites at several worker counts: the batched
+# executor and sharded history store must behave identically whatever
+# SEAMLESS_THREADS says, including 8 workers on a smaller machine, where
+# tenant and trial fan-out is oversubscribed and every nested model
+# kernel runs inline on its worker.
+for threads in 1 2 8; do
+  echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p seamless-core --test batch_equivalence --test history_stress"
+  SEAMLESS_THREADS="${threads}" cargo test -q -p seamless-core --test batch_equivalence --test history_stress
+done
 
 # The chaos suite asserts seed-for-seed reproducible fault injection;
 # running it at several worker counts proves fault decisions key off the
