@@ -12,8 +12,9 @@
 //!   cutoff, so n = 32 runs inline and n = 120 / 512 in parallel);
 //! * `fit_cached_incremental_s` — `GpFitCache` warm path: cache holds
 //!   n−1 points, one new row arrives (the steady state of a BO loop);
-//! * `predict_s` / `predict_batch_s` — single-point vs batched
-//!   prediction, per query;
+//! * `predict_s` / `predict_batch_s` — per query, 256 queries scored
+//!   one `predict` call each (one-row blocks) vs one `predict_batch`
+//!   call (64-row blocks of the same kernel);
 //! * `propose_s` — a full `BayesOpt::propose` step at that history
 //!   size (n ≤ 120 only: the tuner subsamples above `MAX_GP_POINTS`).
 //!

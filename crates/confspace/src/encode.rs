@@ -40,6 +40,19 @@ impl ParamSpace {
     ///
     /// Panics if `row.len()` differs from [`ParamSpace::len`].
     pub fn encode_row(&self, row: &[ParamValue]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.len());
+        self.encode_row_into(row, &mut out);
+        out
+    }
+
+    /// [`encode_row`](Self::encode_row) into a caller-owned buffer,
+    /// replacing its contents: scans that encode a pool of candidates
+    /// every round keep one buffer per row instead of allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len()` differs from [`ParamSpace::len`].
+    pub fn encode_row_into(&self, row: &[ParamValue], out: &mut Vec<f64>) {
         assert_eq!(
             row.len(),
             self.len(),
@@ -47,11 +60,13 @@ impl ParamSpace {
             row.len(),
             self.len()
         );
-        self.params()
-            .iter()
-            .zip(row)
-            .map(|(p, v)| encode_value(&p.kind, v))
-            .collect()
+        out.clear();
+        out.extend(
+            self.params()
+                .iter()
+                .zip(row)
+                .map(|(p, v)| encode_value(&p.kind, v)),
+        );
     }
 
     /// Decodes a feature vector into a valid configuration, rounding each

@@ -140,10 +140,19 @@ impl ParamKind {
     /// Number of admissible values for discrete kinds; `None` for floats.
     pub fn cardinality(&self) -> Option<u64> {
         match self {
-            ParamKind::Int { lo, hi, step } => Some(((hi - lo) / step + 1) as u64),
+            ParamKind::Int { .. } => Some(self.step_count() as u64 + 1),
             ParamKind::Float { .. } => None,
             ParamKind::Bool => Some(2),
             ParamKind::Categorical { choices } => Some(choices.len() as u64),
+        }
+    }
+
+    /// Steps between an integer range's bounds, `(hi − lo) / step`: the
+    /// top of the uniform step draw. `0` for every other kind.
+    pub(crate) fn step_count(&self) -> i64 {
+        match self {
+            ParamKind::Int { lo, hi, step } => (hi - lo) / step,
+            _ => 0,
         }
     }
 }
@@ -162,7 +171,20 @@ pub struct ParamDef {
 }
 
 impl ParamDef {
+    /// Asserts that the default is admissible ([`ParamDef::check`]), so
+    /// a space's default configuration always validates.
+    fn with_admissible_default(self) -> Self {
+        if let Err(e) = self.check(&self.default) {
+            panic!("param `{}`: default is not admissible: {e}", self.name);
+        }
+        self
+    }
+
     /// Creates an integer-range parameter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `default` is outside `[lo, hi]`.
     pub fn int(name: &str, lo: i64, hi: i64, default: i64, description: &str) -> Self {
         assert!(lo <= hi, "int param `{name}`: lo > hi");
         ParamDef {
@@ -171,9 +193,15 @@ impl ParamDef {
             default: ParamValue::Int(default),
             description: description.to_owned(),
         }
+        .with_admissible_default()
     }
 
     /// Creates an integer-range parameter with a step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi`, `step < 1`, or `default` is outside
+    /// `[lo, hi]` or off the grid `lo + k·step`.
     pub fn int_step(
         name: &str,
         lo: i64,
@@ -189,9 +217,15 @@ impl ParamDef {
             default: ParamValue::Int(default),
             description: description.to_owned(),
         }
+        .with_admissible_default()
     }
 
     /// Creates a continuous parameter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo > hi` or `default` is not a finite value in
+    /// `[lo, hi]`.
     pub fn float(name: &str, lo: f64, hi: f64, default: f64, description: &str) -> Self {
         assert!(lo <= hi, "float param `{name}`: lo > hi");
         ParamDef {
@@ -200,9 +234,15 @@ impl ParamDef {
             default: ParamValue::Float(default),
             description: description.to_owned(),
         }
+        .with_admissible_default()
     }
 
     /// Creates a continuous parameter sampled in log-space.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < lo <= hi` and `default` is a finite value in
+    /// `[lo, hi]`.
     pub fn log_float(name: &str, lo: f64, hi: f64, default: f64, description: &str) -> Self {
         assert!(0.0 < lo && lo <= hi, "log-float param `{name}`: bad range");
         ParamDef {
@@ -211,6 +251,7 @@ impl ParamDef {
             default: ParamValue::Float(default),
             description: description.to_owned(),
         }
+        .with_admissible_default()
     }
 
     /// Creates a boolean parameter.
@@ -225,11 +266,23 @@ impl ParamDef {
 
     /// Creates a categorical parameter. The default must be one of the
     /// choices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `default` is not a choice or a choice is listed twice
+    /// (encoding maps a value to its first match, so a duplicate could
+    /// not round-trip).
     pub fn categorical(name: &str, choices: &[&str], default: &str, description: &str) -> Self {
         assert!(
             choices.contains(&default),
             "categorical param `{name}`: default not in choices"
         );
+        for (i, c) in choices.iter().enumerate() {
+            assert!(
+                !choices[..i].contains(c),
+                "categorical param `{name}`: duplicate choice `{c}`"
+            );
+        }
         ParamDef {
             name: name.to_owned(),
             kind: ParamKind::Categorical {
@@ -373,6 +426,56 @@ mod tests {
         assert_eq!(ParamValue::Bool(true).as_bool(), Some(true));
         assert_eq!(ParamValue::Str("x".into()).as_str(), Some("x"));
         assert_eq!(ParamValue::Bool(true).as_int(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "default is not admissible")]
+    fn int_default_below_range_panics() {
+        let _ = ParamDef::int("x", 1, 10, 0, "");
+    }
+
+    #[test]
+    #[should_panic(expected = "default is not admissible")]
+    fn int_default_above_range_panics() {
+        let _ = ParamDef::int("x", 1, 10, 11, "");
+    }
+
+    #[test]
+    #[should_panic(expected = "default is not admissible")]
+    fn int_step_default_off_grid_panics() {
+        let _ = ParamDef::int_step("x", 0, 100, 10, 35, "");
+    }
+
+    #[test]
+    #[should_panic(expected = "default is not admissible")]
+    fn float_default_outside_range_panics() {
+        let _ = ParamDef::float("f", 0.0, 1.0, 1.5, "");
+    }
+
+    #[test]
+    #[should_panic(expected = "default is not admissible")]
+    fn float_nan_default_panics() {
+        let _ = ParamDef::float("f", 0.0, 1.0, f64::NAN, "");
+    }
+
+    #[test]
+    #[should_panic(expected = "default is not admissible")]
+    fn log_float_default_outside_range_panics() {
+        let _ = ParamDef::log_float("g", 1.0, 100.0, 0.5, "");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate choice `a`")]
+    fn duplicate_categorical_choice_panics() {
+        let _ = ParamDef::categorical("c", &["a", "b", "a"], "b", "");
+    }
+
+    #[test]
+    fn defaults_on_the_bounds_and_grid_are_accepted() {
+        let _ = ParamDef::int("x", 1, 10, 10, "");
+        let _ = ParamDef::int_step("x", 0, 100, 25, 75, "");
+        let _ = ParamDef::float("f", 0.0, 1.0, 0.0, "");
+        let _ = ParamDef::log_float("g", 1.0, 100.0, 100.0, "");
     }
 
     #[test]

@@ -40,17 +40,40 @@ pub struct UniformSampler;
 impl UniformSampler {
     /// Draws one configuration as a dense row (values in space order):
     /// what [`Sampler::sample`] returns, draw for draw, without naming
-    /// the values.
+    /// the values. [`UniformSampler::sample_row_into`] on a fresh row.
     pub fn sample_row<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Vec<ParamValue> {
         let mut row = Vec::with_capacity(space.len());
+        self.sample_row_into(space, rng, &mut row);
+        row
+    }
+
+    /// [`UniformSampler::sample_row`] into a caller-owned row, which it
+    /// overwrites whatever it held (length and value kinds included):
+    /// the same row from the same draws. A categorical slot that already
+    /// holds a string takes the choice with `clone_from`, keeping its
+    /// capacity, so a scan that redraws a pool every round stops
+    /// allocating once its rows have grown.
+    ///
+    /// Every draw goes through [`ParamSpace::validate_row`]; after
+    /// 256 rejected draws the row is the space's defaults.
+    pub fn sample_row_into<R: Rng + ?Sized>(
+        &self,
+        space: &ParamSpace,
+        rng: &mut R,
+        row: &mut Vec<ParamValue>,
+    ) {
+        row.truncate(space.len());
+        row.resize(space.len(), ParamValue::Bool(false));
         for _ in 0..MAX_REJECTS {
-            row.clear();
-            row.extend(space.params().iter().map(|p| sample_value(p, rng)));
-            if space.validate_row(&row).is_ok() {
-                return row;
+            let draws = space.params().iter().zip(space.step_counts());
+            for (slot, (p, &steps)) in row.iter_mut().zip(draws) {
+                draw_value_into(p, steps, rng, slot);
+            }
+            if space.validate_row(row).is_ok() {
+                return;
             }
         }
-        space.default_row()
+        *row = space.default_row();
     }
 }
 
@@ -168,21 +191,33 @@ impl Sampler for DivideAndDiverge {
 
 /// Draws a value for one parameter uniformly from its domain.
 pub fn sample_value<R: Rng + ?Sized>(p: &ParamDef, rng: &mut R) -> ParamValue {
+    let mut v = ParamValue::Bool(false);
+    draw_value_into(p, p.kind.step_count(), rng, &mut v);
+    v
+}
+
+/// The one uniform draw behind [`sample_value`] and
+/// [`UniformSampler::sample_row_into`], written over `slot`. `steps` is
+/// the parameter's precomputed `ParamKind::step_count`.
+fn draw_value_into<R: Rng + ?Sized>(p: &ParamDef, steps: i64, rng: &mut R, slot: &mut ParamValue) {
     match &p.kind {
-        ParamKind::Int { lo, hi, step } => {
-            let steps = (hi - lo) / step;
-            ParamValue::Int(lo + rng.gen_range(0..=steps) * step)
+        ParamKind::Int { lo, step, .. } => {
+            *slot = ParamValue::Int(lo + rng.gen_range(0..=steps) * step);
         }
         ParamKind::Float { lo, hi, log } => {
-            if *log {
-                ParamValue::Float((rng.gen_range(lo.ln()..=hi.ln())).exp())
+            *slot = ParamValue::Float(if *log {
+                (rng.gen_range(lo.ln()..=hi.ln())).exp()
             } else {
-                ParamValue::Float(rng.gen_range(*lo..=*hi))
-            }
+                rng.gen_range(*lo..=*hi)
+            });
         }
-        ParamKind::Bool => ParamValue::Bool(rng.gen()),
+        ParamKind::Bool => *slot = ParamValue::Bool(rng.gen()),
         ParamKind::Categorical { choices } => {
-            ParamValue::Str(choices[rng.gen_range(0..choices.len())].clone())
+            let choice = &choices[rng.gen_range(0..choices.len())];
+            match slot {
+                ParamValue::Str(s) => s.clone_from(choice),
+                _ => *slot = ParamValue::Str(choice.clone()),
+            }
         }
     }
 }

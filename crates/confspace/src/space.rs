@@ -75,11 +75,12 @@ impl ParamLookup for RowView<'_> {
 /// per parameter in space order. Rows skip the string-keyed map of a
 /// [`Configuration`]; search strategies that score many candidates and
 /// keep few sample, validate and encode rows
-/// ([`UniformSampler::sample_row`], [`ParamSpace::validate_row`],
-/// [`ParamSpace::encode_row`]) and build a configuration only for the
-/// winners ([`ParamSpace::config_of_row`]).
+/// ([`UniformSampler::sample_row_into`], [`ParamSpace::validate_row`],
+/// [`ParamSpace::encode_row_into`]) into buffers they keep across
+/// rounds, and build a configuration only for the winners
+/// ([`ParamSpace::config_of_row`]).
 ///
-/// [`UniformSampler::sample_row`]: crate::UniformSampler::sample_row
+/// [`UniformSampler::sample_row_into`]: crate::UniformSampler::sample_row_into
 ///
 /// # Example
 ///
@@ -96,6 +97,9 @@ impl ParamLookup for RowView<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct ParamSpace {
     params: Vec<ParamDef>,
+    /// Per parameter, the top of its uniform integer step draw (see
+    /// `ParamKind::step_count`), computed once here instead of per draw.
+    step_counts: Vec<i64>,
     index: HashMap<String, usize>,
     constraints: Vec<Constraint>,
 }
@@ -118,6 +122,7 @@ impl ParamSpace {
             def.name
         );
         self.index.insert(def.name.clone(), self.params.len());
+        self.step_counts.push(def.kind.step_count());
         self.params.push(def);
         self
     }
@@ -155,6 +160,11 @@ impl ParamSpace {
     /// The parameter definitions, in encoding order.
     pub fn params(&self) -> &[ParamDef] {
         &self.params
+    }
+
+    /// Each parameter's integer step count, in encoding order.
+    pub(crate) fn step_counts(&self) -> &[i64] {
+        &self.step_counts
     }
 
     /// The constraints on the space.

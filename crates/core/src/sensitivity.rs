@@ -97,8 +97,7 @@ pub fn additive_effects(space: &ParamSpace, history: &[Observation]) -> Sensitiv
         .enumerate()
         .map(|(d, p)| {
             // One batched prediction per parameter: the GRID queries
-            // share the GP's scratch buffers instead of allocating per
-            // grid point.
+            // go through the GP's blocked kernel together.
             let queries: Vec<Vec<f64>> = (0..GRID)
                 .map(|g| {
                     let mut q = base.clone();

@@ -18,7 +18,8 @@ use crate::tuner::{best_observation, encode_censored, encode_history, Tuner};
 const MAX_GP_POINTS: usize = 120;
 
 /// Candidates scored per parallel chunk in the acquisition loop: large
-/// enough to amortize scratch-buffer reuse and thread hand-off.
+/// enough to amortize thread hand-off, and a whole number of
+/// `GpRegressor::predict_batch`'s 64-row blocks.
 const EI_CHUNK: usize = 64;
 
 /// Squared bandwidth of the local EI penalty used by batch proposals
@@ -56,6 +57,11 @@ pub struct BayesOpt {
     kernel: Kernel,
     pending_init: Vec<Configuration>,
     fit_cache: GpFitCache,
+    /// Candidate rows, redrawn in place every round; only the picks
+    /// leave (and are regrown on the next draw).
+    pool: Vec<Vec<ParamValue>>,
+    /// Encoding of `pool`, row for row, rewritten in place every round.
+    encoded: Vec<Vec<f64>>,
 }
 
 impl Default for BayesOpt {
@@ -95,6 +101,8 @@ impl BayesOpt {
             kernel,
             pending_init: Vec::new(),
             fit_cache: GpFitCache::new(),
+            pool: Vec::new(),
+            encoded: Vec::new(),
         }
     }
 
@@ -105,8 +113,11 @@ impl BayesOpt {
         space: &ParamSpace,
         history: &[Observation],
     ) -> models::GpRegressor {
-        let (x, y) = encode_history(space, self.subsample(history));
         let reg = obs::registry();
+        let kept = self.subsample(history);
+        let (x, y) = reg
+            .histogram("bo.encode_history_s")
+            .time(|| encode_history(space, kept));
         // The worker count this fit actually runs on: one for service
         // -sized fits and for fits nested under a tenant or trial worker.
         let threads = self.fit_cache.fit_threads(&x, self.kernel);
@@ -132,29 +143,35 @@ impl BayesOpt {
         gp
     }
 
-    /// The candidate pool for one acquisition round, as dense rows:
-    /// global uniform samples plus local refinements around the
-    /// incumbent, which is encoded once per pool.
+    /// Redraws the candidate pool for one acquisition round into
+    /// `self.pool`, as dense rows: global uniform samples plus local
+    /// refinements around the incumbent, which is encoded once per pool.
     /// Draw for draw the same pool `UniformSampler::sample_n` and
     /// `neighbor` would build, without naming the values.
     fn candidate_pool(
-        &self,
+        &mut self,
         space: &ParamSpace,
         history: &[Observation],
         rng: &mut dyn RngCore,
-    ) -> Vec<Vec<ParamValue>> {
-        let mut cands: Vec<Vec<ParamValue>> = (0..self.candidates)
-            .map(|_| UniformSampler.sample_row(space, rng))
-            .collect();
-        if let Some(best) = best_observation(history) {
+    ) {
+        let best = best_observation(history);
+        let local = if best.is_some() {
+            self.local_candidates
+        } else {
+            0
+        };
+        self.pool.resize_with(self.candidates + local, Vec::new);
+        let (global, local_rows) = self.pool.split_at_mut(self.candidates);
+        for row in global {
+            UniformSampler.sample_row_into(space, rng, row);
+        }
+        if let Some(best) = best {
             let base = space.encode(&best.config);
-            for _ in 0..self.local_candidates {
-                let row = neighbor_row(space, &base, 0.05, 0.4, rng)
+            for row in local_rows {
+                *row = neighbor_row(space, &base, 0.05, 0.4, rng)
                     .unwrap_or_else(|| space.clamp_row(&best.config));
-                cands.push(row);
             }
         }
-        cands
     }
 
     fn subsample<'a>(&self, history: &'a [Observation]) -> Vec<&'a Observation> {
@@ -240,29 +257,35 @@ impl Tuner for BayesOpt {
         let best_ln = best_observation(history)
             .map(|o| o.runtime_s.max(1e-3).ln())
             .unwrap_or(f64::INFINITY);
-        let mut cands = self.candidate_pool(space, history, rng);
+        reg.histogram("bo.candidate_pool_s")
+            .time(|| self.candidate_pool(space, history, rng));
         let censored = encode_censored(space, history);
+        let (pool, encoded) = (&mut self.pool, &mut self.encoded);
 
         let _acq = obs::span("acquisition")
-            .with("candidates", cands.len())
+            .with("candidates", pool.len())
             .with("q", q);
         reg.histogram("bo.acquisition_s").time(|| {
             // Score candidates in chunks, in parallel only when the scan
             // (≈ candidates·n·(d + n) for n GP points) is large enough;
-            // each chunk's batched prediction reuses one set of scratch
-            // buffers. Scores come back in candidate order, so each
-            // arg-max (last maximum on ties) is thread-count independent.
-            let encoded: Vec<Vec<f64>> = cands.iter().map(|c| space.encode_row(c)).collect();
+            // each chunk runs through the GP's blocked prediction kernel.
+            // Scores come back in candidate order, so each arg-max (last
+            // maximum on ties) is thread-count independent. The pool's
+            // encodings overwrite last round's buffers.
+            encoded.resize_with(pool.len(), Vec::new);
+            for (row, out) in pool.iter().zip(encoded.iter_mut()) {
+                space.encode_row_into(row, out);
+            }
+            let encoded = &encoded[..];
             let (n, d) = (gp.len(), encoded.first().map_or(0, Vec::len));
             let threads = models::par::threads_for((encoded.len() * n * (d + n)) as u64);
-            let mut scores =
-                models::par::par_chunks_threads(&encoded, threads, EI_CHUNK, |chunk| {
-                    gp.predict_batch(chunk)
-                        .into_iter()
-                        .map(|(m, s)| expected_improvement(m, s, best_ln))
-                        .collect()
-                });
-            penalize_censored(&mut scores, &encoded, &censored);
+            let mut scores = models::par::par_chunks_threads(encoded, threads, EI_CHUNK, |chunk| {
+                gp.predict_batch(chunk)
+                    .into_iter()
+                    .map(|(m, s)| expected_improvement(m, s, best_ln))
+                    .collect()
+            });
+            penalize_censored(&mut scores, encoded, &censored);
             let mut taken = vec![false; scores.len()];
             let mut out: Vec<Configuration> = Vec::with_capacity(q);
             while out.len() < q {
@@ -273,7 +296,7 @@ impl Tuner for BayesOpt {
                     break;
                 };
                 taken[i] = true;
-                out.push(space.config_of_row(std::mem::take(&mut cands[i])));
+                out.push(space.config_of_row(std::mem::take(&mut pool[i])));
                 if out.len() == q {
                     break;
                 }

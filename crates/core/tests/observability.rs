@@ -125,7 +125,13 @@ fn latency_histograms_are_populated() {
     let _ = traced_tune();
     let snap = obs::registry().snapshot();
 
-    for name in ["bo.surrogate_fit_s", "bo.acquisition_s", "sim.step_s"] {
+    for name in [
+        "bo.surrogate_fit_s",
+        "bo.acquisition_s",
+        "bo.candidate_pool_s",
+        "bo.encode_history_s",
+        "sim.step_s",
+    ] {
         let h = snap
             .histograms
             .iter()

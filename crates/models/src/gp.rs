@@ -94,6 +94,60 @@ impl Kernel {
         }
     }
 
+    /// The cross-kernel of training rows `x` against one block of `b`
+    /// queries held column-major in `qt` (`qt[k * b + c]` is dimension
+    /// `k` of query `c`): writes `eval(x[i], q_c)` to `out[i * b + c]`.
+    ///
+    /// Each pair's terms are summed dimension by dimension from −0.0,
+    /// in [`Kernel::eval`]'s order, so every entry is bit-equal to the
+    /// pairwise call; the inner loops run across the block's queries.
+    fn eval_block(&self, x: &[Vec<f64>], qt: &[f64], b: usize, out: &mut [f64]) {
+        for (xi, row) in x.iter().zip(out.chunks_exact_mut(b)) {
+            assert_eq!(xi.len() * b, qt.len(), "kernel dimension mismatch");
+            row.fill(-0.0);
+            let columns = xi.iter().zip(qt.chunks_exact(b));
+            match *self {
+                Kernel::SquaredExp { length_scale, .. } | Kernel::Matern52 { length_scale, .. } => {
+                    for (&xk, col) in columns {
+                        for (acc, &qk) in row.iter_mut().zip(col) {
+                            let d = (xk - qk) / length_scale;
+                            *acc += d * d;
+                        }
+                    }
+                }
+                Kernel::Additive { length_scale, .. } => {
+                    for (&xk, col) in columns {
+                        for (acc, &qk) in row.iter_mut().zip(col) {
+                            let r = (xk - qk) / length_scale;
+                            *acc += (-0.5 * r * r).exp();
+                        }
+                    }
+                }
+            }
+            match *self {
+                Kernel::SquaredExp { variance, .. } => {
+                    for v in row.iter_mut() {
+                        *v = variance * (-0.5 * *v).exp();
+                    }
+                }
+                Kernel::Matern52 { variance, .. } => {
+                    let s5 = 5f64.sqrt();
+                    for v in row.iter_mut() {
+                        let d2 = *v;
+                        let r = d2.sqrt();
+                        *v = variance * (1.0 + s5 * r + 5.0 * d2 / 3.0) * (-s5 * r).exp();
+                    }
+                }
+                Kernel::Additive { variance, .. } => {
+                    let d = xi.len().max(1) as f64;
+                    for v in row.iter_mut() {
+                        *v = variance * *v / d;
+                    }
+                }
+            }
+        }
+    }
+
     /// Same kernel with a different length scale (hyperparameter search).
     #[must_use]
     pub fn with_length_scale(self, ls: f64) -> Kernel {
@@ -150,6 +204,8 @@ const LS_GRID: [f64; 5] = [0.1, 0.2, 0.4, 0.8, 1.6];
 /// Noise grid searched per length scale (the grid is ls-major: grid
 /// point `g` is `(LS_GRID[g / 3], NOISE_GRID[g % 3])`).
 const NOISE_GRID: [f64; 3] = [1e-4, 1e-2, 5e-2];
+/// Query rows per block of [`GpRegressor::predict_batch`]'s kernel.
+const PREDICT_BLOCK: usize = 64;
 
 /// Target standardization shared by every fitting path:
 /// `(mean, std, standardized targets)`.
@@ -290,48 +346,80 @@ impl GpRegressor {
         GpFitCache::default().refit_full(x, y, base, threads)
     }
 
-    /// Posterior predictive mean and standard deviation at `q`.
+    /// Posterior predictive mean and standard deviation at `q`: the
+    /// one-row case of [`GpRegressor::predict_batch`].
     pub fn predict(&self, q: &[f64]) -> (f64, f64) {
-        let n = self.x.len();
-        let mut kstar = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        self.predict_into(q, &mut kstar, &mut v)
+        self.predict_batch(&[q])[0]
     }
 
-    /// Batched posterior prediction: one `(mean, std)` per query row,
-    /// reusing the `kstar` / solve scratch buffers across queries
-    /// instead of allocating two vectors per call. Results are
-    /// identical to calling [`GpRegressor::predict`] per query.
-    pub fn predict_batch(&self, qs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        let n = self.x.len();
-        let mut kstar = vec![0.0; n];
-        let mut v = vec![0.0; n];
-        qs.iter()
-            .map(|q| self.predict_into(q, &mut kstar, &mut v))
-            .collect()
-    }
-
-    /// Prediction kernel shared by [`GpRegressor::predict`] and
-    /// [`GpRegressor::predict_batch`]: same operations, caller-owned
-    /// scratch.
-    fn predict_into(&self, q: &[f64], kstar: &mut [f64], v: &mut [f64]) -> (f64, f64) {
-        let n = self.x.len();
-        for (slot, xi) in kstar.iter_mut().zip(&self.x) {
-            *slot = self.kernel.eval(xi, q);
-        }
-        let mean_std: f64 = kstar.iter().zip(&self.alpha).map(|(a, b)| a * b).sum();
-        // Forward substitution (the same operations `solve_lower` runs,
-        // writing into the scratch buffer instead of a fresh vector).
-        for i in 0..n {
-            let mut sum = kstar[i];
-            for (j, &vj) in v.iter().enumerate().take(i) {
-                sum -= self.chol[(i, j)] * vj;
+    /// Batched posterior prediction: one `(mean, std)` per query row.
+    ///
+    /// Queries are scored in blocks of up to 64 rows, transposed to
+    /// column-major so the cross-kernel, the `alpha` dot product, the
+    /// forward substitution and `Σv²` each run across the block. Every
+    /// query keeps its own operation order, so a result does not depend
+    /// on the block it landed in: the output is the same, bit for bit,
+    /// as scoring each query alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a query's dimension differs from the training rows'.
+    pub fn predict_batch<Q: AsRef<[f64]>>(&self, qs: &[Q]) -> Vec<(f64, f64)> {
+        let (n, d) = (self.x.len(), self.x[0].len());
+        let block = PREDICT_BLOCK.min(qs.len());
+        let mut qt = vec![0.0; d * block];
+        // Row `i` holds `k(x_i, q)` across the block, then `v_i` once the
+        // forward substitution has overwritten it.
+        let mut kv = vec![0.0; n * block];
+        let mut mean = vec![0.0; block];
+        let mut sq = vec![0.0; block];
+        let mut out = Vec::with_capacity(qs.len());
+        for chunk in qs.chunks(PREDICT_BLOCK) {
+            let b = chunk.len();
+            let (qt, kv) = (&mut qt[..d * b], &mut kv[..n * b]);
+            let (mean, sq) = (&mut mean[..b], &mut sq[..b]);
+            for (c, q) in chunk.iter().enumerate() {
+                let q = q.as_ref();
+                assert_eq!(q.len(), d, "kernel dimension mismatch");
+                for (k, &v) in q.iter().enumerate() {
+                    qt[k * b + c] = v;
+                }
             }
-            v[i] = sum / self.chol[(i, i)];
+            self.kernel.eval_block(&self.x, qt, b, kv);
+            mean.fill(-0.0);
+            for (row, &a) in kv.chunks_exact(b).zip(&self.alpha) {
+                for (m, &k) in mean.iter_mut().zip(row) {
+                    *m += k * a;
+                }
+            }
+            // Forward substitution `L v = k*`, row by row in place.
+            for i in 0..n {
+                let (solved, rest) = kv.split_at_mut(i * b);
+                let vi = &mut rest[..b];
+                let lrow = self.chol.row(i);
+                for (&lij, vj) in lrow.iter().zip(solved.chunks_exact(b)) {
+                    for (s, &v) in vi.iter_mut().zip(vj) {
+                        *s -= lij * v;
+                    }
+                }
+                for s in vi.iter_mut() {
+                    *s /= lrow[i];
+                }
+            }
+            sq.fill(-0.0);
+            for row in kv.chunks_exact(b) {
+                for (acc, &v) in sq.iter_mut().zip(row) {
+                    *acc += v * v;
+                }
+            }
+            for ((q, &m), &s) in chunk.iter().zip(&*mean).zip(&*sq) {
+                let q = q.as_ref();
+                let kss = self.kernel.eval(q, q) + self.noise;
+                let var = (kss - s).max(1e-12);
+                out.push((m * self.y_std + self.y_mean, var.sqrt() * self.y_std));
+            }
         }
-        let kss = self.kernel.eval(q, q) + self.noise;
-        let var = (kss - v.iter().map(|x| x * x).sum::<f64>()).max(1e-12);
-        (mean_std * self.y_std + self.y_mean, var.sqrt() * self.y_std)
+        out
     }
 
     /// The fit's log marginal likelihood (standardized-target units).

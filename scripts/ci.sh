@@ -52,8 +52,9 @@ CARGO_TARGET_DIR=.bench_build cargo build --release --manifest-path e2ebench/Car
 # End-to-end smoke runs: the minimum 8 passes of one workload each.
 # The run checks outcome invariants and bitwise replay across passes
 # itself and reports the verdict on its last line. batch_wave is the
-# only workload that runs transfer at batch > 1.
-for workload in tenant_stream batch_wave; do
+# only workload that runs transfer at batch > 1; chaos_stream runs the
+# same acquisition as tenant_stream under retries and censored trials.
+for workload in tenant_stream batch_wave chaos_stream; do
   echo "==> e2ebench smoke (${workload}, seed 1, 8 passes)"
   smoke="$(python3 e2ebench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
   echo "$smoke" | python3 -c '

@@ -348,6 +348,62 @@ proptest! {
     }
 }
 
+/// A dirty row buffer for `sample_row_into` to overwrite: empty, short,
+/// long, holding the wrong value kinds, or a row of the cloud space.
+fn dirty_row(space: &ParamSpace, which: usize, seed: u64) -> Vec<ParamValue> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut row = UniformSampler.sample_row(space, &mut rng);
+    match which {
+        0 => Vec::new(),
+        1 => {
+            row.truncate(space.len() / 2);
+            row
+        }
+        2 => {
+            row.extend([ParamValue::Str("surplus".into()), ParamValue::Int(-1)]);
+            row
+        }
+        3 => row
+            .iter()
+            .enumerate()
+            .map(|(i, v)| match (i % 2, v) {
+                (0, ParamValue::Str(_)) => ParamValue::Float(f64::NAN),
+                (0, _) => ParamValue::Str("a stale categorical value".into()),
+                (_, ParamValue::Bool(_)) => ParamValue::Int(7),
+                _ => ParamValue::Bool(true),
+            })
+            .collect(),
+        _ => UniformSampler.sample_row(&cloud_space(), &mut rng),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `sample_row_into` overwrites any buffer with exactly the row
+    /// `sample_row` draws from the same RNG state, and consumes the same
+    /// draws: the next row, drawn into the now-clean buffer, and the
+    /// next raw draw agree too.
+    #[test]
+    fn sample_row_into_reuses_any_buffer(
+        which in 0usize..4,
+        dirt in 0usize..5,
+        seed in any::<u64>(),
+    ) {
+        use rand::Rng;
+        let space = &row_spaces()[which];
+        let mut fresh_rng = StdRng::seed_from_u64(seed);
+        let mut reuse_rng = StdRng::seed_from_u64(seed);
+        let mut buf = dirty_row(space, dirt, seed ^ 0x5eed);
+        for _ in 0..2 {
+            let fresh = UniformSampler.sample_row(space, &mut fresh_rng);
+            UniformSampler.sample_row_into(space, &mut reuse_rng, &mut buf);
+            prop_assert_eq!(&buf, &fresh);
+        }
+        prop_assert_eq!(fresh_rng.gen::<u64>(), reuse_rng.gen::<u64>(), "draw counts differ");
+    }
+}
+
 /// One persisted execution record drawn from a proptest seed: a real
 /// Spark configuration, a bottleneck mix, a runtime and an outcome tag.
 fn arb_record() -> impl Strategy<Value = seamless_tuning::core::ExecutionRecord> {
