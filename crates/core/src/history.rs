@@ -460,15 +460,10 @@ impl HistoryStore {
     /// Returns the first malformed line's parse error.
     pub fn from_jsonl(data: &str) -> Result<Self, serde_json::Error> {
         let store = HistoryStore::new();
-        for line in data.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let record: ExecutionRecord = serde_json::from_str(line)?;
+        for parsed in parse_lines(data) {
             store
-                .try_insert(record)
-                .map_err(|why| serde::DeError::new(why).into())
-                .map_err(|e: serde_json::Error| e)?;
+                .try_insert(parsed?)
+                .map_err(|why| serde_json::Error::from(serde::DeError::new(why)))?;
         }
         Ok(store)
     }
@@ -480,19 +475,16 @@ impl HistoryStore {
     pub fn from_jsonl_lossy(data: &str) -> (Self, usize) {
         let store = HistoryStore::new();
         let mut skipped = 0usize;
-        for line in data.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match serde_json::from_str::<ExecutionRecord>(line) {
-                // Validation failures (poisoned runtime/cost) count as
-                // skipped too — a NaN smuggled into a stored line must
-                // not re-enter the live store.
-                Ok(record) => match store.try_insert(record) {
-                    Ok(_) => {}
-                    Err(_) => skipped += 1,
-                },
-                Err(_) => skipped += 1,
+        for parsed in parse_lines(data) {
+            // Validation failures (poisoned runtime/cost) count as
+            // skipped too — a NaN smuggled into a stored line must not
+            // re-enter the live store.
+            let inserted = match parsed {
+                Ok(record) => store.try_insert(record).is_ok(),
+                Err(_) => false,
+            };
+            if !inserted {
+                skipped += 1;
             }
         }
         if skipped > 0 {
@@ -502,6 +494,14 @@ impl HistoryStore {
         }
         (store, skipped)
     }
+}
+
+/// Parses every non-blank line of a JSONL dump, spread across cores
+/// (see [`models::par::par_map`]), and returns the results in line
+/// order so both loaders insert exactly as a sequential parse would.
+fn parse_lines(data: &str) -> Vec<Result<ExecutionRecord, serde_json::Error>> {
+    let lines: Vec<&str> = data.lines().filter(|l| !l.trim().is_empty()).collect();
+    models::par::par_map(&lines, |l| serde_json::from_str::<ExecutionRecord>(l))
 }
 
 #[cfg(test)]

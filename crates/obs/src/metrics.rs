@@ -244,26 +244,17 @@ impl Registry {
     /// Gets or creates the counter `name`; the handle is cheap to
     /// clone and use from any thread.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(Counter::new)
-            .clone()
+        get_or_create(&self.counters, name, Counter::new)
     }
 
     /// Gets or creates the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(Gauge::new)
-            .clone()
+        get_or_create(&self.gauges, name, Gauge::new)
     }
 
     /// Gets or creates the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.histograms.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(name.to_string())
-            .or_insert_with(Histogram::new)
-            .clone()
+        get_or_create(&self.histograms, name, Histogram::new)
     }
 
     /// Snapshots every metric, names sorted.
@@ -320,6 +311,17 @@ impl Registry {
             .unwrap_or_else(|e| e.into_inner())
             .clear();
     }
+}
+
+/// The handle registered under `name`, created by `new` on first use.
+/// A lookup of an existing metric allocates nothing: the key is only
+/// copied into the map on a miss.
+fn get_or_create<M: Clone>(map: &Mutex<BTreeMap<String, M>>, name: &str, new: fn() -> M) -> M {
+    let mut map = map.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(metric) = map.get(name) {
+        return metric.clone();
+    }
+    map.entry(name.to_owned()).or_insert_with(new).clone()
 }
 
 /// The process-global registry used by instrumented crates.
@@ -398,6 +400,33 @@ mod tests {
         let g = reg.gauge("temp");
         g.set(1.25);
         assert_eq!(reg.gauge("temp").get(), 1.25);
+    }
+
+    #[test]
+    fn repeated_lookups_reach_the_same_metric() {
+        let reg = Registry::new();
+        let first = reg.counter("hits");
+        reg.gauge("level");
+        reg.histogram("lat");
+        let count = |reg: &Registry| {
+            let s = reg.snapshot();
+            s.counters.len() + s.gauges.len() + s.histograms.len()
+        };
+        assert_eq!(count(&reg), 3);
+        let second = reg.counter("hits");
+        first.inc();
+        assert_eq!(second.get(), 1);
+        second.add(2);
+        assert_eq!(first.get(), 3);
+        reg.gauge("level").set(0.5);
+        assert_eq!(reg.gauge("level").get(), 0.5);
+        reg.histogram("lat").record_ns(10);
+        assert_eq!(reg.histogram("lat").snapshot().count, 1);
+        assert_eq!(
+            count(&reg),
+            3,
+            "lookups of existing metrics must not register new ones"
+        );
     }
 
     #[test]

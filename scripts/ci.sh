@@ -30,6 +30,10 @@ cargo test --workspace -q
 for threads in 1 2 8; do
   echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p seamless-core --test batch_equivalence --test history_stress"
   SEAMLESS_THREADS="${threads}" cargo test -q -p seamless-core --test batch_equivalence --test history_stress
+  # History restore parses JSONL lines across workers; the root
+  # property suite's round-trip and damage cases must hold at any count.
+  echo "==> SEAMLESS_THREADS=${threads} cargo test -q --test properties"
+  SEAMLESS_THREADS="${threads}" cargo test -q --test properties
 done
 
 # The chaos suite asserts seed-for-seed reproducible fault injection;

@@ -180,6 +180,9 @@ fn write_escaped(out: &mut String, s: &str) {
 // --- parser -------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The input text; string runs are copied out of it whole.
+    src: &'a str,
+    /// The same input as bytes, for scanning.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -187,6 +190,7 @@ struct Parser<'a> {
 /// Parses one JSON document (with nothing but whitespace after it).
 fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        src: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -337,62 +341,77 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
+            // Copy the run up to the next quote or backslash whole: both
+            // are ASCII, so the run ends on a char boundary of input that
+            // is already valid UTF-8 and needs no re-validation.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| Error::new("unterminated string"))?;
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = *self
                 .bytes
                 .get(self.pos)
-                .ok_or_else(|| Error::new("unterminated string"))?;
+                .ok_or_else(|| Error::new("unterminated escape"))?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::new("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
-                            // Surrogate pairs are not produced by the shim's
-                            // writer; map lone surrogates to the replacement
-                            // character rather than erroring.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => {
-                            return Err(Error::new(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'u' => {
+                    let code = self.hex4()?;
+                    // A high surrogate followed by a low one is one
+                    // astral char; a lone surrogate maps to the
+                    // replacement character rather than erroring.
+                    let c = match code {
+                        0xD800..=0xDBFF => self.low_surrogate().and_then(|low| {
+                            char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+                        }),
+                        _ => char::from_u32(code),
+                    };
+                    out.push(c.unwrap_or('\u{FFFD}'));
                 }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at pos-1.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
+                other => return Err(Error::new(format!("invalid escape `\\{}`", other as char))),
+            }
+        }
+    }
+
+    /// The four hex digits after a `\u`, which is already consumed.
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let hex = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| Error::new("truncated \\u escape"))?;
+        self.pos += 4;
+        u32::from_str_radix(
+            std::str::from_utf8(hex).map_err(|_| Error::new("invalid \\u escape"))?,
+            16,
+        )
+        .map_err(|_| Error::new("invalid \\u escape"))
+    }
+
+    /// Consumes a `\uDC00`–`\uDFFF` escape if one comes next; leaves
+    /// anything else for the string loop.
+    fn low_surrogate(&mut self) -> Option<u32> {
+        if !self.bytes[self.pos..].starts_with(b"\\u") {
+            return None;
+        }
+        let start = self.pos;
+        self.pos += 2;
+        match self.hex4() {
+            Ok(low @ 0xDC00..=0xDFFF) => Some(low),
+            _ => {
+                self.pos = start;
+                None
             }
         }
     }
@@ -467,6 +486,58 @@ mod tests {
         assert!(from_str::<f64>("1 trailing").is_err());
         assert!(from_str::<bool>("truthy").is_err());
         assert!(from_str::<Vec<i64>>("[1,]").is_err());
+    }
+
+    #[test]
+    fn escapes_anywhere_in_a_string() {
+        let cases = [
+            (r#""\nabc""#, "\nabc"),
+            (r#""ab\tcd""#, "ab\tcd"),
+            (r#""abc\"""#, "abc\""),
+            (r#""\\\"\/\b\f\r""#, "\\\"/\u{8}\u{c}\r"),
+            (r#""x\u0041\u00e9y""#, "xAéy"),
+            (r#""""#, ""),
+        ];
+        for (json, want) in cases {
+            assert_eq!(from_str::<String>(json).unwrap(), want, "{json}");
+        }
+    }
+
+    #[test]
+    fn multibyte_utf8_inside_a_run() {
+        for s in ["é→😀", "a\"é\\→\n😀z", "😀"] {
+            let json = to_string(&s).unwrap();
+            assert_eq!(from_str::<String>(&json).unwrap(), s, "{json}");
+        }
+        assert_eq!(from_str::<String>("\"ü\\u00fc→\"").unwrap(), "üü→");
+    }
+
+    #[test]
+    fn broken_strings_still_error() {
+        let err = |json: &str| from_str::<String>(json).unwrap_err().to_string();
+        assert_eq!(err(r#""abc"#), "unterminated string");
+        assert_eq!(err(r#""ab\"#), "unterminated escape");
+        assert_eq!(err(r#""ab\""#), "unterminated string");
+        assert_eq!(err(r#""a\qb""#), "invalid escape `\\q`");
+        assert_eq!(err(r#""\u12x""#), "invalid \\u escape");
+        assert_eq!(err(r#""\u1"#), "truncated \\u escape");
+        assert_eq!(err(r#""\uzzzz""#), "invalid \\u escape");
+        assert_eq!(err(r#""ab" x"#), "trailing characters at offset 5");
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_are_replaced() {
+        let s = |json: &str| from_str::<String>(json).unwrap();
+        assert_eq!(s(r#""\ud83d\ude00""#), "😀");
+        assert_eq!(s(r#""a\uD83D\uDE00b""#), "a😀b");
+        assert_eq!(s(r#""\ud83d""#), "\u{FFFD}");
+        assert_eq!(s(r#""\ud83dx""#), "\u{FFFD}x");
+        assert_eq!(s(r#""\ude00""#), "\u{FFFD}");
+        assert_eq!(s(r#""\ud83d\u0041""#), "\u{FFFD}A");
+        assert_eq!(s(r#""\ud83d\ud83d\ude00""#), "\u{FFFD}😀");
+        assert_eq!(s(r#""\ud83d\n""#), "\u{FFFD}\n");
+        // A broken escape after a high surrogate is still an error.
+        assert!(from_str::<String>(r#""\ud83d\uzz""#).is_err());
     }
 
     #[test]

@@ -443,9 +443,29 @@ fn arb_record() -> impl Strategy<Value = seamless_tuning::core::ExecutionRecord>
 
 /// A history dump of 1–7 records.
 fn arb_dump() -> impl Strategy<Value = String> {
-    (1usize..8).prop_flat_map(|n| {
+    dump_of(arb_record)
+}
+
+/// A history dump of 1–7 records whose tenant ids are [`arb_text`]
+/// strings: quotes, backslashes, control characters and multi-byte
+/// UTF-8 in the persisted `client` field.
+fn arb_named_dump() -> impl Strategy<Value = String> {
+    dump_of(|| {
+        (arb_record(), arb_text()).prop_map(|(mut record, client)| {
+            record.client = client;
+            record
+        })
+    })
+}
+
+/// A history dump of 1–7 records drawn from `record()`.
+fn dump_of<S>(record: impl Fn() -> S) -> impl Strategy<Value = String>
+where
+    S: Strategy<Value = seamless_tuning::core::ExecutionRecord>,
+{
+    (1usize..8).prop_flat_map(move |n| {
         (0..n)
-            .map(|_| arb_record())
+            .map(|_| record())
             .collect::<Vec<_>>()
             .prop_map(|records| {
                 let store = HistoryStore::new();
@@ -522,5 +542,61 @@ proptest! {
         }
         let non_blank = damaged.lines().filter(|l| !l.trim().is_empty()).count();
         prop_assert_eq!(restored.len() + skipped, non_blank);
+    }
+}
+
+/// The characters that stress the JSON string reader: both run
+/// delimiters, escaped control characters, and two- to four-byte UTF-8.
+const TEXT_ALPHABET: [char; 7] = ['"', '\\', '\n', '\u{1}', 'é', '→', '😀'];
+
+/// A string of up to 24 characters drawn from a proptest seed, each
+/// from [`TEXT_ALPHABET`] or printable ASCII with equal odds.
+fn arb_text() -> impl Strategy<Value = String> {
+    any::<u64>().prop_map(|seed| {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let len = rng.gen_range(0usize..25);
+        (0..len)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    TEXT_ALPHABET[rng.gen_range(0..TEXT_ALPHABET.len())]
+                } else {
+                    char::from(rng.gen_range(0x20u8..0x7f))
+                }
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any string survives JSON text unchanged, as a value and as an
+    /// object key.
+    #[test]
+    fn json_strings_roundtrip(text in arb_text()) {
+        let json = serde_json::to_string(&text).expect("serializes");
+        prop_assert_eq!(serde_json::from_str::<String>(&json).expect("parses"), text.clone());
+
+        let mut object = std::collections::BTreeMap::new();
+        object.insert(text, 7u32);
+        let json = serde_json::to_string(&object).expect("serializes");
+        let back: std::collections::BTreeMap<String, u32> =
+            serde_json::from_str(&json).expect("parses");
+        prop_assert_eq!(back, object);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Restoring a history dump and persisting it again gives back the
+    /// same bytes, whatever characters the tenant ids carry.
+    #[test]
+    fn history_dumps_repersist_byte_for_byte(dump in arb_dump(), named in arb_named_dump()) {
+        for d in [dump, named] {
+            let restored = HistoryStore::from_jsonl(&d).expect("dump loads");
+            prop_assert_eq!(restored.to_jsonl().expect("serializes"), d);
+        }
     }
 }
