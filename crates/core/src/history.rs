@@ -7,13 +7,10 @@
 //! record: a concurrent, append-only store of execution records with
 //! signature-based similarity queries.
 //!
-//! Concurrency layout: records are sharded by tenant hash across
-//! [`SHARD_COUNT`] independently locked vectors, so concurrent tenants
-//! insert without contending on one global lock. A global atomic hands
-//! out sequence numbers; [`HistoryStore::snapshot`] merges the shards
-//! back into that global order for persistence and tests.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Concurrency layout: one append-only vector behind one reader-writer
+//! lock, with `records[i].seq == i`. An insert assigns the next index
+//! under the write lock, so every read — [`HistoryStore::snapshot`]
+//! included — sees a gap-free prefix of the history.
 
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
@@ -21,9 +18,6 @@ use serde::{Deserialize, Serialize};
 use confspace::Configuration;
 
 use crate::characterize::WorkloadSignature;
-
-/// Number of tenant-hash shards in the store.
-pub const SHARD_COUNT: usize = 16;
 
 /// How the execution behind a record ended. Non-`Ok` records exist for
 /// bookkeeping (degradation audits, quarantine forensics) but are
@@ -104,30 +98,10 @@ impl ExecutionRecord {
 }
 
 /// A concurrent multi-tenant history store.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HistoryStore {
-    shards: [RwLock<Vec<ExecutionRecord>>; SHARD_COUNT],
-    next_seq: AtomicU64,
-}
-
-impl Default for HistoryStore {
-    fn default() -> Self {
-        HistoryStore {
-            shards: std::array::from_fn(|_| RwLock::new(Vec::new())),
-            next_seq: AtomicU64::new(0),
-        }
-    }
-}
-
-/// FNV-1a over the tenant id — stable across runs so a tenant's records
-/// always land in the same shard.
-fn shard_of(client: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in client.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    (h as usize) % SHARD_COUNT
+    /// Every record in insertion order; `records[i].seq == i`.
+    records: RwLock<Vec<ExecutionRecord>>,
 }
 
 impl HistoryStore {
@@ -163,9 +137,10 @@ impl HistoryStore {
         }
         reg.counter("history.inserts").inc();
         Ok(reg.histogram("history.insert_s").time(|| {
-            let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+            let mut records = self.records.write();
+            let seq = records.len() as u64;
             record.seq = seq;
-            self.shards[shard_of(&record.client)].write().push(record);
+            records.push(record);
             reg.gauge("history.records").set((seq + 1) as f64);
             seq
         }))
@@ -173,7 +148,7 @@ impl HistoryStore {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.next_seq.load(Ordering::Relaxed) as usize
+        self.records.read().len()
     }
 
     /// Whether the store is empty.
@@ -181,25 +156,20 @@ impl HistoryStore {
         self.len() == 0
     }
 
-    /// All records, cloned and ordered by sequence number. This is the
-    /// cold path (persistence, offline analysis); the tuning hot path
-    /// reads through [`HistoryStore::most_similar`].
+    /// All records, cloned in sequence order. This is the cold path
+    /// (persistence, offline analysis); the tuning hot path reads
+    /// through [`HistoryStore::most_similar`].
     pub fn snapshot(&self) -> Vec<ExecutionRecord> {
-        let mut all: Vec<ExecutionRecord> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            all.extend(shard.read().iter().cloned());
-        }
-        all.sort_by_key(|r| r.seq);
-        all
+        self.records.read().clone()
     }
 
     /// The `k` records most similar to `query` (by signature distance),
     /// optionally excluding one tenant (so a client's own runs don't
     /// masquerade as transfer).
     ///
-    /// Two-pass: score every record under short per-shard read locks,
-    /// then clone only the winning `k` (ties broken by sequence number,
-    /// matching the old insertion-order stable sort).
+    /// Scores every record without cloning it, then clones only the
+    /// winning `k` (ties broken by sequence number), all under one read
+    /// lock.
     pub fn most_similar(
         &self,
         query: &WorkloadSignature,
@@ -209,30 +179,22 @@ impl HistoryStore {
         let reg = obs::registry();
         reg.counter("history.queries").inc();
         reg.histogram("history.query_s").time(|| {
-            // Pass 1: score (distance, seq, shard, position) without
-            // cloning any record.
-            let mut scored: Vec<(f64, u64, usize, usize)> = Vec::new();
-            for (si, shard) in self.shards.iter().enumerate() {
-                let records = shard.read();
-                for (pi, r) in records.iter().enumerate() {
-                    if exclude_client.is_some_and(|c| r.client == c) {
-                        continue;
-                    }
-                    // Censored runs never transfer: their penalty
-                    // runtime is an artifact, not a measurement.
-                    if r.outcome != RecordOutcome::Ok {
-                        continue;
-                    }
-                    scored.push((query.distance(&r.signature), r.seq, si, pi));
-                }
-            }
+            let records = self.records.read();
+            let mut scored: Vec<(f64, usize)> = records
+                .iter()
+                .enumerate()
+                // Censored runs never transfer: their penalty runtime
+                // is an artifact, not a measurement.
+                .filter(|(_, r)| {
+                    r.outcome == RecordOutcome::Ok && exclude_client.is_none_or(|c| r.client != c)
+                })
+                .map(|(i, r)| (query.distance(&r.signature), i))
+                .collect();
             scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             scored.truncate(k);
-            // Pass 2: clone the winners. Shards are append-only, so the
-            // (shard, position) coordinates remain valid.
             scored
                 .into_iter()
-                .map(|(_, _, si, pi)| self.shards[si].read()[pi].clone())
+                .map(|(_, i)| records[i].clone())
                 .collect()
         })
     }
@@ -248,16 +210,13 @@ impl HistoryStore {
     }
 
     /// All records for one tenant's workload label, in sequence order.
-    /// Touches only the tenant's shard.
     pub fn for_workload(&self, client: &str, workload: &str) -> Vec<ExecutionRecord> {
-        let mut out: Vec<ExecutionRecord> = self.shards[shard_of(client)]
+        self.records
             .read()
             .iter()
             .filter(|r| r.client == client && r.workload == workload)
             .cloned()
-            .collect();
-        out.sort_by_key(|r| r.seq);
-        out
+            .collect()
     }
 }
 
@@ -316,8 +275,8 @@ mod tests {
     #[test]
     fn most_similar_breaks_distance_ties_by_seq() {
         let store = HistoryStore::new();
-        // Identical signatures from clients in different shards: the
-        // earlier insertion must win, as with the old stable sort.
+        // Identical signatures from different clients: the earlier
+        // insertion must win.
         store.insert(record("first", 50.0, 1.0));
         store.insert(record("second", 50.0, 2.0));
         let top = store.most_similar(&sig(50.0, 50.0), 1, None);
@@ -354,7 +313,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_seq_ordered_across_shards() {
+    fn snapshot_is_seq_ordered_across_clients() {
         let store = HistoryStore::new();
         for i in 0..20 {
             store.insert(record(&format!("client-{i}"), 50.0, i as f64));

@@ -362,8 +362,8 @@ impl SeamlessTuner {
         outcome
     }
 
-    /// Tunes many tenants concurrently over the shared (sharded)
-    /// history store — the provider-side multi-tenant service of §IV.
+    /// Tunes many tenants concurrently over the shared history store —
+    /// the provider-side multi-tenant service of §IV.
     /// Outcomes are returned in request order.
     ///
     /// This is the outermost fan-out: tenants are claimed one at a time

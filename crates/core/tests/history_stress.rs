@@ -1,9 +1,10 @@
-//! Concurrency stress tests for the sharded [`HistoryStore`]: many
-//! tenants inserting and querying at once must never
-//! lose a record, duplicate a sequence number, or deadlock — the store
-//! is the one piece of shared state behind `tune_many`.
+//! Concurrency stress tests for the [`HistoryStore`] log: many tenants
+//! inserting and querying at once must never lose a record, duplicate
+//! or skip a sequence number, or deadlock — the store is the one piece
+//! of shared state behind `tune_many`.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use confspace::Configuration;
@@ -85,8 +86,57 @@ fn concurrent_inserts_and_queries_keep_every_record_once() {
     assert_eq!(seqs, (0..total as u64).collect::<Vec<_>>());
 }
 
+/// A snapshot taken while writers insert is a history that existed: a
+/// gap-free prefix with `snapshot[i].seq == i`, never a set of records
+/// with holes where a concurrent insert had its number but not its slot.
+/// The writers keep inserting until the reader has seen the store grow
+/// `SNAPSHOTS` times, so the counted snapshots overlap live inserts.
+#[test]
+fn snapshots_during_inserts_are_gap_free_prefixes() {
+    const SNAPSHOTS: usize = 20;
+    const MAX_PER_WRITER: usize = 40 * PER_WRITER;
+    let store = Arc::new(HistoryStore::new());
+    let start = Arc::new(Barrier::new(WRITERS + 1));
+    let enough = Arc::new(AtomicBool::new(false));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let (store, start, enough) =
+                (Arc::clone(&store), Arc::clone(&start), Arc::clone(&enough));
+            thread::spawn(move || {
+                start.wait();
+                for i in 0..MAX_PER_WRITER {
+                    if enough.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    // A fresh client per insert, so a store partitioned
+                    // by client could not hide a hole behind one
+                    // writer's own ordering.
+                    store.insert(record(&format!("w{w}-{i}"), i));
+                }
+            })
+        })
+        .collect();
+    start.wait();
+    let (mut taken, mut seen) = (0, 0);
+    while taken < SNAPSHOTS && seen < WRITERS * MAX_PER_WRITER {
+        let snap = store.snapshot();
+        for (i, r) in snap.iter().enumerate() {
+            assert_eq!(r.seq, i as u64, "hole in a {}-record snapshot", snap.len());
+        }
+        // Only a snapshot that saw new records counts: one taken while
+        // every writer was descheduled proves nothing.
+        if snap.len() > seen {
+            (taken, seen) = (taken + 1, snap.len());
+        }
+    }
+    enough.store(true, Ordering::Relaxed);
+    for h in writers {
+        h.join().expect("writer panicked");
+    }
+}
+
 /// The JSONL round-trip must survive a store populated concurrently:
-/// sharding is an in-memory layout, not a persistence format.
+/// the dump replays the same records in the same sequence order.
 #[test]
 fn jsonl_roundtrip_after_concurrent_population() {
     let store = Arc::new(HistoryStore::new());

@@ -214,10 +214,8 @@ pub fn install(capacity_per_thread: usize, dump_dir: impl Into<PathBuf>) -> Arc<
     recorder
 }
 
-/// Registers `recorder` as the process's [`trigger_dump`] target
-/// without installing it as a sink — for callers that route events to
-/// it through a wrapper (e.g. a [`crate::SamplingSink`]).
-pub fn set_dump_target(recorder: Arc<FlightRecorder>) {
+/// Registers `recorder` as the process's [`trigger_dump`] target.
+fn set_dump_target(recorder: Arc<FlightRecorder>) {
     *current().lock().unwrap_or_else(|e| e.into_inner()) = Some(recorder);
 }
 

@@ -10,7 +10,7 @@
 //! * **Event bus** ([`span`], [`instant`], [`counter_sample`]) —
 //!   structured [`Event`]s with monotonic timestamps and span
 //!   nesting, fanned out to pluggable [`Sink`]s ([`MemorySink`] ring
-//!   buffer, [`JsonlSink`] streaming writer, [`CountingSink`]).
+//!   buffer, [`JsonlSink`] streaming writer).
 //! * **Metrics registry** ([`registry`]) — counters, gauges, and
 //!   fixed-bucket histograms with p50/p95/p99 snapshots behind cheap
 //!   atomic handles.
@@ -26,9 +26,6 @@
 //! * **Flight recorder** ([`flightrec`]) — per-thread rings of recent
 //!   events dumped as a Chrome trace on degradation / quarantine /
 //!   budget exhaustion ([`flightrec::trigger_dump`]).
-//! * **Head-based sampling** ([`SamplingSink`]) — 1-in-N spans with
-//!   anomalies always kept, so tracing stays affordable under
-//!   multi-tenant load.
 //!
 //! # Example
 //!
@@ -49,7 +46,6 @@ pub mod flightrec;
 pub mod json;
 pub mod metrics;
 pub mod openmetrics;
-pub mod sample;
 pub mod serve;
 pub mod sink;
 pub mod trace;
@@ -63,11 +59,8 @@ pub use metrics::{
     registry, Counter, Gauge, Histogram, HistogramSnapshot, Registry, RegistrySnapshot,
 };
 pub use openmetrics::labeled;
-pub use sample::{SamplePolicy, SamplingSink};
 pub use serve::MetricsServer;
-pub use sink::{
-    flush_all, install, is_enabled, uninstall_all, CountingSink, JsonlSink, MemorySink, Sink,
-};
+pub use sink::{install, is_enabled, uninstall_all, JsonlSink, MemorySink, Sink};
 pub use trace::{
     chrome_trace, parse_chrome_trace, parse_jsonl, read_jsonl, read_jsonl_file, write_chrome_trace,
 };

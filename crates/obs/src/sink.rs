@@ -55,14 +55,6 @@ pub fn uninstall_all() {
     }
 }
 
-/// Flushes all installed sinks.
-pub fn flush_all() {
-    let guard = sinks().read().unwrap_or_else(|e| e.into_inner());
-    for sink in guard.iter() {
-        sink.flush();
-    }
-}
-
 /// Fans an event out to all installed sinks.
 pub(crate) fn dispatch(event: Event) {
     let guard = sinks().read().unwrap_or_else(|e| e.into_inner());
@@ -178,31 +170,6 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
     }
 }
 
-/// Counts events without storing them — for overhead measurements and
-/// smoke tests.
-#[derive(Default)]
-pub struct CountingSink {
-    count: AtomicU64,
-}
-
-impl CountingSink {
-    /// A fresh zeroed counter sink.
-    pub fn new() -> Arc<Self> {
-        Arc::new(CountingSink::default())
-    }
-
-    /// Events seen so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
-impl Sink for CountingSink {
-    fn accept(&self, _event: &Event) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,13 +215,5 @@ mod tests {
         assert_eq!(lines.len(), 2);
         let back = Event::from_json(lines[0]).unwrap();
         assert_eq!(back.name, "x");
-    }
-
-    #[test]
-    fn counting_sink_counts() {
-        let sink = CountingSink::new();
-        sink.accept(&test_event("a"));
-        sink.accept(&test_event("b"));
-        assert_eq!(sink.count(), 2);
     }
 }

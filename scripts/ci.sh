@@ -23,7 +23,7 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 # Re-run the concurrency suites at several worker counts: the batched
-# executor and sharded history store must behave identically whatever
+# executor and the history store must behave identically whatever
 # SEAMLESS_THREADS says, including 8 workers on a smaller machine, where
 # tenant and trial fan-out is oversubscribed and every nested model
 # kernel runs inline on its worker.
@@ -77,7 +77,7 @@ echo "==> chaos flight-recorder smoke (stune --chaos --flight-dump + trace_summa
 flight_dir="$(mktemp -d)"
 cargo run -q --bin stune -- tune --workload pagerank --scale tiny \
   --tuner random --budget 12 --batch 4 --chaos 7 \
-  --flight-dump "$flight_dir" --sample 2
+  --flight-dump "$flight_dir"
 dumps=("$flight_dir"/flight_*.json)
 [ -e "${dumps[0]}" ] || { echo "no flight dump written"; exit 1; }
 for dump in "${dumps[@]}"; do

@@ -8,11 +8,12 @@
 //!   --workload <name>     (default pagerank)
 //!   --scale <tiny|small|ds1|ds2|ds3|<MB>>   (default small)
 //!   --tuner <name>        (default bayesopt)
-//!   --budget <n>          (default 20)
+//!   --budget <n>          executions, >= 1 (default 20)
 //!   --batch <n>           trials proposed+evaluated per round (default 1)
 //!   --seed <n>            (default 42)
 //!   --cluster <family.size:nodes>   (default h1.4xlarge:4)
-//!   --goal <min-runtime|min-cost|deadline:<s>>  (default min-runtime)
+//!   --goal <min-runtime|min-cost|deadline:<s>>  deadline finite and > 0
+//!                         (default min-runtime)
 //!   --chaos <seed>        inject the default chaos fault mix (10% errors,
 //!                         2% hangs, 5% stragglers, 3% poisoned metrics)
 //!                         with the given seed; the executor retries,
@@ -25,9 +26,6 @@
 //!                         kept in per-thread rings and dumped into
 //!                         <dir> as Chrome-trace JSON on quarantine /
 //!                         budget exhaustion, plus once at exit
-//!   --sample <n>          head-based trace sampling for the flight
-//!                         recorder: keep 1-in-<n> spans (errors and
-//!                         censored trials always kept; default 1)
 //! ```
 
 use std::collections::HashMap;
@@ -78,6 +76,22 @@ fn main() -> ExitCode {
     }
 }
 
+/// The flags `stune tune` understands; any other is an error, so a
+/// mistyped or retired flag cannot be silently ignored.
+const TUNE_FLAGS: &[&str] = &[
+    "workload",
+    "scale",
+    "tuner",
+    "budget",
+    "batch",
+    "seed",
+    "cluster",
+    "goal",
+    "chaos",
+    "metrics-addr",
+    "flight-dump",
+];
+
 fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
@@ -85,6 +99,9 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument `{a}`"));
         };
+        if !TUNE_FLAGS.contains(&key) {
+            return Err(format!("unknown flag --{key}"));
+        }
         let value = it
             .next()
             .ok_or_else(|| format!("flag --{key} needs a value"))?;
@@ -133,13 +150,23 @@ fn parse_cluster(s: &str) -> Result<ClusterSpec, String> {
     Ok(ClusterSpec::new(instance, nodes))
 }
 
+/// A positive execution count: a zero budget would run nothing and
+/// report it as if every execution had crashed.
+fn parse_budget(s: &str) -> Result<usize, String> {
+    s.parse()
+        .ok()
+        .filter(|&b| b >= 1)
+        .ok_or_else(|| "bad --budget (must be >= 1)".to_owned())
+}
+
 fn parse_goal(s: &str) -> Result<TuningGoal, String> {
     if let Some(deadline) = s.strip_prefix("deadline:") {
-        return Ok(TuningGoal::Deadline {
-            seconds: deadline
-                .parse()
-                .map_err(|_| format!("bad deadline `{deadline}`"))?,
-        });
+        let seconds = deadline
+            .parse::<f64>()
+            .ok()
+            .filter(|d| d.is_finite() && *d > 0.0)
+            .ok_or_else(|| format!("bad deadline `{deadline}` (must be finite and > 0)"))?;
+        return Ok(TuningGoal::Deadline { seconds });
     }
     match s {
         "min-runtime" => Ok(TuningGoal::MinRuntime),
@@ -161,9 +188,7 @@ fn tune(args: &[String]) -> ExitCode {
         let workload = workload_by_name_or_err(&workload_name)?;
         let scale = parse_scale(&get("scale", "small"))?;
         let tuner = parse_tuner(&get("tuner", "bayesopt"))?;
-        let budget: usize = get("budget", "20")
-            .parse()
-            .map_err(|_| "bad --budget".to_owned())?;
+        let budget = parse_budget(&get("budget", "20"))?;
         let batch: usize = get("batch", "1")
             .parse()
             .ok()
@@ -178,11 +203,6 @@ fn tune(args: &[String]) -> ExitCode {
             None => None,
             Some(s) => Some(s.parse().map_err(|_| "bad --chaos (seed)".to_owned())?),
         };
-        let sample: u64 = get("sample", "1")
-            .parse()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| "bad --sample (must be >= 1)".to_owned())?;
 
         // Live telemetry: the scrape endpoint stays up for the whole
         // run (it is dropped — and therefore shut down — on return).
@@ -199,16 +219,8 @@ fn tune(args: &[String]) -> ExitCode {
             }
         };
         let recorder = flags.get("flight-dump").map(|dir| {
-            use seamless_tuning::obs;
-            let recorder = obs::FlightRecorder::new(4096, dir);
-            let sink: std::sync::Arc<dyn obs::Sink> = if sample > 1 {
-                obs::SamplingSink::new(recorder.clone(), obs::SamplePolicy::one_in(sample))
-            } else {
-                recorder.clone()
-            };
-            obs::install(sink);
-            obs::flightrec::set_dump_target(recorder.clone());
-            println!("flight recorder armed: dumps in {dir}/ (sampling 1-in-{sample})");
+            let recorder = seamless_tuning::obs::flightrec::install(4096, dir);
+            println!("flight recorder armed: dumps in {dir}/");
             recorder
         });
 
@@ -301,4 +313,59 @@ fn tune(args: &[String]) -> ExitCode {
 fn workload_by_name_or_err(name: &str) -> Result<Box<dyn Workload>, String> {
     seamless_tuning::workloads::workload_by_name(name)
         .ok_or_else(|| format!("unknown workload `{name}` (see `stune workloads`)"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn flags_outside_the_tune_set_are_rejected() {
+        let flags = parse_flags(&args(&["--budget", "5", "--goal", "min-cost"])).unwrap();
+        assert_eq!(flags["budget"], "5");
+        assert_eq!(flags["goal"], "min-cost");
+        assert!(parse_flags(&args(&["--sample", "2"])).is_err());
+        assert!(parse_flags(&args(&["--budget"])).is_err());
+        assert!(parse_flags(&args(&["budget", "5"])).is_err());
+    }
+
+    #[test]
+    fn budget_must_be_a_positive_count() {
+        assert_eq!(parse_budget("1"), Ok(1));
+        assert_eq!(parse_budget("20"), Ok(20));
+        for bad in ["0", "-3", "ten", ""] {
+            assert!(parse_budget(bad).is_err(), "`{bad}` must be rejected");
+        }
+    }
+
+    #[test]
+    fn goal_parses_named_goals_and_positive_deadlines() {
+        assert_eq!(parse_goal("min-runtime"), Ok(TuningGoal::MinRuntime));
+        assert_eq!(parse_goal("min-cost"), Ok(TuningGoal::MinCost));
+        assert_eq!(
+            parse_goal("deadline:90.5"),
+            Ok(TuningGoal::Deadline { seconds: 90.5 })
+        );
+        assert!(parse_goal("fastest").is_err());
+    }
+
+    #[test]
+    fn goal_rejects_non_finite_and_non_positive_deadlines() {
+        for bad in [
+            "deadline:nan",
+            "deadline:NaN",
+            "deadline:inf",
+            "deadline:-inf",
+            "deadline:-5",
+            "deadline:0",
+            "deadline:",
+            "deadline:soon",
+        ] {
+            assert!(parse_goal(bad).is_err(), "`{bad}` must be rejected");
+        }
+    }
 }
