@@ -97,26 +97,6 @@ impl Configuration {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &ParamValue)> {
         self.values.iter().map(|(k, v)| (k.as_str(), v))
     }
-
-    /// Merges `other` into `self`; `other`'s values win on conflict.
-    pub fn merge(&mut self, other: &Configuration) {
-        for (k, v) in &other.values {
-            self.values.insert(k.clone(), v.clone());
-        }
-    }
-
-    /// Returns a copy restricted to parameters whose name passes `keep`.
-    #[must_use]
-    pub fn filtered(&self, mut keep: impl FnMut(&str) -> bool) -> Configuration {
-        Configuration {
-            values: self
-                .values
-                .iter()
-                .filter(|(k, _)| keep(k))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        }
-    }
 }
 
 /// Read access to parameter values by name.
@@ -238,26 +218,6 @@ mod tests {
     #[should_panic(expected = "missing int parameter")]
     fn missing_param_panics_with_name() {
         Configuration::new().int("nope");
-    }
-
-    #[test]
-    fn merge_overwrites() {
-        let mut a = Configuration::new().with("x", 1i64).with("y", 2i64);
-        let b = Configuration::new().with("y", 9i64).with("z", 3i64);
-        a.merge(&b);
-        assert_eq!(a.int("y"), 9);
-        assert_eq!(a.int("z"), 3);
-        assert_eq!(a.int("x"), 1);
-    }
-
-    #[test]
-    fn filtered_keeps_subset() {
-        let cfg = Configuration::new()
-            .with("spark.a", 1i64)
-            .with("cloud.b", 2i64);
-        let only_spark = cfg.filtered(|k| k.starts_with("spark."));
-        assert!(only_spark.contains("spark.a"));
-        assert!(!only_spark.contains("cloud.b"));
     }
 
     #[test]

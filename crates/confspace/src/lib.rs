@@ -14,9 +14,8 @@
 //!   catalogs used throughout the paper reproduction (≈26 Spark parameters
 //!   mirroring `spark.*` knobs, and the cloud-layer instance
 //!   family/size/count choice);
-//! * samplers ([`sample`]) — uniform, Latin hypercube and
-//!   divide-and-diverge sampling, neighbourhood moves, and genetic
-//!   operators over configurations;
+//! * samplers ([`sample`]) — uniform and Latin hypercube sampling,
+//!   neighbourhood moves, and genetic operators over configurations;
 //! * an encoder ([`encode`]) mapping configurations to normalized
 //!   `Vec<f64>` feature vectors (and back) for the surrogate models.
 //!
@@ -48,7 +47,6 @@ pub use config::{Configuration, ParamLookup};
 pub use error::ConfigError;
 pub use param::{ParamDef, ParamKind, ParamValue};
 pub use sample::{
-    crossover, mutate, neighbor, neighbor_row, DivideAndDiverge, LatinHypercube, Sampler,
-    UniformSampler,
+    crossover, mutate, neighbor, neighbor_row, LatinHypercube, Sampler, UniformSampler,
 };
 pub use space::{Constraint, ParamSpace};

@@ -52,16 +52,6 @@ impl ParamValue {
             _ => None,
         }
     }
-
-    /// A short label for the contained kind, used in error messages.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            ParamValue::Int(_) => "int",
-            ParamValue::Float(_) => "float",
-            ParamValue::Bool(_) => "bool",
-            ParamValue::Str(_) => "categorical",
-        }
-    }
 }
 
 impl fmt::Display for ParamValue {

@@ -132,63 +132,6 @@ impl Sampler for LatinHypercube {
     }
 }
 
-/// BestConfig's *divide-and-diverge* sampling (Zhu et al., SoCC'17).
-///
-/// Each round divides every dimension into `k` subranges and draws `k`
-/// samples such that each subrange of each dimension is covered exactly
-/// once per round (a Latin-hypercube round); successive rounds re-draw
-/// the permutations ("diverge") so that repeated rounds cover different
-/// stratum combinations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DivideAndDiverge {
-    /// Number of subranges (and samples) per round.
-    pub k: usize,
-}
-
-impl DivideAndDiverge {
-    /// Creates the sampler with `k` subranges per round.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k == 0`.
-    pub fn new(k: usize) -> Self {
-        assert!(k > 0, "divide-and-diverge needs k >= 1");
-        DivideAndDiverge { k }
-    }
-
-    /// Draws `rounds * k` samples, each round a fresh stratified cover.
-    pub fn sample_rounds<R: Rng + ?Sized>(
-        &self,
-        space: &ParamSpace,
-        rounds: usize,
-        rng: &mut R,
-    ) -> Vec<Configuration> {
-        let mut out = Vec::with_capacity(rounds * self.k);
-        for _ in 0..rounds {
-            out.extend(LatinHypercube.sample_n(space, self.k, rng));
-        }
-        out
-    }
-}
-
-impl Sampler for DivideAndDiverge {
-    fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration {
-        UniformSampler.sample(space, rng)
-    }
-
-    fn sample_n<R: Rng + ?Sized>(
-        &self,
-        space: &ParamSpace,
-        n: usize,
-        rng: &mut R,
-    ) -> Vec<Configuration> {
-        let rounds = n.div_ceil(self.k);
-        let mut v = self.sample_rounds(space, rounds, rng);
-        v.truncate(n);
-        v
-    }
-}
-
 /// Draws a value for one parameter uniformly from its domain.
 pub fn sample_value<R: Rng + ?Sized>(p: &ParamDef, rng: &mut R) -> ParamValue {
     let mut v = ParamValue::Bool(false);
@@ -361,15 +304,6 @@ mod tests {
             .collect();
         strata.sort_unstable();
         assert_eq!(strata, (0..n).collect::<Vec<_>>(), "each stratum hit once");
-    }
-
-    #[test]
-    fn dds_produces_requested_count() {
-        let s = space();
-        let mut rng = StdRng::seed_from_u64(5);
-        let dds = DivideAndDiverge::new(7);
-        assert_eq!(dds.sample_n(&s, 20, &mut rng).len(), 20);
-        assert_eq!(dds.sample_rounds(&s, 3, &mut rng).len(), 21);
     }
 
     #[test]

@@ -356,7 +356,11 @@ mod tests {
     fn validate_detects_missing_and_unknown() {
         let s = small_space();
         let mut cfg = s.default_configuration();
-        let partial = cfg.filtered(|k| k != "n");
+        let partial: Configuration = cfg
+            .iter()
+            .filter(|(k, _)| *k != "n")
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
         assert!(matches!(
             s.validate(&partial),
             Err(ConfigError::MissingParam(p)) if p == "n"

@@ -245,11 +245,6 @@ impl TuningOutcome {
         self.history.iter().map(|o| o.cost_usd).sum()
     }
 
-    /// Total machine time consumed by tuning (s).
-    pub fn total_machine_time_s(&self) -> f64 {
-        self.history.iter().map(|o| o.runtime_s).sum()
-    }
-
     /// Whether the session degraded: any trial failed or timed out, or
     /// the failure budget ended it early.
     pub fn is_degraded(&self) -> bool {
@@ -443,11 +438,6 @@ impl TuningSession {
             best,
             degradation: Some(report),
         }
-    }
-
-    /// The underlying strategy's name.
-    pub fn tuner_name(&self) -> &str {
-        self.tuner.name()
     }
 }
 

@@ -14,8 +14,6 @@ use serde::{Deserialize, Serialize};
 
 use simcluster::{ExecMetrics, SparkEnv};
 
-use crate::objective::Observation;
-
 /// Per-stage resource profile extracted from one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct StageProfile {
@@ -150,11 +148,6 @@ impl JobProfile {
     pub fn num_stages(&self) -> usize {
         self.stages.len()
     }
-}
-
-/// Builds a profile directly from an [`Observation`], when it succeeded.
-pub fn profile_observation(env: &SparkEnv, obs: &Observation) -> Option<JobProfile> {
-    obs.metrics.as_ref().map(|m| JobProfile::from_run(env, m))
 }
 
 #[cfg(test)]

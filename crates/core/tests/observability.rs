@@ -12,6 +12,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use obs::{Event, EventKind};
 use seamless_core::{HistoryStore, SeamlessTuner, ServiceConfig, SimEnvironment};
+use serde::{Deserialize, Value};
 use workloads::{DataScale, Wordcount, Workload};
 
 fn global_obs_lock() -> &'static Mutex<()> {
@@ -149,30 +150,32 @@ fn chrome_trace_export_is_valid() {
     let events = traced_tune();
     let doc = obs::chrome_trace(&events);
 
-    let parsed = obs::json::parse(&doc).expect("chrome trace must be valid JSON");
-    let trace_events = parsed
-        .get("traceEvents")
-        .and_then(|v| v.as_array())
-        .expect("traceEvents array");
+    let parsed: Value = serde_json::from_str(&doc).expect("chrome trace must be valid JSON");
+    let Some(Value::Array(trace_events)) = parsed.get("traceEvents") else {
+        panic!("traceEvents array");
+    };
     assert_eq!(trace_events.len(), events.len());
+    let str_of = |te: &Value, key: &str| match te.get(key) {
+        Some(Value::Str(s)) => Some(s.clone()),
+        _ => None,
+    };
+    let u64_of = |te: &Value, key: &str| te.get(key).and_then(|v| u64::from_value(v).ok());
 
     let mut phases = std::collections::BTreeSet::new();
     for te in trace_events {
-        let ph = te.get("ph").and_then(|v| v.as_str()).expect("ph");
-        phases.insert(ph.to_string());
-        assert!(te.get("ts").and_then(|v| v.as_f64()).is_some(), "ts");
-        assert!(te.get("name").and_then(|v| v.as_str()).is_some(), "name");
-        assert!(te.get("pid").and_then(|v| v.as_u64()).is_some(), "pid");
+        phases.insert(str_of(te, "ph").expect("ph"));
+        assert!(te.get("ts").and_then(Value::as_f64).is_some(), "ts");
+        assert!(str_of(te, "name").is_some(), "name");
+        assert!(u64_of(te, "pid").is_some(), "pid");
     }
     assert!(phases.contains("B") && phases.contains("E"), "{phases:?}");
 
     // B/E balance per (tid, name): a Perfetto-loadable nesting.
     let mut depth: HashMap<(u64, String), i64> = HashMap::new();
     for te in trace_events {
-        let ph = te.get("ph").and_then(|v| v.as_str()).unwrap();
-        let tid = te.get("tid").and_then(|v| v.as_u64()).unwrap_or(0);
-        let name = te.get("name").and_then(|v| v.as_str()).unwrap().to_string();
-        match ph {
+        let tid = u64_of(te, "tid").unwrap_or(0);
+        let name = str_of(te, "name").unwrap();
+        match str_of(te, "ph").unwrap().as_str() {
             "B" => *depth.entry((tid, name)).or_default() += 1,
             "E" => *depth.entry((tid, name)).or_default() -= 1,
             _ => {}

@@ -8,12 +8,14 @@
 //! traces stay readable.
 
 use std::cell::RefCell;
-use std::fmt;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use crate::json::{self, JsonValue};
+use serde::{Deserialize, Value};
+
 use crate::sink;
 
 /// A typed field value attached to an event.
@@ -191,44 +193,22 @@ impl Event {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
         out.push_str("{\"ts_ns\":");
-        let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{}", self.ts_ns));
+        let _ = write!(out, "{}", self.ts_ns);
         out.push_str(",\"tid\":");
-        let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{}", self.tid));
+        let _ = write!(out, "{}", self.tid);
         out.push_str(",\"kind\":\"");
         out.push_str(self.kind.as_str());
         out.push_str("\",\"name\":");
-        json::write_escaped(&mut out, &self.name);
+        write_escaped(&mut out, &self.name);
         if self.span_id != 0 {
-            let _ =
-                std::fmt::Write::write_fmt(&mut out, format_args!(",\"span\":{}", self.span_id));
+            let _ = write!(out, ",\"span\":{}", self.span_id);
         }
         if self.parent_id != 0 {
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(",\"parent\":{}", self.parent_id),
-            );
+            let _ = write!(out, ",\"parent\":{}", self.parent_id);
         }
         if !self.fields.is_empty() {
-            out.push_str(",\"fields\":{");
-            for (i, (k, v)) in self.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::write_escaped(&mut out, k);
-                out.push(':');
-                match v {
-                    FieldValue::I64(n) => {
-                        let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{n}"));
-                    }
-                    FieldValue::U64(n) => {
-                        let _ = std::fmt::Write::write_fmt(&mut out, format_args!("{n}"));
-                    }
-                    FieldValue::F64(n) => json::write_f64(&mut out, *n),
-                    FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-                    FieldValue::Str(s) => json::write_escaped(&mut out, s),
-                }
-            }
-            out.push('}');
+            out.push_str(",\"fields\":");
+            write_fields(&mut out, &self.fields);
         }
         out.push('}');
         out
@@ -240,46 +220,115 @@ impl Event {
     ///
     /// Returns a message describing the malformed line.
     pub fn from_json(line: &str) -> Result<Event, String> {
-        let v = json::parse(line)?;
-        let kind_str = v
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "missing kind".to_string())?;
+        let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+        let kind_str = str_member(&v, "kind").ok_or_else(|| "missing kind".to_string())?;
         let kind =
             EventKind::parse(kind_str).ok_or_else(|| format!("unknown kind {kind_str:?}"))?;
-        let mut fields = Vec::new();
-        if let Some(JsonValue::Object(map)) = v.get("fields") {
-            for (k, fv) in map {
-                let fv = match fv {
-                    JsonValue::Bool(b) => FieldValue::Bool(*b),
-                    JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
-                        FieldValue::I64(*n as i64)
-                    }
-                    JsonValue::Num(n) => FieldValue::F64(*n),
-                    JsonValue::Str(s) => FieldValue::Str(s.clone()),
-                    JsonValue::Null => FieldValue::F64(f64::NAN),
-                    other => return Err(format!("unsupported field value {other:?}")),
-                };
-                fields.push((k.clone(), fv));
-            }
-        }
         Ok(Event {
-            ts_ns: v
-                .get("ts_ns")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| "missing ts_ns".to_string())?,
-            tid: v.get("tid").and_then(JsonValue::as_u64).unwrap_or(0),
+            ts_ns: u64_member(&v, "ts_ns").ok_or_else(|| "missing ts_ns".to_string())?,
+            tid: u64_member(&v, "tid").unwrap_or(0),
             kind,
-            name: v
-                .get("name")
-                .and_then(JsonValue::as_str)
+            name: str_member(&v, "name")
                 .ok_or_else(|| "missing name".to_string())?
                 .to_string(),
-            span_id: v.get("span").and_then(JsonValue::as_u64).unwrap_or(0),
-            parent_id: v.get("parent").and_then(JsonValue::as_u64).unwrap_or(0),
-            fields,
+            span_id: u64_member(&v, "span").unwrap_or(0),
+            parent_id: u64_member(&v, "parent").unwrap_or(0),
+            fields: read_fields(v.get("fields"))?,
         })
     }
+}
+
+/// Appends `s` to `out` as a JSON string literal.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Appends `v` to `out` in JSON number syntax (non-finite → `null`).
+pub(crate) fn write_f64(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        let _ = write!(out, "{}", v as i64);
+    } else {
+        let _ = write!(out, "{v}");
+    }
+}
+
+/// Appends `fields` to `out` as a JSON object: the JSONL `"fields"`
+/// member and the Chrome trace `"args"` member.
+pub(crate) fn write_fields(out: &mut String, fields: &[(String, FieldValue)]) {
+    out.push('{');
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(out, k);
+        out.push(':');
+        match v {
+            FieldValue::I64(n) => {
+                let _ = write!(out, "{n}");
+            }
+            FieldValue::U64(n) => {
+                let _ = write!(out, "{n}");
+            }
+            FieldValue::F64(n) => write_f64(out, *n),
+            FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            FieldValue::Str(s) => write_escaped(out, s),
+        }
+    }
+    out.push('}');
+}
+
+/// Reads a [`write_fields`] object back, sorted by key (a repeated key
+/// keeps its last value). Anything but an object reads as no fields.
+/// An integral float below 9e15 is exact in `f64` and reads back as
+/// [`FieldValue::I64`], since the writer prints it without a fraction.
+pub(crate) fn read_fields(v: Option<&Value>) -> Result<Vec<(String, FieldValue)>, String> {
+    let Some(Value::Object(pairs)) = v else {
+        return Ok(Vec::new());
+    };
+    let mut fields = BTreeMap::new();
+    for (k, v) in pairs {
+        let fv = match v {
+            Value::Bool(b) => FieldValue::Bool(*b),
+            Value::I64(n) => FieldValue::I64(*n),
+            Value::U64(n) => FieldValue::U64(*n),
+            Value::F64(n) if n.fract() == 0.0 && n.abs() < 9e15 => FieldValue::I64(*n as i64),
+            Value::F64(n) => FieldValue::F64(*n),
+            Value::Str(s) => FieldValue::Str(s.clone()),
+            Value::Null => FieldValue::F64(f64::NAN),
+            other => return Err(format!("unsupported field value {other:?}")),
+        };
+        fields.insert(k.clone(), fv);
+    }
+    Ok(fields.into_iter().collect())
+}
+
+/// Object member `key` as a string.
+pub(crate) fn str_member<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
+    match v.get(key) {
+        Some(Value::Str(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// Object member `key` as a non-negative integer.
+pub(crate) fn u64_member(v: &Value, key: &str) -> Option<u64> {
+    v.get(key).and_then(|m| u64::from_value(m).ok())
 }
 
 fn trace_epoch() -> Instant {
@@ -490,6 +539,37 @@ mod tests {
         assert_eq!(
             back.field("label"),
             Some(&FieldValue::Str("a\nb".to_string()))
+        );
+    }
+
+    #[test]
+    fn wide_integers_replay_exactly() {
+        let e = Event::from_json(concat!(
+            r#"{"ts_ns":1,"kind":"instant","name":"n","fields":"#,
+            r#"{"max":18446744073709551615,"neg":-9007199254740993,"whole":2.0,"big":1e16}}"#
+        ))
+        .unwrap();
+        assert_eq!(e.field("max"), Some(&FieldValue::U64(u64::MAX)));
+        assert_eq!(
+            e.field("neg"),
+            Some(&FieldValue::I64(-9_007_199_254_740_993))
+        );
+        assert_eq!(e.field("whole"), Some(&FieldValue::I64(2)));
+        assert_eq!(e.field("big"), Some(&FieldValue::F64(1e16)));
+        // An out-of-range timestamp is an error, not a clipped value.
+        assert!(Event::from_json(r#"{"ts_ns":1e48,"kind":"instant","name":"n"}"#).is_err());
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode() {
+        let e = Event::from_json(
+            r#"{"ts_ns":1,"kind":"instant","name":"\ud83d\ude00","fields":{"s":"a\ud83d\ude00"}}"#,
+        )
+        .unwrap();
+        assert_eq!(e.name, "\u{1F600}");
+        assert_eq!(
+            e.field("s"),
+            Some(&FieldValue::Str("a\u{1F600}".to_string()))
         );
     }
 

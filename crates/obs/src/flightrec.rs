@@ -242,7 +242,6 @@ pub fn trigger_dump(reason: &str) -> Option<PathBuf> {
 mod tests {
     use super::*;
     use crate::event::{EventKind, FieldValue};
-    use crate::json;
 
     fn test_event(ts_ns: u64, name: &str) -> Event {
         Event {
@@ -290,10 +289,15 @@ mod tests {
             "flight_000_unit_test_.json"
         );
         let text = std::fs::read_to_string(&path).unwrap();
-        let doc = json::parse(&text).expect("valid JSON");
-        let items = doc.get("traceEvents").and_then(|v| v.as_array()).unwrap();
+        let doc: serde::Value = serde_json::from_str(&text).expect("valid JSON");
+        let Some(serde::Value::Array(items)) = doc.get("traceEvents") else {
+            panic!("expected traceEvents array, got {doc:?}");
+        };
         assert_eq!(items.len(), 2);
-        assert_eq!(items[0].get("name").unwrap().as_str(), Some("alpha"));
+        assert_eq!(
+            items[0].get("name"),
+            Some(&serde::Value::Str("alpha".to_string()))
+        );
         assert_eq!(recorder.dumps(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,9 +1,9 @@
 //! Structured tracing and metrics for the seamless-tuning service.
 //!
-//! Zero-dependency by design: instrumented crates (`seamless-core`,
-//! `simcluster`, `bench`) emit spans and metric samples through this
-//! crate, and pay a single relaxed atomic load per call site when no
-//! sink is installed.
+//! Built on std plus the in-repo serde shims: instrumented crates
+//! (`seamless-core`, `simcluster`, `bench`) emit spans and metric
+//! samples through this crate, and pay a single relaxed atomic load per
+//! call site when no sink is installed.
 //!
 //! Three pieces:
 //!
@@ -21,7 +21,7 @@
 //! Live telemetry on top (PR 5):
 //!
 //! * **OpenMetrics exposition** ([`openmetrics`]) rendered from the
-//!   registry and served by [`MetricsServer`], a zero-dep std-TCP
+//!   registry and served by [`MetricsServer`], a std-TCP
 //!   scrape endpoint (`stune --metrics-addr`).
 //! * **Flight recorder** ([`flightrec`]) — per-thread rings of recent
 //!   events dumped as a Chrome trace on degradation / quarantine /
@@ -43,7 +43,6 @@
 
 pub mod event;
 pub mod flightrec;
-pub mod json;
 pub mod metrics;
 pub mod openmetrics;
 pub mod serve;
@@ -62,5 +61,5 @@ pub use openmetrics::labeled;
 pub use serve::MetricsServer;
 pub use sink::{install, is_enabled, uninstall_all, JsonlSink, MemorySink, Sink};
 pub use trace::{
-    chrome_trace, parse_chrome_trace, parse_jsonl, read_jsonl, read_jsonl_file, write_chrome_trace,
+    chrome_trace, parse_chrome_trace, parse_jsonl, read_jsonl_file, write_chrome_trace,
 };

@@ -219,11 +219,6 @@ impl HistogramSnapshot {
             self.sum_ns as f64 / self.count as f64
         }
     }
-
-    /// Sum in seconds.
-    pub fn sum_secs(&self) -> f64 {
-        self.sum_ns as f64 / 1e9
-    }
 }
 
 /// A named family of metrics. Obtain the process-global one with

@@ -26,7 +26,7 @@
 
 use std::fmt::Write as _;
 
-use crate::metrics::{Histogram, HistogramSnapshot, Registry, RegistrySnapshot};
+use crate::metrics::{Histogram, HistogramSnapshot, RegistrySnapshot};
 
 /// The scrape response content type for OpenMetrics text.
 pub const CONTENT_TYPE: &str = "application/openmetrics-text; version=1.0.0; charset=utf-8";
@@ -149,11 +149,6 @@ pub fn render(snapshot: &RegistrySnapshot) -> String {
     out
 }
 
-/// Renders the global [`crate::registry`].
-pub fn render_registry(registry: &Registry) -> String {
-    render(&registry.snapshot())
-}
-
 fn render_histogram(out: &mut String, family: &str, labels: &str, h: &HistogramSnapshot) {
     // `le` labels compose with any series labels: re-open the block.
     let with = |le: &str| -> String {
@@ -192,6 +187,7 @@ fn render_histogram(out: &mut String, family: &str, labels: &str, h: &HistogramS
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Registry;
 
     #[test]
     fn labeled_escapes_values() {

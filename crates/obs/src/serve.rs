@@ -1,4 +1,4 @@
-//! A zero-dependency HTTP scrape endpoint for the metrics registry.
+//! A std-only HTTP scrape endpoint for the metrics registry.
 //!
 //! [`MetricsServer::start`] binds a std [`TcpListener`] and answers
 //! every request on a single background thread with the global

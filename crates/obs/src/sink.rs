@@ -126,7 +126,7 @@ impl Sink for MemorySink {
 }
 
 /// Streams events as JSON Lines to a writer (typically a file), one
-/// event per line — the format [`crate::trace::read_jsonl`] and the
+/// event per line — the format [`crate::trace::parse_jsonl`] and the
 /// `trace_summary` tool consume.
 pub struct JsonlSink<W: Write + Send> {
     writer: Mutex<W>,

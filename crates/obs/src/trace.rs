@@ -1,11 +1,14 @@
 //! Trace export: JSON Lines persistence and a Chrome trace-event
 //! (`chrome://tracing` / Perfetto) converter.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
-use crate::event::{Event, EventKind, FieldValue};
-use crate::json;
+use serde::Value;
+
+use crate::event::{
+    read_fields, str_member, u64_member, write_escaped, write_f64, write_fields, Event, EventKind,
+};
 
 /// Reads events from JSONL text (one event per line; blank lines
 /// skipped).
@@ -26,58 +29,14 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
     Ok(events)
 }
 
-/// Reads events from a JSONL reader.
-///
-/// # Errors
-///
-/// Propagates I/O errors; malformed lines become `InvalidData`.
-pub fn read_jsonl(reader: impl BufRead) -> io::Result<Vec<Event>> {
-    let mut events = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let e = Event::from_json(trimmed).map_err(|err| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("line {}: {err}", i + 1))
-        })?;
-        events.push(e);
-    }
-    Ok(events)
-}
-
 /// Reads events from a JSONL file.
 ///
 /// # Errors
 ///
-/// Propagates I/O and parse errors.
+/// Propagates I/O errors; a malformed line becomes `InvalidData`.
 pub fn read_jsonl_file(path: impl AsRef<Path>) -> io::Result<Vec<Event>> {
-    let file = std::fs::File::open(path)?;
-    read_jsonl(io::BufReader::new(file))
-}
-
-fn write_args(out: &mut String, fields: &[(String, FieldValue)]) {
-    out.push_str(",\"args\":{");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::write_escaped(out, k);
-        out.push(':');
-        match v {
-            FieldValue::I64(n) => {
-                let _ = std::fmt::Write::write_fmt(out, format_args!("{n}"));
-            }
-            FieldValue::U64(n) => {
-                let _ = std::fmt::Write::write_fmt(out, format_args!("{n}"));
-            }
-            FieldValue::F64(n) => json::write_f64(out, *n),
-            FieldValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            FieldValue::Str(s) => json::write_escaped(out, s),
-        }
-    }
-    out.push('}');
+    let text = std::fs::read_to_string(path)?;
+    parse_jsonl(&text).map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))
 }
 
 /// Converts events to a Chrome trace-event JSON document (the
@@ -100,7 +59,7 @@ pub fn chrome_trace(events: &[Event]) -> String {
             EventKind::Counter => "C",
         };
         out.push_str("{\"name\":");
-        json::write_escaped(&mut out, &e.name);
+        write_escaped(&mut out, &e.name);
         let _ = std::fmt::Write::write_fmt(
             &mut out,
             format_args!(
@@ -108,12 +67,13 @@ pub fn chrome_trace(events: &[Event]) -> String {
                 e.tid.max(1)
             ),
         );
-        json::write_f64(&mut out, e.ts_ns as f64 / 1e3);
+        write_f64(&mut out, e.ts_ns as f64 / 1e3);
         if e.kind == EventKind::Instant {
             out.push_str(",\"s\":\"t\"");
         }
         if !e.fields.is_empty() {
-            write_args(&mut out, &e.fields);
+            out.push_str(",\"args\":");
+            write_fields(&mut out, &e.fields);
         }
         out.push('}');
     }
@@ -146,21 +106,17 @@ pub fn write_chrome_trace(path: impl AsRef<Path>, events: &[Event]) -> io::Resul
 ///
 /// Returns a message describing the first malformed entry.
 pub fn parse_chrome_trace(text: &str) -> Result<Vec<Event>, String> {
-    let doc = json::parse(text)?;
-    let items = doc
-        .get("traceEvents")
-        .and_then(json::JsonValue::as_array)
-        .ok_or_else(|| "missing traceEvents array".to_string())?;
+    let doc: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let Some(Value::Array(items)) = doc.get("traceEvents") else {
+        return Err("missing traceEvents array".to_string());
+    };
 
     let mut next_id: u64 = 1;
     // Per-tid stack of open synthetic span ids.
     let mut stacks: std::collections::BTreeMap<u64, Vec<u64>> = std::collections::BTreeMap::new();
     let mut events = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        let ph = item
-            .get("ph")
-            .and_then(json::JsonValue::as_str)
-            .ok_or_else(|| format!("entry {i}: missing ph"))?;
+        let ph = str_member(item, "ph").ok_or_else(|| format!("entry {i}: missing ph"))?;
         let kind = match ph {
             "B" => EventKind::SpanStart,
             "E" => EventKind::SpanEnd,
@@ -169,35 +125,15 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<Event>, String> {
             // Metadata/flow/other phases aren't events we model.
             _ => continue,
         };
-        let name = item
-            .get("name")
-            .and_then(json::JsonValue::as_str)
+        let name = str_member(item, "name")
             .ok_or_else(|| format!("entry {i}: missing name"))?
             .to_string();
         let ts_us = item
             .get("ts")
-            .and_then(json::JsonValue::as_f64)
+            .and_then(Value::as_f64)
             .ok_or_else(|| format!("entry {i}: missing ts"))?;
-        let tid = item
-            .get("tid")
-            .and_then(json::JsonValue::as_u64)
-            .unwrap_or(1);
-        let mut fields = Vec::new();
-        if let Some(json::JsonValue::Object(args)) = item.get("args") {
-            for (k, v) in args {
-                let fv = match v {
-                    json::JsonValue::Bool(b) => FieldValue::Bool(*b),
-                    json::JsonValue::Num(n) if n.fract() == 0.0 && n.abs() < 9e15 => {
-                        FieldValue::I64(*n as i64)
-                    }
-                    json::JsonValue::Num(n) => FieldValue::F64(*n),
-                    json::JsonValue::Str(s) => FieldValue::Str(s.clone()),
-                    json::JsonValue::Null => FieldValue::F64(f64::NAN),
-                    other => return Err(format!("entry {i}: unsupported arg {other:?}")),
-                };
-                fields.push((k.clone(), fv));
-            }
-        }
+        let tid = u64_member(item, "tid").unwrap_or(1);
+        let fields = read_fields(item.get("args")).map_err(|err| format!("entry {i}: {err}"))?;
         let stack = stacks.entry(tid).or_default();
         let (span_id, parent_id) = match kind {
             EventKind::SpanStart => {
@@ -233,6 +169,7 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<Event>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::FieldValue;
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -293,6 +230,36 @@ mod tests {
     }
 
     #[test]
+    fn chrome_wide_integers_replay_exactly() {
+        let doc = concat!(
+            r#"{"traceEvents":[{"name":"n","ph":"i","tid":1,"ts":1,"args":"#,
+            r#"{"max":18446744073709551615,"neg":-9007199254740993,"whole":2.0,"big":1e16}}]}"#
+        );
+        let back = parse_chrome_trace(doc).unwrap();
+        assert_eq!(back[0].field("max"), Some(&FieldValue::U64(u64::MAX)));
+        assert_eq!(
+            back[0].field("neg"),
+            Some(&FieldValue::I64(-9_007_199_254_740_993))
+        );
+        assert_eq!(back[0].field("whole"), Some(&FieldValue::I64(2)));
+        assert_eq!(back[0].field("big"), Some(&FieldValue::F64(1e16)));
+    }
+
+    #[test]
+    fn chrome_surrogate_pair_escapes_decode() {
+        let doc = concat!(
+            r#"{"traceEvents":[{"name":"\ud83d\ude00","ph":"i","tid":1,"ts":1,"#,
+            r#""args":{"s":"a\ud83d\ude00"}}]}"#
+        );
+        let back = parse_chrome_trace(doc).unwrap();
+        assert_eq!(back[0].name, "\u{1F600}");
+        assert_eq!(
+            back[0].field("s"),
+            Some(&FieldValue::Str("a\u{1F600}".to_string()))
+        );
+    }
+
+    #[test]
     fn parse_chrome_trace_tolerates_unmatched_end() {
         // A ring-evicted start: E arrives with an empty stack.
         let doc = r#"{"traceEvents":[
@@ -310,15 +277,14 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_with_expected_phases() {
         let doc = chrome_trace(&sample_events());
-        let v = json::parse(&doc).unwrap();
-        let items = match v.get("traceEvents") {
-            Some(json::JsonValue::Array(items)) => items,
-            other => panic!("expected traceEvents array, got {other:?}"),
+        let v: Value = serde_json::from_str(&doc).unwrap();
+        let Some(Value::Array(items)) = v.get("traceEvents") else {
+            panic!("expected traceEvents array, got {v:?}");
         };
         assert_eq!(items.len(), 3);
         let phases: Vec<_> = items
             .iter()
-            .map(|e| e.get("ph").unwrap().as_str().unwrap().to_string())
+            .map(|e| str_member(e, "ph").unwrap().to_string())
             .collect();
         assert_eq!(phases, vec!["B", "i", "E"]);
         // ts is microseconds.

@@ -128,11 +128,6 @@ impl SparkEnv {
         let vcpus = f64::from(self.cluster.instance.vcpus);
         (slots_per_node / vcpus).max(1.0)
     }
-
-    /// Concurrently-running tasks per node when all slots are busy.
-    pub fn busy_tasks_per_node(&self) -> f64 {
-        f64::from(self.executors_per_node * self.cores_per_executor)
-    }
 }
 
 #[cfg(test)]

@@ -88,4 +88,11 @@ for dump in "${dumps[@]}"; do
 done
 rm -rf "$flight_dir"
 
+# The JSONL input path: the committed demo trace must replay too.
+echo "==> demo JSONL replay (trace_summary results/demo_trace.jsonl)"
+summary="$(cargo run -q -p bench --bin trace_summary -- results/demo_trace.jsonl)"
+echo "$summary" | head -n 1
+echo "$summary" | grep -q "# Trace summary" \
+  || { echo "trace_summary could not replay results/demo_trace.jsonl"; exit 1; }
+
 echo "CI OK"

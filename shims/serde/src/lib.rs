@@ -113,6 +113,17 @@ pub trait Deserialize: Sized {
     ///
     /// Returns a [`DeError`] when the value's shape does not match.
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Parses out of a value tree the caller gives up, as
+    /// `serde_json::from_str` does. [`Value`] moves the tree instead of
+    /// copying it; everything else reads it by reference.
+    ///
+    /// # Errors
+    ///
+    /// As [`Deserialize::from_value`].
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        Self::from_value(&v)
+    }
 }
 
 // --- primitives ---------------------------------------------------------
@@ -131,7 +142,11 @@ macro_rules! impl_serde_int {
                         .map_err(|_| DeError::new(concat!("integer out of range for ", stringify!($t)))),
                     Value::U64(n) => <$t>::try_from(*n)
                         .map_err(|_| DeError::new(concat!("integer out of range for ", stringify!($t)))),
-                    Value::F64(n) if n.fract() == 0.0 => Ok(*n as $t),
+                    // `as i128` is exact for any integral float a
+                    // 64-bit integer can hold and saturates beyond, so
+                    // the range check cannot pass a clipped value.
+                    Value::F64(n) if n.fract() == 0.0 => <$t>::try_from(*n as i128)
+                        .map_err(|_| DeError::new(concat!("integer out of range for ", stringify!($t)))),
                     other => Err(DeError::new(format!(
                         concat!("expected integer for ", stringify!($t), ", found {}"),
                         other.kind()
@@ -161,7 +176,11 @@ macro_rules! impl_serde_uint_wide {
                         .map_err(|_| DeError::new(concat!("integer out of range for ", stringify!($t)))),
                     Value::U64(n) => <$t>::try_from(*n)
                         .map_err(|_| DeError::new(concat!("integer out of range for ", stringify!($t)))),
-                    Value::F64(n) if n.fract() == 0.0 && *n >= 0.0 => Ok(*n as $t),
+                    // `as i128` is exact for any integral float a
+                    // 64-bit integer can hold and saturates beyond, so
+                    // the range check cannot pass a clipped value.
+                    Value::F64(n) if n.fract() == 0.0 => <$t>::try_from(*n as i128)
+                        .map_err(|_| DeError::new(concat!("integer out of range for ", stringify!($t)))),
                     other => Err(DeError::new(format!(
                         concat!("expected integer for ", stringify!($t), ", found {}"),
                         other.kind()
@@ -432,6 +451,10 @@ impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
     }
+
+    fn from_owned_value(v: Value) -> Result<Self, DeError> {
+        Ok(v)
+    }
 }
 
 #[cfg(test)]
@@ -448,6 +471,16 @@ mod tests {
             String::from_value(&"hi".to_value()).unwrap(),
             "hi".to_owned()
         );
+    }
+
+    #[test]
+    fn integral_floats_convert_only_in_range() {
+        assert_eq!(u64::from_value(&Value::F64(4096.0)).unwrap(), 4096);
+        assert_eq!(i8::from_value(&Value::F64(-128.0)).unwrap(), -128);
+        assert!(i8::from_value(&Value::F64(300.0)).is_err());
+        assert!(u64::from_value(&Value::F64(-1.0)).is_err());
+        assert!(u64::from_value(&Value::F64(1e48)).is_err());
+        assert!(i64::from_value(&Value::F64(2f64.powi(63))).is_err());
     }
 
     #[test]

@@ -63,8 +63,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 ///
 /// Returns a parse error on malformed JSON or a shape mismatch.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    Ok(T::from_value(&value)?)
+    Ok(T::from_owned_value(parse_value(s)?)?)
 }
 
 // --- writer -------------------------------------------------------------
