@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use obs::{Event, EventKind};
+use obs::{outln, Event, EventKind};
 
 /// Rows shown per latency table; deeper traces are truncated (and say
 /// so) — the point of the summary is the head, not the tail.
@@ -62,7 +62,7 @@ fn main() -> ExitCode {
         eprintln!("{path}: no events");
         return ExitCode::FAILURE;
     }
-    println!("# Trace summary: {path} ({} events)", events.len());
+    outln!("# Trace summary: {path} ({} events)", events.len());
     print_span_table(&events);
     print_self_time_table(&events);
     print_counters(&events);
@@ -152,7 +152,7 @@ fn trace_wall_ns(events: &[Event]) -> u64 {
 fn print_span_table(events: &[Event]) {
     let mut by_name = span_durations(events);
     if by_name.is_empty() {
-        println!("\n(no completed spans)");
+        outln!("\n(no completed spans)");
         return;
     }
     let wall = trace_wall_ns(events);
@@ -188,7 +188,7 @@ fn print_span_table(events: &[Event]) {
     rows.sort_by_key(|r| std::cmp::Reverse(r.total)); // heaviest total first
     rows.truncate(TOP_K);
 
-    println!(
+    outln!(
         "\n## Span latency by total time ({}; wall = {})",
         if total_names > TOP_K {
             format!("top {TOP_K} of {total_names}")
@@ -197,11 +197,19 @@ fn print_span_table(events: &[Event]) {
         },
         fmt_ns(wall)
     );
-    println!(
+    outln!(
         "| {:<18} | {:>6} | {:>10} | {:>10} | {:>10} | {:>10} | {:>10} | {:>10} | {:>6} |",
-        "span", "count", "total", "self", "mean", "min", "max", "p95", "%wall"
+        "span",
+        "count",
+        "total",
+        "self",
+        "mean",
+        "min",
+        "max",
+        "p95",
+        "%wall"
     );
-    println!(
+    outln!(
         "|{}|{}|{}|{}|{}|{}|{}|{}|{}|",
         "-".repeat(20),
         "-".repeat(8),
@@ -214,7 +222,7 @@ fn print_span_table(events: &[Event]) {
         "-".repeat(8)
     );
     for r in rows {
-        println!(
+        outln!(
             "| {:<18} | {:>6} | {:>10} | {:>10} | {:>10} | {:>10} | {:>10} | {:>10} | {:>5.1}% |",
             r.name,
             r.n,
@@ -243,7 +251,7 @@ fn print_self_time_table(events: &[Event]) {
     rows.sort_by_key(|r| std::cmp::Reverse(r.2));
     rows.truncate(TOP_K);
 
-    println!(
+    outln!(
         "\n## Span self time (exclusive of children; {})",
         if total_names > TOP_K {
             format!("top {TOP_K} of {total_names}")
@@ -251,11 +259,14 @@ fn print_self_time_table(events: &[Event]) {
             "hottest first".to_string()
         }
     );
-    println!(
+    outln!(
         "| {:<18} | {:>6} | {:>10} | {:>6} |",
-        "span", "count", "self", "%wall"
+        "span",
+        "count",
+        "self",
+        "%wall"
     );
-    println!(
+    outln!(
         "|{}|{}|{}|{}|",
         "-".repeat(20),
         "-".repeat(8),
@@ -263,7 +274,7 @@ fn print_self_time_table(events: &[Event]) {
         "-".repeat(8)
     );
     for (name, n, self_ns) in rows {
-        println!(
+        outln!(
             "| {:<18} | {:>6} | {:>10} | {:>5.1}% |",
             name,
             n,
@@ -287,9 +298,9 @@ fn print_counters(events: &[Event]) {
     if last.is_empty() {
         return;
     }
-    println!("\n## Counters (final value)");
+    outln!("\n## Counters (final value)");
     for (name, v) in last {
-        println!("  {name:<30} {v}");
+        outln!("  {name:<30} {v}");
     }
 }
 
@@ -301,13 +312,13 @@ fn print_instants(events: &[Event]) {
     if instants.is_empty() {
         return;
     }
-    println!("\n## Instant events ({})", instants.len());
+    outln!("\n## Instant events ({})", instants.len());
     let mut by_name: BTreeMap<&str, usize> = BTreeMap::new();
     for e in &instants {
         *by_name.entry(e.name.as_str()).or_default() += 1;
     }
     for (name, n) in by_name {
-        println!("  {name:<30} ×{n}");
+        outln!("  {name:<30} ×{n}");
     }
 }
 

@@ -50,9 +50,11 @@ pub fn cloud_space() -> ParamSpace {
             4,
             "number of worker nodes",
         ))
-        .with_constraint(Constraint::new("h1 has no `large` size", |c| {
-            !(c.str(INSTANCE_FAMILY) == "h1" && c.str(INSTANCE_SIZE) == "large")
-        }))
+        .with_constraint(Constraint::new(
+            "h1 has no `large` size",
+            &[INSTANCE_FAMILY, INSTANCE_SIZE],
+            |v| !(v.str(0) == "h1" && v.str(1) == "large"),
+        ))
 }
 
 /// Builds the *joint* cloud + DISC space (§I: optimal choices for cloud

@@ -41,14 +41,16 @@ impl Configuration {
         self.values.get(name)
     }
 
-    /// Integer value of `name`; see [`ParamLookup::int`].
+    /// Integer value of `name`; the panic message names the parameter.
     ///
     /// # Panics
     ///
     /// Panics if the parameter is absent or not an integer. Use
     /// [`get`](Self::get) for fallible access.
     pub fn int(&self, name: &str) -> i64 {
-        ParamLookup::int(self, name)
+        self.get(name)
+            .and_then(ParamValue::as_int)
+            .unwrap_or_else(|| panic!("configuration missing int parameter `{name}`"))
     }
 
     /// Float value of `name` (integers widen to `f64`).
@@ -57,7 +59,9 @@ impl Configuration {
     ///
     /// Panics if the parameter is absent or not numeric.
     pub fn float(&self, name: &str) -> f64 {
-        ParamLookup::float(self, name)
+        self.get(name)
+            .and_then(ParamValue::as_float)
+            .unwrap_or_else(|| panic!("configuration missing float parameter `{name}`"))
     }
 
     /// Boolean value of `name`.
@@ -66,7 +70,9 @@ impl Configuration {
     ///
     /// Panics if the parameter is absent or not a boolean.
     pub fn bool(&self, name: &str) -> bool {
-        ParamLookup::bool(self, name)
+        self.get(name)
+            .and_then(ParamValue::as_bool)
+            .unwrap_or_else(|| panic!("configuration missing bool parameter `{name}`"))
     }
 
     /// Categorical value of `name`.
@@ -75,7 +81,9 @@ impl Configuration {
     ///
     /// Panics if the parameter is absent or not categorical.
     pub fn str(&self, name: &str) -> &str {
-        ParamLookup::str(self, name)
+        self.get(name)
+            .and_then(ParamValue::as_str)
+            .unwrap_or_else(|| panic!("configuration missing categorical parameter `{name}`"))
     }
 
     /// Whether the configuration assigns a value to `name`.
@@ -96,68 +104,6 @@ impl Configuration {
     /// Iterates over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &ParamValue)> {
         self.values.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
-/// Read access to parameter values by name.
-///
-/// Cross-parameter [`Constraint`](crate::Constraint)s read values
-/// through this trait, so one predicate checks both a [`Configuration`]
-/// and a dense candidate row (see [`ParamSpace::validate_row`]).
-///
-/// [`ParamSpace::validate_row`]: crate::ParamSpace::validate_row
-pub trait ParamLookup {
-    /// The value assigned to `name`, if any.
-    fn value(&self, name: &str) -> Option<&ParamValue>;
-
-    /// Integer value of `name`; the panic message names the parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter is absent or not an integer.
-    fn int(&self, name: &str) -> i64 {
-        self.value(name)
-            .and_then(ParamValue::as_int)
-            .unwrap_or_else(|| panic!("configuration missing int parameter `{name}`"))
-    }
-
-    /// Float value of `name` (integers widen to `f64`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter is absent or not numeric.
-    fn float(&self, name: &str) -> f64 {
-        self.value(name)
-            .and_then(ParamValue::as_float)
-            .unwrap_or_else(|| panic!("configuration missing float parameter `{name}`"))
-    }
-
-    /// Boolean value of `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter is absent or not a boolean.
-    fn bool(&self, name: &str) -> bool {
-        self.value(name)
-            .and_then(ParamValue::as_bool)
-            .unwrap_or_else(|| panic!("configuration missing bool parameter `{name}`"))
-    }
-
-    /// Categorical value of `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameter is absent or not categorical.
-    fn str(&self, name: &str) -> &str {
-        self.value(name)
-            .and_then(ParamValue::as_str)
-            .unwrap_or_else(|| panic!("configuration missing categorical parameter `{name}`"))
-    }
-}
-
-impl ParamLookup for Configuration {
-    fn value(&self, name: &str) -> Option<&ParamValue> {
-        self.values.get(name)
     }
 }
 

@@ -15,7 +15,7 @@
 //! [`ParamDef::log_float`]: crate::param::ParamDef::log_float
 
 use crate::config::Configuration;
-use crate::param::{ParamKind, ParamValue};
+use crate::param::ParamValue;
 use crate::space::ParamSpace;
 
 impl ParamSpace {
@@ -26,47 +26,9 @@ impl ParamSpace {
     pub fn encode(&self, cfg: &Configuration) -> Vec<f64> {
         self.params()
             .iter()
-            .map(|p| {
-                let v = cfg.get(&p.name).unwrap_or(&p.default);
-                encode_value(&p.kind, v)
-            })
+            .zip(self.dims())
+            .map(|(p, dim)| dim.encode(p, cfg.get(&p.name).unwrap_or(&p.default)))
             .collect()
-    }
-
-    /// The row form of [`encode`](Self::encode): bit-equal to
-    /// `encode(&config_of_row(row))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len()` differs from [`ParamSpace::len`].
-    pub fn encode_row(&self, row: &[ParamValue]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.len());
-        self.encode_row_into(row, &mut out);
-        out
-    }
-
-    /// [`encode_row`](Self::encode_row) into a caller-owned buffer,
-    /// replacing its contents: scans that encode a pool of candidates
-    /// every round keep one buffer per row instead of allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len()` differs from [`ParamSpace::len`].
-    pub fn encode_row_into(&self, row: &[ParamValue], out: &mut Vec<f64>) {
-        assert_eq!(
-            row.len(),
-            self.len(),
-            "row has wrong dimension: {} != {}",
-            row.len(),
-            self.len()
-        );
-        out.clear();
-        out.extend(
-            self.params()
-                .iter()
-                .zip(row)
-                .map(|(p, v)| encode_value(&p.kind, v)),
-        );
     }
 
     /// Decodes a feature vector into a valid configuration, rounding each
@@ -77,15 +39,6 @@ impl ParamSpace {
     ///
     /// Panics if `v.len()` differs from [`ParamSpace::len`].
     pub fn decode(&self, v: &[f64]) -> Configuration {
-        self.config_of_row(self.decode_row(v))
-    }
-
-    /// The row form of [`decode`](Self::decode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len()` differs from [`ParamSpace::len`].
-    pub fn decode_row(&self, v: &[f64]) -> Vec<ParamValue> {
         assert_eq!(
             v.len(),
             self.len(),
@@ -93,83 +46,18 @@ impl ParamSpace {
             v.len(),
             self.len()
         );
-        self.params()
+        let row = self
+            .params()
             .iter()
+            .zip(self.dims())
             .zip(v)
-            .map(|(p, &x)| decode_value(&p.kind, x.clamp(0.0, 1.0)))
-            .collect()
-    }
-}
-
-fn encode_value(kind: &ParamKind, v: &ParamValue) -> f64 {
-    match kind {
-        ParamKind::Int { lo, hi, .. } => {
-            if hi == lo {
-                return 0.0;
-            }
-            let x = v.as_int().unwrap_or(*lo).clamp(*lo, *hi);
-            (x - lo) as f64 / (hi - lo) as f64
-        }
-        ParamKind::Float { lo, hi, log } => {
-            let x = v.as_float().unwrap_or(*lo).clamp(*lo, *hi);
-            if *log {
-                let (llo, lhi) = (lo.ln(), hi.ln());
-                if lhi == llo {
-                    0.0
-                } else {
-                    (x.ln() - llo) / (lhi - llo)
-                }
-            } else if hi == lo {
-                0.0
-            } else {
-                (x - lo) / (hi - lo)
-            }
-        }
-        ParamKind::Bool => {
-            if v.as_bool().unwrap_or(false) {
-                1.0
-            } else {
-                0.0
-            }
-        }
-        ParamKind::Categorical { choices } => {
-            if choices.len() <= 1 {
-                return 0.0;
-            }
-            let idx = v
-                .as_str()
-                .and_then(|s| choices.iter().position(|c| c == s))
-                .unwrap_or(0);
-            idx as f64 / (choices.len() - 1) as f64
-        }
-    }
-}
-
-fn decode_value(kind: &ParamKind, x: f64) -> ParamValue {
-    match kind {
-        ParamKind::Int { lo, hi, step } => {
-            let raw = *lo as f64 + x * (hi - lo) as f64;
-            let steps = ((raw - *lo as f64) / *step as f64).round() as i64;
-            let v = (lo + steps * step).clamp(*lo, *hi);
-            ParamValue::Int(v)
-        }
-        ParamKind::Float { lo, hi, log } => {
-            let v = if *log {
-                (lo.ln() + x * (hi.ln() - lo.ln())).exp()
-            } else {
-                lo + x * (hi - lo)
-            };
-            ParamValue::Float(v.clamp(*lo, *hi))
-        }
-        ParamKind::Bool => ParamValue::Bool(x >= 0.5),
-        ParamKind::Categorical { choices } => {
-            let idx = if choices.len() <= 1 {
-                0
-            } else {
-                (x * (choices.len() - 1) as f64).round() as usize
-            };
-            ParamValue::Str(choices[idx.min(choices.len() - 1)].clone())
-        }
+            .map(|((p, dim), &x)| {
+                let mut value = ParamValue::Bool(false);
+                dim.decode(p, x, &mut value);
+                value
+            })
+            .collect();
+        self.config_of_row(row)
     }
 }
 

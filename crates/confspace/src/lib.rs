@@ -39,14 +39,15 @@ pub mod config;
 pub mod encode;
 pub mod error;
 pub mod param;
+mod plan;
 pub mod sample;
 pub mod space;
 pub mod spark;
 
-pub use config::{Configuration, ParamLookup};
+pub use config::Configuration;
 pub use error::ConfigError;
 pub use param::{ParamDef, ParamKind, ParamValue};
 pub use sample::{
-    crossover, mutate, neighbor, neighbor_row, LatinHypercube, Sampler, UniformSampler,
+    crossover, mutate, neighbor, neighbor_row_into, LatinHypercube, Sampler, UniformSampler,
 };
-pub use space::{Constraint, ParamSpace};
+pub use space::{Constraint, ConstraintArgs, ParamSpace};

@@ -130,19 +130,10 @@ impl ParamKind {
     /// Number of admissible values for discrete kinds; `None` for floats.
     pub fn cardinality(&self) -> Option<u64> {
         match self {
-            ParamKind::Int { .. } => Some(self.step_count() as u64 + 1),
+            ParamKind::Int { lo, hi, step } => Some(((hi - lo) / step) as u64 + 1),
             ParamKind::Float { .. } => None,
             ParamKind::Bool => Some(2),
             ParamKind::Categorical { choices } => Some(choices.len() as u64),
-        }
-    }
-
-    /// Steps between an integer range's bounds, `(hi − lo) / step`: the
-    /// top of the uniform step draw. `0` for every other kind.
-    pub(crate) fn step_count(&self) -> i64 {
-        match self {
-            ParamKind::Int { lo, hi, step } => (hi - lo) / step,
-            _ => 0,
         }
     }
 }

@@ -10,7 +10,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::config::Configuration;
-use crate::param::{ParamDef, ParamKind, ParamValue};
+use crate::param::ParamValue;
 use crate::space::ParamSpace;
 
 /// Maximum rejection-sampling attempts before falling back to defaults.
@@ -38,48 +38,57 @@ pub trait Sampler {
 pub struct UniformSampler;
 
 impl UniformSampler {
-    /// Draws one configuration as a dense row (values in space order):
-    /// what [`Sampler::sample`] returns, draw for draw, without naming
-    /// the values. [`UniformSampler::sample_row_into`] on a fresh row.
-    pub fn sample_row<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Vec<ParamValue> {
-        let mut row = Vec::with_capacity(space.len());
-        self.sample_row_into(space, rng, &mut row);
-        row
-    }
-
-    /// [`UniformSampler::sample_row`] into a caller-owned row, which it
-    /// overwrites whatever it held (length and value kinds included):
-    /// the same row from the same draws. A categorical slot that already
-    /// holds a string takes the choice with `clone_from`, keeping its
-    /// capacity, so a scan that redraws a pool every round stops
-    /// allocating once its rows have grown.
+    /// Draws one configuration as a dense row (values in space order)
+    /// into `row`, and its encoding into `encoded`, in one pass: draw for
+    /// draw the configuration [`Sampler::sample`] returns, and bit for
+    /// bit the encoding [`ParamSpace::encode`] gives it. Both buffers are
+    /// overwritten whatever they held (length and value kinds included);
+    /// a categorical slot that already holds a string takes the choice
+    /// with `clone_from`, keeping its capacity, so a scan that redraws a
+    /// pool every round stops allocating once its buffers have grown.
     ///
-    /// Every draw goes through [`ParamSpace::validate_row`]; after
-    /// 256 rejected draws the row is the space's defaults.
+    /// A draw is rejected and redrawn exactly when
+    /// [`ParamSpace::validate_row`] would reject it; after 256 rejected
+    /// draws the row is the space's defaults.
     pub fn sample_row_into<R: Rng + ?Sized>(
         &self,
         space: &ParamSpace,
         rng: &mut R,
         row: &mut Vec<ParamValue>,
+        encoded: &mut Vec<f64>,
     ) {
-        row.truncate(space.len());
-        row.resize(space.len(), ParamValue::Bool(false));
+        reset_row(space, row);
+        encoded.clear();
+        encoded.resize(space.len(), 0.0);
         for _ in 0..MAX_REJECTS {
-            let draws = space.params().iter().zip(space.step_counts());
-            for (slot, (p, &steps)) in row.iter_mut().zip(draws) {
-                draw_value_into(p, steps, rng, slot);
+            let mut admitted = true;
+            let dims = space.params().iter().zip(space.dims());
+            for ((p, dim), (slot, x)) in dims.zip(row.iter_mut().zip(encoded.iter_mut())) {
+                let (unit, ok) = dim.draw(p, rng, slot);
+                *x = unit;
+                admitted &= ok;
             }
-            if space.validate_row(row).is_ok() {
+            if admitted && space.constraints_hold(row) {
+                debug_assert!(space.validate_row(row).is_ok());
                 return;
             }
         }
         *row = space.default_row();
+        *encoded = space.encode(&space.default_configuration());
     }
+}
+
+/// Sizes a caller's row to the space, keeping the slots already there.
+fn reset_row(space: &ParamSpace, row: &mut Vec<ParamValue>) {
+    row.truncate(space.len());
+    row.resize(space.len(), ParamValue::Bool(false));
 }
 
 impl Sampler for UniformSampler {
     fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration {
-        space.config_of_row(self.sample_row(space, rng))
+        let (mut row, mut encoded) = (Vec::new(), Vec::new());
+        self.sample_row_into(space, rng, &mut row, &mut encoded);
+        space.config_of_row(row)
     }
 }
 
@@ -132,39 +141,6 @@ impl Sampler for LatinHypercube {
     }
 }
 
-/// Draws a value for one parameter uniformly from its domain.
-pub fn sample_value<R: Rng + ?Sized>(p: &ParamDef, rng: &mut R) -> ParamValue {
-    let mut v = ParamValue::Bool(false);
-    draw_value_into(p, p.kind.step_count(), rng, &mut v);
-    v
-}
-
-/// The one uniform draw behind [`sample_value`] and
-/// [`UniformSampler::sample_row_into`], written over `slot`. `steps` is
-/// the parameter's precomputed `ParamKind::step_count`.
-fn draw_value_into<R: Rng + ?Sized>(p: &ParamDef, steps: i64, rng: &mut R, slot: &mut ParamValue) {
-    match &p.kind {
-        ParamKind::Int { lo, step, .. } => {
-            *slot = ParamValue::Int(lo + rng.gen_range(0..=steps) * step);
-        }
-        ParamKind::Float { lo, hi, log } => {
-            *slot = ParamValue::Float(if *log {
-                (rng.gen_range(lo.ln()..=hi.ln())).exp()
-            } else {
-                rng.gen_range(*lo..=*hi)
-            });
-        }
-        ParamKind::Bool => *slot = ParamValue::Bool(rng.gen()),
-        ParamKind::Categorical { choices } => {
-            let choice = &choices[rng.gen_range(0..choices.len())];
-            match slot {
-                ParamValue::Str(s) => s.clone_from(choice),
-                _ => *slot = ParamValue::Str(choice.clone()),
-            }
-        }
-    }
-}
-
 /// Produces a neighbour of `cfg`: each parameter is perturbed with
 /// probability `rate`; numeric parameters move by a Gaussian step of
 /// relative size `scale` (fraction of the range), discrete parameters
@@ -179,33 +155,71 @@ pub fn neighbor<R: Rng + ?Sized>(
     rate: f64,
     rng: &mut R,
 ) -> Configuration {
-    match neighbor_row(space, &space.encode(cfg), scale, rate, rng) {
-        Some(row) => space.config_of_row(row),
-        None => space.clamp(cfg),
+    let (mut row, mut encoded) = (Vec::new(), Vec::new());
+    if neighbor_row_into(
+        space,
+        &space.encode(cfg),
+        scale,
+        rate,
+        rng,
+        &mut row,
+        &mut encoded,
+    ) {
+        space.config_of_row(row)
+    } else {
+        space.clamp(cfg)
     }
 }
 
-/// The row form of [`neighbor`], from the base configuration's encoding:
-/// callers drawing many neighbours of one base encode it once. Returns
-/// `None` when the move lands on an invalid row; [`neighbor`] then falls
-/// back to the clamped base ([`ParamSpace::clamp_row`] in row form).
-pub fn neighbor_row<R: Rng + ?Sized>(
+/// The row form of [`neighbor`], from the base configuration's encoding
+/// (callers drawing many neighbours of one base encode it once): moves
+/// the encoding, decodes it into `row` and re-encodes each decoded value
+/// into `encoded`, in one pass, reusing both buffers as
+/// [`UniformSampler::sample_row_into`] does. Returns whether the move is
+/// admitted, exactly when [`ParamSpace::validate_row`] accepts the row.
+/// On `false` the buffers hold the rejected move; [`neighbor`] then
+/// falls back to the clamped base ([`ParamSpace::clamp_row`] in row
+/// form).
+///
+/// # Panics
+///
+/// Panics if `encoded_base.len()` differs from [`ParamSpace::len`].
+pub fn neighbor_row_into<R: Rng + ?Sized>(
     space: &ParamSpace,
     encoded_base: &[f64],
     scale: f64,
     rate: f64,
     rng: &mut R,
-) -> Option<Vec<ParamValue>> {
-    let mut v = encoded_base.to_vec();
-    for x in v.iter_mut() {
+    row: &mut Vec<ParamValue>,
+    encoded: &mut Vec<f64>,
+) -> bool {
+    encoded.clear();
+    encoded.extend_from_slice(encoded_base);
+    for x in encoded.iter_mut() {
         if rng.gen::<f64>() < rate {
             // Box-Muller-free Gaussian-ish step: sum of 4 uniforms.
             let g: f64 = (0..4).map(|_| rng.gen::<f64>() - 0.5).sum::<f64>() / 2.0;
             *x = (*x + g * scale * 2.0).clamp(0.0, 1.0);
         }
     }
-    let cand = space.decode_row(&v);
-    space.validate_row(&cand).is_ok().then_some(cand)
+    assert_eq!(
+        encoded.len(),
+        space.len(),
+        "feature vector has wrong dimension: {} != {}",
+        encoded.len(),
+        space.len()
+    );
+    reset_row(space, row);
+    let mut admitted = true;
+    let dims = space.params().iter().zip(space.dims());
+    for ((p, dim), (slot, x)) in dims.zip(row.iter_mut().zip(encoded.iter_mut())) {
+        let (unit, ok) = dim.decode(p, *x, slot);
+        *x = unit;
+        admitted &= ok;
+    }
+    let admitted = admitted && space.constraints_hold(row);
+    debug_assert_eq!(admitted, space.validate_row(row).is_ok());
+    admitted
 }
 
 /// Uniform crossover of two parent configurations (genetic search).
@@ -243,9 +257,12 @@ pub fn mutate<R: Rng + ?Sized>(
     let cand: Configuration = space
         .params()
         .iter()
-        .map(|p| {
+        .zip(space.dims())
+        .map(|(p, dim)| {
             let v = if rng.gen::<f64>() < rate {
-                sample_value(p, rng)
+                let mut v = ParamValue::Bool(false);
+                dim.draw(p, rng, &mut v);
+                v
             } else {
                 cfg.get(&p.name).unwrap_or(&p.default).clone()
             };
@@ -366,7 +383,7 @@ mod tests {
     #[test]
     fn constrained_space_samples_satisfy_constraint() {
         use crate::space::Constraint;
-        let s = space().with_constraint(Constraint::new("n even-ish", |c| c.int("n") != 13));
+        let s = space().with_constraint(Constraint::new("n even-ish", &["n"], |v| v.int(0) != 13));
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..200 {
             let cfg = UniformSampler.sample(&s, &mut rng);

@@ -4,33 +4,57 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::config::{Configuration, ParamLookup};
+use crate::config::Configuration;
 use crate::error::ConfigError;
 use crate::param::{ParamDef, ParamKind, ParamValue};
+use crate::plan::Dim;
 
-type ConstraintFn = dyn Fn(&dyn ParamLookup) -> bool + Send + Sync;
+type ConstraintFn = dyn Fn(&ConstraintArgs<'_>) -> bool + Send + Sync;
 
 /// A named cross-parameter constraint.
 ///
 /// Constraints express relationships a single [`ParamDef`] cannot, e.g.
 /// "speculation quantile only matters when speculation is on" or
 /// "executors × cores must not exceed the cluster's virtual CPUs".
-/// The predicate reads values by name through [`ParamLookup`], so it
-/// checks a [`Configuration`] and a dense row alike.
+/// A constraint names the parameters it reads; adding it to a space
+/// resolves those names to row positions once, and the predicate reads
+/// its arguments by their place in that list (see [`ConstraintArgs`]).
+///
+/// # Example
+///
+/// ```
+/// use confspace::{Constraint, ParamDef, ParamSpace};
+///
+/// let space = ParamSpace::new()
+///     .with(ParamDef::boolean("spill", false, "spill to disk"))
+///     .with(ParamDef::int("buffers", 1, 64, 8, "spill buffers"))
+///     .with_constraint(Constraint::new("few buffers when spilling", &["spill", "buffers"], |v| {
+///         !v.bool(0) || v.int(1) <= 16
+///     }));
+/// let cfg = space.default_configuration().with("spill", true).with("buffers", 32i64);
+/// assert!(space.validate(&cfg).is_err());
+/// ```
 #[derive(Clone)]
 pub struct Constraint {
     name: String,
+    params: Vec<String>,
+    /// Row positions of `params`, resolved by [`ParamSpace::add_constraint`].
+    at: Vec<usize>,
     check: Arc<ConstraintFn>,
 }
 
 impl Constraint {
-    /// Creates a constraint from a name and a predicate.
+    /// Creates a constraint from a name, the parameters its predicate
+    /// reads, and the predicate, which reads `params[k]` as argument `k`.
     pub fn new(
         name: &str,
-        check: impl Fn(&dyn ParamLookup) -> bool + Send + Sync + 'static,
+        params: &[&str],
+        check: impl Fn(&ConstraintArgs<'_>) -> bool + Send + Sync + 'static,
     ) -> Self {
         Constraint {
             name: name.to_owned(),
+            params: params.iter().map(|&p| p.to_owned()).collect(),
+            at: Vec::new(),
             check: Arc::new(check),
         }
     }
@@ -40,9 +64,14 @@ impl Constraint {
         &self.name
     }
 
-    /// Whether `values` satisfy the constraint.
-    pub fn holds(&self, values: &dyn ParamLookup) -> bool {
-        (self.check)(values)
+    /// Whether a row of the space this constraint was added to satisfies
+    /// it.
+    fn holds(&self, row: &[ParamValue]) -> bool {
+        (self.check)(&ConstraintArgs {
+            row,
+            at: &self.at,
+            params: &self.params,
+        })
     }
 }
 
@@ -50,20 +79,75 @@ impl fmt::Debug for Constraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Constraint")
             .field("name", &self.name)
+            .field("params", &self.params)
             .finish()
     }
 }
 
-/// A dense candidate row viewed through its space's name index, so
-/// constraints can read it by name.
-struct RowView<'a> {
-    space: &'a ParamSpace,
+/// The arguments of a [`Constraint`]'s predicate: argument `k` is the
+/// value of the `k`-th parameter the constraint names.
+pub struct ConstraintArgs<'a> {
     row: &'a [ParamValue],
+    at: &'a [usize],
+    params: &'a [String],
 }
 
-impl ParamLookup for RowView<'_> {
-    fn value(&self, name: &str) -> Option<&ParamValue> {
-        self.space.index_of(name).and_then(|i| self.row.get(i))
+impl ConstraintArgs<'_> {
+    /// Argument `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the constraint names fewer than `k + 1` parameters.
+    pub fn value(&self, k: usize) -> &ParamValue {
+        &self.row[self.at[k]]
+    }
+
+    /// Integer argument `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if argument `k` is absent or not an integer.
+    pub fn int(&self, k: usize) -> i64 {
+        self.value(k)
+            .as_int()
+            .unwrap_or_else(|| self.mismatch(k, "an int"))
+    }
+
+    /// Float argument `k` (integers widen to `f64`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if argument `k` is absent or not numeric.
+    pub fn float(&self, k: usize) -> f64 {
+        self.value(k)
+            .as_float()
+            .unwrap_or_else(|| self.mismatch(k, "numeric"))
+    }
+
+    /// Boolean argument `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if argument `k` is absent or not a boolean.
+    pub fn bool(&self, k: usize) -> bool {
+        self.value(k)
+            .as_bool()
+            .unwrap_or_else(|| self.mismatch(k, "a bool"))
+    }
+
+    /// Categorical argument `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if argument `k` is absent or not categorical.
+    pub fn str(&self, k: usize) -> &str {
+        self.value(k)
+            .as_str()
+            .unwrap_or_else(|| self.mismatch(k, "categorical"))
+    }
+
+    fn mismatch(&self, k: usize, kind: &str) -> ! {
+        panic!("constraint argument `{}` is not {kind}", self.params[k])
     }
 }
 
@@ -74,13 +158,18 @@ impl ParamLookup for RowView<'_> {
 /// *row* form of a configuration — a `Vec<ParamValue>` holding one value
 /// per parameter in space order. Rows skip the string-keyed map of a
 /// [`Configuration`]; search strategies that score many candidates and
-/// keep few sample, validate and encode rows
-/// ([`UniformSampler::sample_row_into`], [`ParamSpace::validate_row`],
-/// [`ParamSpace::encode_row_into`]) into buffers they keep across
-/// rounds, and build a configuration only for the winners
-/// ([`ParamSpace::config_of_row`]).
+/// keep few draw each row and its encoding in one pass
+/// ([`UniformSampler::sample_row_into`], [`neighbor_row_into`]) into
+/// buffers they keep across rounds, and build a configuration only for
+/// the winners ([`ParamSpace::config_of_row`]).
+///
+/// As parameters are added the space compiles a dense per-dimension
+/// plan (bounds, step counts, `ln` bounds, choice counts) that those
+/// draws read, and constraints are resolved to row positions when they
+/// are added.
 ///
 /// [`UniformSampler::sample_row_into`]: crate::UniformSampler::sample_row_into
+/// [`neighbor_row_into`]: crate::neighbor_row_into
 ///
 /// # Example
 ///
@@ -97,9 +186,8 @@ impl ParamLookup for RowView<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct ParamSpace {
     params: Vec<ParamDef>,
-    /// Per parameter, the top of its uniform integer step draw (see
-    /// `ParamKind::step_count`), computed once here instead of per draw.
-    step_counts: Vec<i64>,
+    /// The compiled plan, one dimension per parameter.
+    dims: Vec<Dim>,
     index: HashMap<String, usize>,
     constraints: Vec<Constraint>,
 }
@@ -122,7 +210,7 @@ impl ParamSpace {
             def.name
         );
         self.index.insert(def.name.clone(), self.params.len());
-        self.step_counts.push(def.kind.step_count());
+        self.dims.push(Dim::of(&def.kind));
         self.params.push(def);
         self
     }
@@ -134,8 +222,22 @@ impl ParamSpace {
         self
     }
 
-    /// Adds a cross-parameter constraint.
-    pub fn add_constraint(&mut self, c: Constraint) -> &mut Self {
+    /// Adds a cross-parameter constraint, resolving the parameters it
+    /// names to their positions in this space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the constraint names a parameter the space lacks.
+    pub fn add_constraint(&mut self, mut c: Constraint) -> &mut Self {
+        c.at = c
+            .params
+            .iter()
+            .map(|name| {
+                self.index_of(name).unwrap_or_else(|| {
+                    panic!("constraint `{}` reads unknown parameter `{name}`", c.name)
+                })
+            })
+            .collect();
         self.constraints.push(c);
         self
     }
@@ -162,9 +264,9 @@ impl ParamSpace {
         &self.params
     }
 
-    /// Each parameter's integer step count, in encoding order.
-    pub(crate) fn step_counts(&self) -> &[i64] {
-        &self.step_counts
+    /// The compiled plan, in encoding order.
+    pub(crate) fn dims(&self) -> &[Dim] {
+        &self.dims
     }
 
     /// The constraints on the space.
@@ -223,18 +325,20 @@ impl ParamSpace {
     /// for extraneous assignments, or
     /// [`ConfigError::ConstraintViolated`].
     pub fn validate(&self, cfg: &Configuration) -> Result<(), ConfigError> {
+        let mut row = Vec::with_capacity(self.len());
         for p in &self.params {
-            match cfg.get(&p.name) {
-                None => return Err(ConfigError::MissingParam(p.name.clone())),
-                Some(v) => p.check(v)?,
-            }
+            let v = cfg
+                .get(&p.name)
+                .ok_or_else(|| ConfigError::MissingParam(p.name.clone()))?;
+            p.check(v)?;
+            row.push(v.clone());
         }
         for (name, _) in cfg.iter() {
             if !self.index.contains_key(name) {
                 return Err(ConfigError::UnknownParam(name.to_owned()));
             }
         }
-        self.check_constraints(cfg)
+        self.check_constraints(&row)
     }
 
     /// The row form of [`validate`](Self::validate): `row` must hold an
@@ -258,14 +362,20 @@ impl ParamSpace {
         if row.len() > self.len() {
             return Err(ConfigError::UnknownParam(format!("#{}", self.len())));
         }
-        self.check_constraints(&RowView { space: self, row })
+        self.check_constraints(row)
     }
 
-    fn check_constraints(&self, values: &dyn ParamLookup) -> Result<(), ConfigError> {
-        match self.constraints.iter().find(|c| !c.holds(values)) {
+    fn check_constraints(&self, row: &[ParamValue]) -> Result<(), ConfigError> {
+        match self.constraints.iter().find(|c| !c.holds(row)) {
             Some(c) => Err(ConfigError::ConstraintViolated(c.name.clone())),
             None => Ok(()),
         }
+    }
+
+    /// Whether a row of admissible values satisfies every constraint:
+    /// the last step of [`validate_row`](Self::validate_row).
+    pub(crate) fn constraints_hold(&self, row: &[ParamValue]) -> bool {
+        self.constraints.iter().all(|c| c.holds(row))
     }
 
     /// Clamps every out-of-range value in `cfg` to the nearest admissible
@@ -374,8 +484,8 @@ mod tests {
 
     #[test]
     fn constraint_is_enforced() {
-        let s = small_space().with_constraint(Constraint::new("n<=4 when b", |c| {
-            !c.bool("b") || c.int("n") <= 4
+        let s = small_space().with_constraint(Constraint::new("n<=4 when b", &["b", "n"], |v| {
+            !v.bool(0) || v.int(1) <= 4
         }));
         let cfg = s.default_configuration().with("b", true).with("n", 8i64);
         assert!(matches!(
@@ -405,9 +515,9 @@ mod tests {
     }
 
     #[test]
-    fn constraints_read_rows_by_name() {
-        let s = small_space().with_constraint(Constraint::new("n<=4 when b", |c| {
-            !c.bool("b") || c.int("n") <= 4
+    fn constraints_read_rows_by_position() {
+        let s = small_space().with_constraint(Constraint::new("n<=4 when b", &["b", "n"], |v| {
+            !v.bool(0) || v.int(1) <= 4
         }));
         let row = |n: i64, b: bool| {
             vec![
@@ -456,6 +566,27 @@ mod tests {
         assert_eq!(u.len(), 2);
         assert_eq!(u.index_of("a"), Some(0));
         assert_eq!(u.index_of("b"), Some(1));
+    }
+
+    #[test]
+    fn union_resolves_constraints_to_the_joint_positions() {
+        let a = ParamSpace::new().with(ParamDef::int("a", 0, 4, 0, ""));
+        let b = small_space().with_constraint(Constraint::new("n<=4 when b", &["b", "n"], |v| {
+            !v.bool(0) || v.int(1) <= 4
+        }));
+        let u = a.union(&b);
+        let bad = u.default_configuration().with("b", true).with("n", 8i64);
+        assert!(matches!(
+            u.validate(&bad),
+            Err(ConfigError::ConstraintViolated(_))
+        ));
+        assert!(u.validate(&bad.with("n", 4i64)).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "reads unknown parameter `nope`")]
+    fn constraint_on_an_unknown_parameter_panics() {
+        let _ = small_space().with_constraint(Constraint::new("bad", &["n", "nope"], |_| true));
     }
 
     #[test]

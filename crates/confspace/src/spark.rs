@@ -248,7 +248,8 @@ pub fn spark_space() -> ParamSpace {
         ))
         .with_constraint(Constraint::new(
             "speculation.quantile >= 0.5 when speculation enabled",
-            |c| !c.bool(names::SPECULATION) || c.float(names::SPECULATION_QUANTILE) >= 0.5,
+            &[names::SPECULATION, names::SPECULATION_QUANTILE],
+            |v| !v.bool(0) || v.float(1) >= 0.5,
         ))
 }
 

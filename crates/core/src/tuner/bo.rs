@@ -5,7 +5,8 @@
 //! contrasts with 500-sample search (§IV-C).
 
 use confspace::{
-    neighbor_row, Configuration, LatinHypercube, ParamSpace, ParamValue, Sampler, UniformSampler,
+    neighbor_row_into, Configuration, LatinHypercube, ParamSpace, ParamValue, Sampler,
+    UniformSampler,
 };
 use models::{expected_improvement, FitKind, GpFitCache, Kernel};
 use rand::RngCore;
@@ -60,7 +61,7 @@ pub struct BayesOpt {
     /// Candidate rows, redrawn in place every round; only the picks
     /// leave (and are regrown on the next draw).
     pool: Vec<Vec<ParamValue>>,
-    /// Encoding of `pool`, row for row, rewritten in place every round.
+    /// Encoding of `pool`, row for row, written by the same draws.
     encoded: Vec<Vec<f64>>,
 }
 
@@ -144,9 +145,10 @@ impl BayesOpt {
     }
 
     /// Redraws the candidate pool for one acquisition round into
-    /// `self.pool`, as dense rows: global uniform samples plus local
-    /// refinements around the incumbent, which is encoded once per pool.
-    /// Draw for draw the same pool `UniformSampler::sample_n` and
+    /// `self.pool` as dense rows, and their encodings into
+    /// `self.encoded` in the same pass: global uniform samples plus
+    /// local refinements around the incumbent, which is encoded once per
+    /// pool. Draw for draw the same pool `UniformSampler::sample_n` and
     /// `neighbor` would build, without naming the values.
     fn candidate_pool(
         &mut self,
@@ -161,15 +163,26 @@ impl BayesOpt {
             0
         };
         self.pool.resize_with(self.candidates + local, Vec::new);
+        self.encoded.resize_with(self.candidates + local, Vec::new);
         let (global, local_rows) = self.pool.split_at_mut(self.candidates);
-        for row in global {
-            UniformSampler.sample_row_into(space, rng, row);
+        let (global_enc, local_enc) = self.encoded.split_at_mut(self.candidates);
+        for (row, enc) in global.iter_mut().zip(global_enc) {
+            UniformSampler.sample_row_into(space, rng, row, enc);
         }
         if let Some(best) = best {
             let base = space.encode(&best.config);
-            for row in local_rows {
-                *row = neighbor_row(space, &base, 0.05, 0.4, rng)
-                    .unwrap_or_else(|| space.clamp_row(&best.config));
+            // The clamped incumbent stands in for a rejected move.
+            let mut fallback = None;
+            for (row, enc) in local_rows.iter_mut().zip(local_enc) {
+                if !neighbor_row_into(space, &base, 0.05, 0.4, rng, row, enc) {
+                    let (fb_row, fb_enc) = fallback.get_or_insert_with(|| {
+                        let clamped = space.clamp_row(&best.config);
+                        let enc = space.encode(&space.config_of_row(clamped.clone()));
+                        (clamped, enc)
+                    });
+                    row.clone_from(fb_row);
+                    enc.clone_from(fb_enc);
+                }
             }
         }
     }
@@ -260,7 +273,7 @@ impl Tuner for BayesOpt {
         reg.histogram("bo.candidate_pool_s")
             .time(|| self.candidate_pool(space, history, rng));
         let censored = encode_censored(space, history);
-        let (pool, encoded) = (&mut self.pool, &mut self.encoded);
+        let (pool, encoded) = (&mut self.pool, &self.encoded[..]);
 
         let _acq = obs::span("acquisition")
             .with("candidates", pool.len())
@@ -270,13 +283,7 @@ impl Tuner for BayesOpt {
             // (≈ candidates·n·(d + n) for n GP points) is large enough;
             // each chunk runs through the GP's blocked prediction kernel.
             // Scores come back in candidate order, so each arg-max (last
-            // maximum on ties) is thread-count independent. The pool's
-            // encodings overwrite last round's buffers.
-            encoded.resize_with(pool.len(), Vec::new);
-            for (row, out) in pool.iter().zip(encoded.iter_mut()) {
-                space.encode_row_into(row, out);
-            }
-            let encoded = &encoded[..];
+            // maximum on ties) is thread-count independent.
             let (n, d) = (gp.len(), encoded.first().map_or(0, Vec::len));
             let threads = models::par::threads_for((encoded.len() * n * (d + n)) as u64);
             let mut scores = models::par::par_chunks_threads(encoded, threads, EI_CHUNK, |chunk| {

@@ -71,10 +71,11 @@ impl Tuner for ForestTuner {
         let censored = encode_censored(space, history);
         // Score dense candidate rows; only the winner becomes a
         // configuration.
+        let mut point = Vec::new();
         (0..self.candidates)
-            .map(|_| UniformSampler.sample_row(space, rng))
-            .map(|row| {
-                let point = space.encode_row(&row);
+            .map(|_| {
+                let mut row = Vec::new();
+                UniformSampler.sample_row_into(space, rng, &mut row, &mut point);
                 let (m, s) = forest.predict_with_std(&point);
                 let mut score = lower_confidence_bound(m, s, self.beta);
                 if !censored.is_empty() {

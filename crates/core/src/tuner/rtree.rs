@@ -66,11 +66,12 @@ impl Tuner for RegressionTreeTuner {
         let tree = RegressionTree::fit(&x, &y, TreeParams::default(), rng);
         // Score dense candidate rows; only the winner becomes a
         // configuration.
+        let mut point = Vec::new();
         (0..self.candidates)
-            .map(|_| UniformSampler.sample_row(space, rng))
-            .map(|row| {
-                let pred = tree.predict(&space.encode_row(&row));
-                (row, pred)
+            .map(|_| {
+                let mut row = Vec::new();
+                UniformSampler.sample_row_into(space, rng, &mut row, &mut point);
+                (row, tree.predict(&point))
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .map(|(row, _)| space.config_of_row(row))

@@ -1,11 +1,15 @@
 //! Pinned proposal sequences of the candidate-scoring tuners (GP
 //! BayesOpt, random forest, regression tree) on the 26-parameter Spark
-//! space. Their acquisition scans score hundreds of sampled candidates
-//! per proposal; how the candidates are represented is a performance
-//! detail, so the proposals themselves must replay bit for bit.
+//! space, and of BayesOpt on the stage-1 cloud space and on a small
+//! space whose constraint rejects a share of the uniform draws. Their
+//! acquisition scans score hundreds of sampled candidates per proposal;
+//! how the candidates are drawn, admitted and represented is a
+//! performance detail, so the proposals themselves must replay bit for
+//! bit.
 
+use confspace::cloud::{cloud_space, names as cloud};
 use confspace::spark::{names, spark_space};
-use confspace::{Configuration, ParamSpace};
+use confspace::{Configuration, Constraint, ParamDef, ParamSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seamless_core::tuner::{BayesOpt, ForestTuner, RegressionTreeTuner, Tuner};
@@ -38,16 +42,76 @@ fn observe(cfg: Configuration) -> Observation {
     }
 }
 
+/// A synthetic stage-1 runtime: a fleet of about 24 vCPU-sized nodes
+/// of the memory family is best.
+fn observe_cloud(cfg: Configuration) -> Observation {
+    let nodes = cfg.int(cloud::NODE_COUNT) as f64;
+    let size = match cfg.str(cloud::INSTANCE_SIZE) {
+        "large" => 1.0,
+        "xlarge" => 2.0,
+        "2xlarge" => 4.0,
+        _ => 8.0,
+    };
+    let family = if cfg.str(cloud::INSTANCE_FAMILY) == "r5" {
+        0.0
+    } else {
+        5.0
+    };
+    observation(cfg, 30.0 + ((nodes * size - 24.0) / 4.0).powi(2) + family)
+}
+
+/// A small space with the kinds the catalogs lack (a log-scale float,
+/// a stepped int) and a constraint that rejects about one uniform draw
+/// in fourteen, so the reject-and-redraw path runs inside every pool.
+fn constrained_space() -> ParamSpace {
+    ParamSpace::new()
+        .with(ParamDef::log_float("scale", 1.0, 100.0, 10.0, ""))
+        .with(ParamDef::int_step("n", 0, 64, 4, 8, ""))
+        .with(ParamDef::categorical("c", &["x", "y", "z"], "x", ""))
+        .with_constraint(Constraint::new(
+            "n <= 32 when scale > 50",
+            &["scale", "n"],
+            |v| v.float(0) <= 50.0 || v.int(1) <= 32,
+        ))
+}
+
+/// A synthetic runtime on [`constrained_space`] whose optimum sits near
+/// the constraint's edge.
+fn observe_constrained(cfg: Configuration) -> Observation {
+    let scale = cfg.float("scale");
+    let n = cfg.int("n") as f64;
+    let c = if cfg.str("c") == "y" { 0.0 } else { 2.0 };
+    observation(
+        cfg,
+        10.0 + (scale.ln() - 4.2).powi(2) + ((n - 30.0) / 8.0).powi(2) + c,
+    )
+}
+
+fn observation(config: Configuration, runtime_s: f64) -> Observation {
+    Observation {
+        config,
+        runtime_s,
+        cost_usd: 0.0,
+        metrics: None,
+        failure: None,
+    }
+}
+
 /// FNV-1a over the display form of every proposal: `Display` prints
 /// floats in shortest round-trip form, so the hash pins every bit.
-fn proposal_hash(tuner: &mut dyn Tuner, budget: usize, seed: u64) -> (u64, String) {
-    let space: ParamSpace = spark_space();
+fn proposal_hash(
+    space: &ParamSpace,
+    observe: fn(Configuration) -> Observation,
+    tuner: &mut dyn Tuner,
+    budget: usize,
+    seed: u64,
+) -> (u64, String) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut history = Vec::new();
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
     let mut last = String::new();
     for _ in 0..budget {
-        let cfg = tuner.propose(&space, &history, &mut rng);
+        let cfg = tuner.propose(space, &history, &mut rng);
         assert!(space.validate(&cfg).is_ok(), "invalid proposal {cfg}");
         last = cfg.to_string();
         for b in last.bytes().chain([b'\n']) {
@@ -59,8 +123,18 @@ fn proposal_hash(tuner: &mut dyn Tuner, budget: usize, seed: u64) -> (u64, Strin
 }
 
 fn assert_pinned(tuner: &mut dyn Tuner, want_hash: u64, want_last: &str) {
+    assert_pinned_on(&spark_space(), observe, tuner, want_hash, want_last);
+}
+
+fn assert_pinned_on(
+    space: &ParamSpace,
+    observe: fn(Configuration) -> Observation,
+    tuner: &mut dyn Tuner,
+    want_hash: u64,
+    want_last: &str,
+) {
     let name = tuner.name().to_owned();
-    let (hash, last) = proposal_hash(tuner, 16, 5);
+    let (hash, last) = proposal_hash(space, observe, tuner, 16, 5);
     assert_eq!(last, want_last, "{name}: last proposal");
     assert_eq!(hash, want_hash, "{name}: proposal sequence hash");
 }
@@ -89,5 +163,27 @@ fn regression_tree_tuner_replays_its_pinned_proposals() {
         &mut RegressionTreeTuner::new(),
         15621466438666151240,
         "{spark.broadcast.blockSize.mb=7, spark.default.parallelism=936, spark.driver.memory.mb=3840, spark.dynamicAllocation.enabled=true, spark.executor.cores=8, spark.executor.instances=46, spark.executor.memory.mb=2816, spark.io.compression.codec=zstd, spark.kryoserializer.buffer.max.mb=118, spark.locality.wait.ms=1000, spark.memory.fraction=0.8183377720595648, spark.memory.storageFraction=0.23068437704348732, spark.network.timeout.s=118, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=58, spark.scheduler.mode=FIFO, spark.serializer=java, spark.shuffle.compress=false, spark.shuffle.file.buffer.kb=272, spark.shuffle.sort.bypassMergeThreshold=813, spark.shuffle.spill.compress=false, spark.speculation=true, spark.speculation.multiplier=1.9340924090477936, spark.speculation.quantile=0.6104759822479093, spark.sql.shuffle.partitions=769, spark.storage.level=MEMORY_ONLY}",
+    );
+}
+
+#[test]
+fn bayesopt_replays_its_pinned_cloud_proposals() {
+    assert_pinned_on(
+        &cloud_space(),
+        observe_cloud,
+        &mut BayesOpt::new(),
+        15738486489701988903,
+        "{cloud.instance.family=r5, cloud.instance.size=large, cloud.node.count=17}",
+    );
+}
+
+#[test]
+fn bayesopt_replays_its_pinned_constrained_proposals() {
+    assert_pinned_on(
+        &constrained_space(),
+        observe_constrained,
+        &mut BayesOpt::new(),
+        1392942389425353921,
+        "{c=y, n=32, scale=98.57664320657624}",
     );
 }

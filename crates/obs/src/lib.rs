@@ -47,6 +47,7 @@ pub mod metrics;
 pub mod openmetrics;
 pub mod serve;
 pub mod sink;
+pub mod stdout;
 pub mod trace;
 
 pub use event::{

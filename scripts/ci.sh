@@ -95,4 +95,10 @@ echo "$summary" | head -n 1
 echo "$summary" | grep -q "# Trace summary" \
   || { echo "trace_summary could not replay results/demo_trace.jsonl"; exit 1; }
 
+# A reader that stops early (`| head`) closes the pipe under the tool;
+# it must end quietly with status 0, and pipefail fails this step if it
+# panics instead.
+echo "==> trace_summary into an early-closing reader (results/demo_trace.json | head -1)"
+cargo run -q -p bench --bin trace_summary -- results/demo_trace.json | head -n 1
+
 echo "CI OK"

@@ -415,24 +415,51 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a number as RFC 8259 writes it:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. One with
+    /// neither fraction nor exponent is an integer when it fits `i64` or
+    /// `u64`.
     fn number(&mut self) -> Result<Value, Error> {
+        let bytes = self.bytes;
         let start = self.pos;
-        if self.bytes.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        let mut pos = start;
+        // Consumes a run of digits; whether there was at least one.
+        let digits = |pos: &mut usize| {
+            let from = *pos;
+            while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+                *pos += 1;
             }
+            *pos > from
+        };
+        if bytes.get(pos) == Some(&b'-') {
+            pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("invalid number"))?;
+        // A leading zero is the whole integer part.
+        let mut ok = if bytes.get(pos) == Some(&b'0') {
+            pos += 1;
+            true
+        } else {
+            digits(&mut pos)
+        };
+        let mut is_float = false;
+        if ok && bytes.get(pos) == Some(&b'.') {
+            pos += 1;
+            is_float = true;
+            ok = digits(&mut pos);
+        }
+        if ok && matches!(bytes.get(pos), Some(b'e' | b'E')) {
+            pos += 1;
+            if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+                pos += 1;
+            }
+            is_float = true;
+            ok = digits(&mut pos);
+        }
+        self.pos = pos;
+        let text = &self.src[start..pos];
+        if !ok {
+            return Err(Error::new(format!("invalid number `{text}`")));
+        }
         if !is_float {
             if let Ok(n) = text.parse::<i64>() {
                 return Ok(Value::I64(n));
@@ -485,6 +512,32 @@ mod tests {
         assert!(from_str::<f64>("1 trailing").is_err());
         assert!(from_str::<bool>("truthy").is_err());
         assert!(from_str::<Vec<i64>>("[1,]").is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        let accepted = [
+            ("0", Value::I64(0)),
+            ("-0", Value::I64(0)),
+            ("0.5", Value::F64(0.5)),
+            ("1e-7", Value::F64(1e-7)),
+            ("1E+300", Value::F64(1e300)),
+            ("-9223372036854775808", Value::I64(i64::MIN)),
+            ("18446744073709551615", Value::U64(u64::MAX)),
+        ];
+        for (text, want) in accepted {
+            assert_eq!(parse_value(text).ok(), Some(want), "{text}");
+        }
+        let rejected = [
+            "075", "00", "-01", "01.5", "1.", "-.5", "1.e5", "-", "1e", "1e+",
+        ];
+        for text in rejected {
+            assert!(parse_value(text).is_err(), "{text} accepted");
+            assert!(
+                parse_value(&format!("[{text}]")).is_err(),
+                "[{text}] accepted"
+            );
+        }
     }
 
     #[test]

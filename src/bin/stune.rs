@@ -32,6 +32,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use seamless_tuning::core::goal::{GoalObjective, TuningGoal};
+use seamless_tuning::obs::outln;
 use seamless_tuning::prelude::*;
 
 fn main() -> ExitCode {
@@ -39,23 +40,28 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("workloads") => {
             for w in all_workloads() {
-                println!("{}", w.name());
+                outln!("{}", w.name());
             }
             ExitCode::SUCCESS
         }
         Some("tuners") => {
             for k in TunerKind::all() {
-                println!("{}", k.label());
+                outln!("{}", k.label());
             }
             ExitCode::SUCCESS
         }
         Some("catalog") => {
-            println!(
+            outln!(
                 "{:<14} {:>5} {:>8} {:>10} {:>9} {:>8}",
-                "instance", "vcpus", "mem(GB)", "disk(MB/s)", "net(MB/s)", "$/hr"
+                "instance",
+                "vcpus",
+                "mem(GB)",
+                "disk(MB/s)",
+                "net(MB/s)",
+                "$/hr"
             );
             for i in seamless_tuning::simcluster::catalog::all_instances() {
-                println!(
+                outln!(
                     "{:<14} {:>5} {:>8} {:>10.0} {:>9.0} {:>8.3}",
                     i.name(),
                     i.vcpus,
@@ -211,7 +217,7 @@ fn tune(args: &[String]) -> ExitCode {
             Some(addr) => {
                 let server = seamless_tuning::obs::MetricsServer::start(addr.as_str())
                     .map_err(|e| format!("--metrics-addr {addr}: {e}"))?;
-                println!(
+                outln!(
                     "serving OpenMetrics on http://{}/metrics",
                     server.local_addr()
                 );
@@ -220,12 +226,12 @@ fn tune(args: &[String]) -> ExitCode {
         };
         let recorder = flags.get("flight-dump").map(|dir| {
             let recorder = seamless_tuning::obs::flightrec::install(4096, dir);
-            println!("flight recorder armed: dumps in {dir}/");
+            outln!("flight recorder armed: dumps in {dir}/");
             recorder
         });
 
         let job = workload.job(scale);
-        println!(
+        outln!(
             "tuning {} on {} with {} ({} executions, goal {})",
             job.name,
             cluster,
@@ -239,7 +245,7 @@ fn tune(args: &[String]) -> ExitCode {
         let mut session = TuningSession::new(tuner, seed ^ 0x5EED);
         session.with_batch(batch);
         if let Some(chaos_seed) = chaos {
-            println!("chaos: injecting faults with seed {chaos_seed}");
+            outln!("chaos: injecting faults with seed {chaos_seed}");
             session.with_resilience(
                 RetryPolicy::default(),
                 FaultInjector::new(chaos_seed, FaultPlan::chaos()),
@@ -248,7 +254,7 @@ fn tune(args: &[String]) -> ExitCode {
         let outcome = session.run(&objective, budget);
 
         if let Some(d) = &outcome.degradation {
-            println!(
+            outln!(
                 "resilience: {} ok, {} failed, {} timed out, {} retries, {} quarantined{}",
                 d.completed,
                 d.failed,
@@ -264,22 +270,22 @@ fn tune(args: &[String]) -> ExitCode {
         }
 
         match &outcome.best {
-            None => println!("no configuration survived — every execution crashed"),
+            None => outln!("no configuration survived — every execution crashed"),
             Some(best) => {
                 let true_runtime = best
                     .metrics
                     .as_ref()
                     .map_or(best.runtime_s, |m| m.runtime_s);
-                println!(
+                outln!(
                     "\nbest after {} executions: {:.1}s (${:.4}/run), tuning spend ${:.2}",
                     outcome.history.len(),
                     true_runtime,
                     best.cost_usd,
                     outcome.total_cost_usd()
                 );
-                println!("configuration:");
+                outln!("configuration:");
                 for (name, value) in best.config.iter() {
-                    println!("  {name} = {value}");
+                    outln!("  {name} = {value}");
                 }
             }
         }
@@ -289,7 +295,7 @@ fn tune(args: &[String]) -> ExitCode {
             // already been written; leave one final on-demand dump so
             // every armed run ends with a trace to inspect.
             match recorder.dump("on_demand") {
-                Ok(path) => println!(
+                Ok(path) => outln!(
                     "flight dump: {} ({} dump(s) this run)",
                     path.display(),
                     recorder.dumps()

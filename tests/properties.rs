@@ -241,23 +241,47 @@ proptest! {
 }
 
 /// The spaces the dense row path must agree on: Spark, cloud, the joint
-/// space, and a small space with the kinds those catalogs lack (a
-/// log-scale float, a float-reading constraint).
-fn row_spaces() -> [ParamSpace; 4] {
+/// space, a small space with the kinds those catalogs lack (a log-scale
+/// float, a float-reading constraint), and a space of degenerate
+/// dimensions (an int, a float and a log-float with `lo == hi`, a
+/// single-choice categorical, and a stepped int whose `hi` is off its
+/// grid, so decoded moves can round onto an inadmissible value).
+fn row_spaces() -> [ParamSpace; 5] {
     use seamless_tuning::confspace::{Constraint, ParamDef};
     let log_space = ParamSpace::new()
         .with(ParamDef::log_float("scale", 1.0, 100.0, 10.0, ""))
         .with(ParamDef::int_step("n", 0, 64, 4, 8, ""))
         .with(ParamDef::categorical("c", &["x", "y", "z"], "x", ""))
-        .with_constraint(Constraint::new("n <= 32 when scale > 50", |c| {
-            c.float("scale") <= 50.0 || c.int("n") <= 32
-        }));
+        .with_constraint(Constraint::new(
+            "n <= 32 when scale > 50",
+            &["scale", "n"],
+            |v| v.float(0) <= 50.0 || v.int(1) <= 32,
+        ));
+    let degenerate = ParamSpace::new()
+        .with(ParamDef::int("fixed_n", 3, 3, 3, ""))
+        .with(ParamDef::float("fixed_f", 0.25, 0.25, 0.25, ""))
+        .with(ParamDef::log_float("fixed_g", 2.0, 2.0, 2.0, ""))
+        .with(ParamDef::categorical("only", &["one"], "one", ""))
+        .with(ParamDef::int_step("off_grid", 0, 11, 3, 0, ""))
+        .with(ParamDef::boolean("b", false, ""));
     [
         spark_space(),
         cloud_space(),
         seamless_tuning::confspace::cloud::joint_space(),
         log_space,
+        degenerate,
     ]
+}
+
+/// One uniform draw into fresh buffers: the row and its fused encoding.
+fn draw_row(space: &ParamSpace, rng: &mut StdRng) -> (Vec<ParamValue>, Vec<f64>) {
+    let (mut row, mut encoded) = (Vec::new(), Vec::new());
+    UniformSampler.sample_row_into(space, rng, &mut row, &mut encoded);
+    (row, encoded)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Deliberately bad variants of a valid row, one defect each: speculation
@@ -314,28 +338,34 @@ proptest! {
 
     /// The dense row path used by acquisition scans and the
     /// `Configuration` path agree draw for draw and bit for bit:
-    /// sampling, neighbourhood moves, encoding and validation.
+    /// sampling, neighbourhood moves, encoding and validation. The
+    /// encodings fused into the row draws equal the encoder's, and a
+    /// move is admitted exactly when `validate_row` accepts it.
     #[test]
-    fn row_path_agrees_with_configuration_path(which in 0usize..4, seed in any::<u64>()) {
+    fn row_path_agrees_with_configuration_path(which in 0usize..5, seed in any::<u64>()) {
         use rand::Rng;
-        use seamless_tuning::confspace::{neighbor, neighbor_row};
+        use seamless_tuning::confspace::{neighbor, neighbor_row_into};
         let space = &row_spaces()[which];
 
         let mut cfg_rng = StdRng::seed_from_u64(seed);
         let mut row_rng = StdRng::seed_from_u64(seed);
         let cfg = UniformSampler.sample(space, &mut cfg_rng);
-        let row = UniformSampler.sample_row(space, &mut row_rng);
+        let (row, encoded) = draw_row(space, &mut row_rng);
         prop_assert_eq!(&cfg, &space.config_of_row(row.clone()));
+        prop_assert_eq!(bits(&encoded), bits(&space.encode(&cfg)));
 
-        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        prop_assert_eq!(bits(space.encode_row(&row)), bits(space.encode(&cfg)));
-
-        // A wide, frequent move so some candidates fall back.
-        let moved = neighbor(space, &cfg, 0.5, 0.8, &mut cfg_rng);
-        let moved_row = neighbor_row(space, &space.encode_row(&row), 0.5, 0.8, &mut row_rng)
-            .unwrap_or_else(|| space.clamp_row(&cfg));
-        prop_assert_eq!(&moved, &space.config_of_row(moved_row.clone()));
-        prop_assert_eq!(bits(space.encode_row(&moved_row)), bits(space.encode(&moved)));
+        // Wide, frequent moves, so some are rejected and fall back.
+        let (mut moved_row, mut moved_enc) = (Vec::new(), Vec::new());
+        for _ in 0..8 {
+            let moved = neighbor(space, &cfg, 0.5, 0.8, &mut cfg_rng);
+            let admitted = neighbor_row_into(
+                space, &encoded, 0.5, 0.8, &mut row_rng, &mut moved_row, &mut moved_enc,
+            );
+            let moved_cfg = space.config_of_row(moved_row.clone());
+            prop_assert_eq!(bits(&moved_enc), bits(&space.encode(&moved_cfg)));
+            prop_assert_eq!(admitted, space.validate_row(&moved_row).is_ok());
+            prop_assert_eq!(&moved, &if admitted { moved_cfg } else { space.clamp(&cfg) });
+        }
         prop_assert_eq!(cfg_rng.gen::<u64>(), row_rng.gen::<u64>(), "draw counts differ");
 
         prop_assert_eq!(space.validate_row(&row), space.validate(&cfg));
@@ -352,7 +382,7 @@ proptest! {
 /// long, holding the wrong value kinds, or a row of the cloud space.
 fn dirty_row(space: &ParamSpace, which: usize, seed: u64) -> Vec<ParamValue> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut row = UniformSampler.sample_row(space, &mut rng);
+    let (mut row, _) = draw_row(space, &mut rng);
     match which {
         0 => Vec::new(),
         1 => {
@@ -373,32 +403,48 @@ fn dirty_row(space: &ParamSpace, which: usize, seed: u64) -> Vec<ParamValue> {
                 _ => ParamValue::Bool(true),
             })
             .collect(),
-        _ => UniformSampler.sample_row(&cloud_space(), &mut rng),
+        _ => draw_row(&cloud_space(), &mut rng).0,
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `sample_row_into` overwrites any buffer with exactly the row
-    /// `sample_row` draws from the same RNG state, and consumes the same
-    /// draws: the next row, drawn into the now-clean buffer, and the
-    /// next raw draw agree too.
+    /// `sample_row_into` and `neighbor_row_into` overwrite any row and
+    /// encoding buffers with exactly what they write into fresh ones
+    /// from the same RNG state, and consume the same draws: the next
+    /// rows, drawn into the now-clean buffers, and the next raw draw
+    /// agree too.
     #[test]
     fn sample_row_into_reuses_any_buffer(
-        which in 0usize..4,
+        which in 0usize..5,
         dirt in 0usize..5,
         seed in any::<u64>(),
     ) {
         use rand::Rng;
+        use seamless_tuning::confspace::neighbor_row_into;
         let space = &row_spaces()[which];
         let mut fresh_rng = StdRng::seed_from_u64(seed);
         let mut reuse_rng = StdRng::seed_from_u64(seed);
         let mut buf = dirty_row(space, dirt, seed ^ 0x5eed);
+        let mut enc_buf = vec![f64::NAN; 7 * dirt];
         for _ in 0..2 {
-            let fresh = UniformSampler.sample_row(space, &mut fresh_rng);
-            UniformSampler.sample_row_into(space, &mut reuse_rng, &mut buf);
+            let (fresh, fresh_enc) = draw_row(space, &mut fresh_rng);
+            UniformSampler.sample_row_into(space, &mut reuse_rng, &mut buf, &mut enc_buf);
             prop_assert_eq!(&buf, &fresh);
+            prop_assert_eq!(bits(&enc_buf), bits(&fresh_enc));
+
+            let (mut moved, mut moved_enc) = (Vec::new(), Vec::new());
+            let fresh_ok = neighbor_row_into(
+                space, &fresh_enc, 0.5, 0.8, &mut fresh_rng, &mut moved, &mut moved_enc,
+            );
+            let base = enc_buf.clone();
+            let reuse_ok = neighbor_row_into(
+                space, &base, 0.5, 0.8, &mut reuse_rng, &mut buf, &mut enc_buf,
+            );
+            prop_assert_eq!(fresh_ok, reuse_ok);
+            prop_assert_eq!(&buf, &moved);
+            prop_assert_eq!(bits(&enc_buf), bits(&moved_enc));
         }
         prop_assert_eq!(fresh_rng.gen::<u64>(), reuse_rng.gen::<u64>(), "draw counts differ");
     }
