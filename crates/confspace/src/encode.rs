@@ -14,21 +14,42 @@
 //!
 //! [`ParamDef::log_float`]: crate::param::ParamDef::log_float
 
+use std::cmp::Ordering;
+
 use crate::config::Configuration;
-use crate::param::ParamValue;
 use crate::space::ParamSpace;
 
 impl ParamSpace {
     /// Encodes `cfg` into a `len()`-dimensional vector in `[0, 1]^d`.
     ///
     /// Missing parameters encode as their default; out-of-range values
-    /// are clamped.
+    /// are clamped, and a value of the wrong kind encodes as the bottom
+    /// of its range. Entries the space lacks are ignored. The
+    /// configuration is read in one merge pass: its entries and the
+    /// space's parameters are both walked in name order.
     pub fn encode(&self, cfg: &Configuration) -> Vec<f64> {
-        self.params()
-            .iter()
-            .zip(self.dims())
-            .map(|(p, dim)| dim.encode(p, cfg.get(&p.name).unwrap_or(&p.default)))
-            .collect()
+        let (params, dims) = (self.params(), self.dims());
+        let mut out = vec![0.0; self.len()];
+        let mut entries = cfg.iter().peekable();
+        for &i in self.by_name() {
+            let p = &params[i];
+            let mut value = &p.default;
+            while let Some(&(name, v)) = entries.peek() {
+                match name.cmp(p.name.as_str()) {
+                    Ordering::Less => {
+                        entries.next();
+                    }
+                    Ordering::Equal => {
+                        value = v;
+                        entries.next();
+                        break;
+                    }
+                    Ordering::Greater => break,
+                }
+            }
+            out[i] = dims[i].encode(p, value);
+        }
+        out
     }
 
     /// Decodes a feature vector into a valid configuration, rounding each
@@ -46,18 +67,13 @@ impl ParamSpace {
             v.len(),
             self.len()
         );
-        let row = self
-            .params()
+        let row: Vec<_> = self
+            .dims()
             .iter()
-            .zip(self.dims())
             .zip(v)
-            .map(|((p, dim), &x)| {
-                let mut value = ParamValue::Bool(false);
-                dim.decode(p, x, &mut value);
-                value
-            })
+            .map(|(dim, &x)| dim.decode(x).0)
             .collect();
-        self.config_of_row(row)
+        self.config_of_typed(&row)
     }
 }
 
@@ -141,5 +157,32 @@ mod tests {
         let v = s.encode(&Configuration::new());
         let d = s.encode(&s.default_configuration());
         assert_eq!(v, d);
+    }
+
+    #[test]
+    fn decode_snaps_to_the_top_grid_point_below_an_off_grid_hi() {
+        let s = ParamSpace::new().with(ParamDef::int_step("off_grid", 0, 11, 3, 0, ""));
+        let top = s.decode(&[1.0]);
+        assert_eq!(top.int("off_grid"), 9);
+        assert!(s.validate(&top).is_ok());
+        assert_eq!(top, s.clamp(&Configuration::new().with("off_grid", 11i64)));
+        for x in [0.0, 0.1, 0.5, 0.8, 0.9, 0.95] {
+            assert!(s.validate(&s.decode(&[x])).is_ok(), "decode({x})");
+        }
+    }
+
+    #[test]
+    fn encode_reads_entries_by_name_whatever_the_space_order() {
+        let s = ParamSpace::new()
+            .with(ParamDef::int("z", 0, 10, 0, ""))
+            .with(ParamDef::int("a", 0, 10, 0, ""))
+            .with(ParamDef::int("m", 0, 10, 0, ""));
+        let cfg = Configuration::new()
+            .with("", 3i64)
+            .with("a", 5i64)
+            .with("b", 7i64)
+            .with("z", 10i64)
+            .with("zz", 1i64);
+        assert_eq!(s.encode(&cfg), vec![1.0, 0.5, 0.0]);
     }
 }

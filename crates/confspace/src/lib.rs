@@ -7,9 +7,11 @@
 //!   parameter (integer range, continuous range, boolean, categorical);
 //! * [`ParamSpace`] — an ordered collection of parameter definitions with
 //!   optional cross-parameter constraints;
-//! * [`Configuration`] — a concrete assignment of values to parameters,
-//!   and its dense *row* form (`Vec<ParamValue>` in space order) for
-//!   search loops that score many candidates and keep few;
+//! * [`Configuration`] — a concrete assignment of values to parameters;
+//! * [`CandidatePool`] — typed candidate rows (values in space order,
+//!   categoricals as choice indices) drawn together with their
+//!   encodings, for search loops that score many candidates and keep
+//!   few;
 //! * [`spark::spark_space`] and [`cloud::cloud_space`] — the parameter
 //!   catalogs used throughout the paper reproduction (≈26 Spark parameters
 //!   mirroring `spark.*` knobs, and the cloud-layer instance
@@ -40,6 +42,7 @@ pub mod encode;
 pub mod error;
 pub mod param;
 mod plan;
+mod pool;
 pub mod sample;
 pub mod space;
 pub mod spark;
@@ -47,7 +50,6 @@ pub mod spark;
 pub use config::Configuration;
 pub use error::ConfigError;
 pub use param::{ParamDef, ParamKind, ParamValue};
-pub use sample::{
-    crossover, mutate, neighbor, neighbor_row_into, LatinHypercube, Sampler, UniformSampler,
-};
+pub use pool::CandidatePool;
+pub use sample::{crossover, mutate, neighbor, LatinHypercube, Sampler, UniformSampler};
 pub use space::{Constraint, ConstraintArgs, ParamSpace};

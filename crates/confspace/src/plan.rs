@@ -1,18 +1,34 @@
 //! The dense per-dimension plan a [`ParamSpace`] compiles as parameters
-//! are added.
+//! are added, and the typed values of a candidate row.
 //!
 //! Each [`Dim`] carries what its parameter's draw, decode, admission
 //! check and encoding read — kind tag, bounds, step count, `ln` bounds,
 //! choice count — so a candidate row is drawn (or decoded), admitted and
-//! encoded in one pass, without matching on [`ParamKind`] or searching a
-//! choice list. These are the only draw, decode and encode formulas in
-//! the crate.
+//! encoded in one pass, without matching on [`ParamKind`], searching a
+//! choice list or cloning a choice's string. These are the only draw,
+//! decode and encode formulas in the crate.
 //!
 //! [`ParamSpace`]: crate::ParamSpace
 
 use rand::Rng;
 
 use crate::param::{ParamDef, ParamKind, ParamValue};
+
+/// One value of a typed row: a parameter's value in its own kind, with
+/// a categorical held as its choice index. A [`ParamValue`] (and a
+/// choice's `String`) is built from it only when the row becomes a
+/// configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum TypedValue {
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    Choice(usize),
+}
+
+/// A value a draw or decode wrote: the typed value, its unit coordinate
+/// and whether [`ParamDef::check`] admits it.
+pub(crate) type Drawn = (TypedValue, f64, bool);
 
 /// One dimension of a space's plan.
 #[derive(Debug, Clone, Copy)]
@@ -64,40 +80,59 @@ impl Dim {
         }
     }
 
+    /// The typed form of `v`. A value of the wrong kind, or an unknown
+    /// choice, becomes the bottom of the range (an int widens to a
+    /// float); an admissible value maps exactly.
+    pub(crate) fn typed(self, p: &ParamDef, v: &ParamValue) -> TypedValue {
+        match self {
+            Dim::Int { lo, .. } => TypedValue::Int(v.as_int().unwrap_or(lo)),
+            Dim::Float { lo, .. } | Dim::LogFloat { lo, .. } => {
+                TypedValue::Float(v.as_float().unwrap_or(lo))
+            }
+            Dim::Bool => TypedValue::Bool(v.as_bool().unwrap_or(false)),
+            Dim::Choice { .. } => TypedValue::Choice(
+                v.as_str()
+                    .and_then(|s| choices(p).iter().position(|c| c == s))
+                    .unwrap_or(0),
+            ),
+        }
+    }
+
+    /// The unit coordinate of a typed value of this dimension, clamped
+    /// into range.
+    pub(crate) fn unit(self, t: TypedValue) -> f64 {
+        match (self, t) {
+            (Dim::Int { lo, hi, .. }, TypedValue::Int(x)) => int_unit(lo, hi, x),
+            (Dim::Float { lo, hi }, TypedValue::Float(x)) => linear_unit(lo, hi, x),
+            (
+                Dim::LogFloat {
+                    lo,
+                    hi,
+                    ln_lo,
+                    ln_hi,
+                },
+                TypedValue::Float(x),
+            ) => log_unit(lo, hi, ln_lo, ln_hi, x),
+            (Dim::Bool, TypedValue::Bool(b)) => bool_unit(b),
+            (Dim::Choice { n }, TypedValue::Choice(i)) => choice_unit(n, i),
+            _ => unreachable!("a typed row holds each dimension's own kind"),
+        }
+    }
+
     /// The unit coordinate of `v`, clamped into range. A value of the
     /// wrong kind, or an unknown choice, encodes as the bottom of the
     /// range.
     pub(crate) fn encode(self, p: &ParamDef, v: &ParamValue) -> f64 {
-        match self {
-            Dim::Int { lo, hi, .. } => int_unit(lo, hi, v.as_int().unwrap_or(lo)),
-            Dim::Float { lo, hi } => linear_unit(lo, hi, v.as_float().unwrap_or(lo)),
-            Dim::LogFloat {
-                lo,
-                hi,
-                ln_lo,
-                ln_hi,
-            } => log_unit(lo, hi, ln_lo, ln_hi, v.as_float().unwrap_or(lo)),
-            Dim::Bool => bool_unit(v.as_bool().unwrap_or(false)),
-            Dim::Choice { n } => {
-                let i = v
-                    .as_str()
-                    .and_then(|s| choices(p).iter().position(|c| c == s))
-                    .unwrap_or(0);
-                choice_unit(n, i)
-            }
-        }
+        self.unit(self.typed(p, v))
     }
 
-    /// Draws a uniform value into `slot`. Returns its unit coordinate and
-    /// whether [`ParamDef::check`] admits it. Only floats are checked: a
-    /// drawn int lies on its grid, and a drawn choice or bool is
-    /// admissible by construction.
-    pub(crate) fn draw<R: Rng + ?Sized>(
-        self,
-        p: &ParamDef,
-        rng: &mut R,
-        slot: &mut ParamValue,
-    ) -> (f64, bool) {
+    /// Draws a uniform value. Only floats are checked: a drawn int lies
+    /// on its grid, and a drawn choice or bool is admissible by
+    /// construction.
+    // Inlined into the row loop: as a call returning its value through
+    // memory, it made uniform Spark rows ~1.6x slower to draw.
+    #[inline(always)]
+    pub(crate) fn draw<R: Rng + ?Sized>(self, rng: &mut R) -> Drawn {
         match self {
             Dim::Int {
                 lo,
@@ -106,13 +141,15 @@ impl Dim {
                 steps,
             } => {
                 let x = lo + rng.gen_range(0..=steps) * step;
-                *slot = ParamValue::Int(x);
-                (int_unit(lo, hi, x), true)
+                (TypedValue::Int(x), int_unit(lo, hi, x), true)
             }
             Dim::Float { lo, hi } => {
                 let x = rng.gen_range(lo..=hi);
-                *slot = ParamValue::Float(x);
-                (linear_unit(lo, hi, x), admits(lo, hi, x))
+                (
+                    TypedValue::Float(x),
+                    linear_unit(lo, hi, x),
+                    admits(lo, hi, x),
+                )
             }
             Dim::LogFloat {
                 lo,
@@ -121,37 +158,48 @@ impl Dim {
                 ln_hi,
             } => {
                 let x = rng.gen_range(ln_lo..=ln_hi).exp();
-                *slot = ParamValue::Float(x);
-                (log_unit(lo, hi, ln_lo, ln_hi, x), admits(lo, hi, x))
+                let unit = log_unit(lo, hi, ln_lo, ln_hi, x);
+                (TypedValue::Float(x), unit, admits(lo, hi, x))
             }
             Dim::Bool => {
                 let b = rng.gen();
-                *slot = ParamValue::Bool(b);
-                (bool_unit(b), true)
+                (TypedValue::Bool(b), bool_unit(b), true)
             }
-            Dim::Choice { n } => put_choice(p, n, rng.gen_range(0..n), slot),
+            Dim::Choice { n } => {
+                let i = rng.gen_range(0..n);
+                (TypedValue::Choice(i), choice_unit(n, i), true)
+            }
         }
     }
 
-    /// Decodes unit coordinate `x` (clamped to `[0, 1]`) into `slot` as
-    /// the nearest value in range. Returns the decoded value's unit
-    /// coordinate and whether [`ParamDef::check`] admits it.
-    pub(crate) fn decode(self, p: &ParamDef, x: f64, slot: &mut ParamValue) -> (f64, bool) {
+    /// Decodes unit coordinate `x` (clamped to `[0, 1]`) as the nearest
+    /// admissible value. Only floats are checked: a decoded int is
+    /// snapped onto its grid (at most the top grid point
+    /// `lo + steps·step`, as [`ParamSpace::clamp`] snaps), and a decoded
+    /// choice or bool is admissible by construction.
+    ///
+    /// [`ParamSpace::clamp`]: crate::ParamSpace::clamp
+    pub(crate) fn decode(self, x: f64) -> Drawn {
         let x = x.clamp(0.0, 1.0);
         match self {
-            Dim::Int { lo, hi, step, .. } => {
+            Dim::Int {
+                lo,
+                hi,
+                step,
+                steps,
+            } => {
                 let raw = lo as f64 + x * (hi - lo) as f64;
                 let k = ((raw - lo as f64) / step as f64).round() as i64;
-                let v = (lo + k * step).clamp(lo, hi);
-                *slot = ParamValue::Int(v);
-                // Rounding up past a `hi` that is off the grid clamps to
-                // `hi`, which is off the grid too.
-                (int_unit(lo, hi, v), (v - lo) % step == 0)
+                let v = lo + k.clamp(0, steps) * step;
+                (TypedValue::Int(v), int_unit(lo, hi, v), true)
             }
             Dim::Float { lo, hi } => {
                 let v = (lo + x * (hi - lo)).clamp(lo, hi);
-                *slot = ParamValue::Float(v);
-                (linear_unit(lo, hi, v), admits(lo, hi, v))
+                (
+                    TypedValue::Float(v),
+                    linear_unit(lo, hi, v),
+                    admits(lo, hi, v),
+                )
             }
             Dim::LogFloat {
                 lo,
@@ -160,13 +208,12 @@ impl Dim {
                 ln_hi,
             } => {
                 let v = (ln_lo + x * (ln_hi - ln_lo)).exp().clamp(lo, hi);
-                *slot = ParamValue::Float(v);
-                (log_unit(lo, hi, ln_lo, ln_hi, v), admits(lo, hi, v))
+                let unit = log_unit(lo, hi, ln_lo, ln_hi, v);
+                (TypedValue::Float(v), unit, admits(lo, hi, v))
             }
             Dim::Bool => {
                 let b = x >= 0.5;
-                *slot = ParamValue::Bool(b);
-                (bool_unit(b), true)
+                (TypedValue::Bool(b), bool_unit(b), true)
             }
             Dim::Choice { n } => {
                 let i = if n <= 1 {
@@ -174,9 +221,21 @@ impl Dim {
                 } else {
                     (x * (n - 1) as f64).round() as usize
                 };
-                put_choice(p, n, i.min(n - 1), slot)
+                let i = i.min(n - 1);
+                (TypedValue::Choice(i), choice_unit(n, i), true)
             }
         }
+    }
+}
+
+/// The [`ParamValue`] of a typed value of parameter `p`: the one place a
+/// choice's string is cloned.
+pub(crate) fn value_of(p: &ParamDef, t: TypedValue) -> ParamValue {
+    match t {
+        TypedValue::Int(x) => ParamValue::Int(x),
+        TypedValue::Float(x) => ParamValue::Float(x),
+        TypedValue::Bool(b) => ParamValue::Bool(b),
+        TypedValue::Choice(i) => ParamValue::Str(choices(p)[i].clone()),
     }
 }
 
@@ -224,18 +283,8 @@ fn choice_unit(n: usize, i: usize) -> f64 {
     }
 }
 
-/// Writes choice `i` into `slot`, reusing the string a categorical slot
-/// already holds.
-fn put_choice(p: &ParamDef, n: usize, i: usize, slot: &mut ParamValue) -> (f64, bool) {
-    let choice = &choices(p)[i];
-    match slot {
-        ParamValue::Str(s) => s.clone_from(choice),
-        _ => *slot = ParamValue::Str(choice.clone()),
-    }
-    (choice_unit(n, i), true)
-}
-
-fn choices(p: &ParamDef) -> &[String] {
+/// A categorical parameter's choices.
+pub(crate) fn choices(p: &ParamDef) -> &[String] {
     match &p.kind {
         ParamKind::Categorical { choices } => choices,
         _ => unreachable!("a choice dimension is compiled from a categorical"),

@@ -4,17 +4,16 @@
 //! violating a constraint is re-drawn (up to a bounded number of tries,
 //! after which the space's default configuration is returned — spaces in
 //! this workspace have mild constraints, so this is unreachable in
-//! practice).
+//! practice). Uniform draws and neighbourhood moves are the
+//! [`CandidatePool`] draws.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::config::Configuration;
-use crate::param::ParamValue;
+use crate::plan::value_of;
+use crate::pool::CandidatePool;
 use crate::space::ParamSpace;
-
-/// Maximum rejection-sampling attempts before falling back to defaults.
-const MAX_REJECTS: usize = 256;
 
 /// A strategy producing configurations from a space.
 pub trait Sampler {
@@ -33,62 +32,16 @@ pub trait Sampler {
     }
 }
 
-/// Independent uniform sampling of every parameter.
+/// Independent uniform sampling of every parameter: the configuration
+/// of one [`CandidatePool::push_uniform`] row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UniformSampler;
 
-impl UniformSampler {
-    /// Draws one configuration as a dense row (values in space order)
-    /// into `row`, and its encoding into `encoded`, in one pass: draw for
-    /// draw the configuration [`Sampler::sample`] returns, and bit for
-    /// bit the encoding [`ParamSpace::encode`] gives it. Both buffers are
-    /// overwritten whatever they held (length and value kinds included);
-    /// a categorical slot that already holds a string takes the choice
-    /// with `clone_from`, keeping its capacity, so a scan that redraws a
-    /// pool every round stops allocating once its buffers have grown.
-    ///
-    /// A draw is rejected and redrawn exactly when
-    /// [`ParamSpace::validate_row`] would reject it; after 256 rejected
-    /// draws the row is the space's defaults.
-    pub fn sample_row_into<R: Rng + ?Sized>(
-        &self,
-        space: &ParamSpace,
-        rng: &mut R,
-        row: &mut Vec<ParamValue>,
-        encoded: &mut Vec<f64>,
-    ) {
-        reset_row(space, row);
-        encoded.clear();
-        encoded.resize(space.len(), 0.0);
-        for _ in 0..MAX_REJECTS {
-            let mut admitted = true;
-            let dims = space.params().iter().zip(space.dims());
-            for ((p, dim), (slot, x)) in dims.zip(row.iter_mut().zip(encoded.iter_mut())) {
-                let (unit, ok) = dim.draw(p, rng, slot);
-                *x = unit;
-                admitted &= ok;
-            }
-            if admitted && space.constraints_hold(row) {
-                debug_assert!(space.validate_row(row).is_ok());
-                return;
-            }
-        }
-        *row = space.default_row();
-        *encoded = space.encode(&space.default_configuration());
-    }
-}
-
-/// Sizes a caller's row to the space, keeping the slots already there.
-fn reset_row(space: &ParamSpace, row: &mut Vec<ParamValue>) {
-    row.truncate(space.len());
-    row.resize(space.len(), ParamValue::Bool(false));
-}
-
 impl Sampler for UniformSampler {
     fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration {
-        let (mut row, mut encoded) = (Vec::new(), Vec::new());
-        self.sample_row_into(space, rng, &mut row, &mut encoded);
-        space.config_of_row(row)
+        let mut pool = CandidatePool::new(space);
+        pool.push_uniform(space, rng);
+        pool.config(space, 0)
     }
 }
 
@@ -144,7 +97,8 @@ impl Sampler for LatinHypercube {
 /// Produces a neighbour of `cfg`: each parameter is perturbed with
 /// probability `rate`; numeric parameters move by a Gaussian step of
 /// relative size `scale` (fraction of the range), discrete parameters
-/// re-sample among nearby values.
+/// re-sample among nearby values. This is one
+/// [`CandidatePool::push_neighbor`] draw around `cfg`.
 ///
 /// The result is clamped to the space; constraint violations fall back
 /// to re-clamping the original configuration.
@@ -155,71 +109,12 @@ pub fn neighbor<R: Rng + ?Sized>(
     rate: f64,
     rng: &mut R,
 ) -> Configuration {
-    let (mut row, mut encoded) = (Vec::new(), Vec::new());
-    if neighbor_row_into(
-        space,
-        &space.encode(cfg),
-        scale,
-        rate,
-        rng,
-        &mut row,
-        &mut encoded,
-    ) {
-        space.config_of_row(row)
-    } else {
-        space.clamp(cfg)
+    let mut pool = CandidatePool::new(space);
+    pool.set_base(space, cfg);
+    if !pool.push_neighbor(space, scale, rate, rng) {
+        pool.fall_back();
     }
-}
-
-/// The row form of [`neighbor`], from the base configuration's encoding
-/// (callers drawing many neighbours of one base encode it once): moves
-/// the encoding, decodes it into `row` and re-encodes each decoded value
-/// into `encoded`, in one pass, reusing both buffers as
-/// [`UniformSampler::sample_row_into`] does. Returns whether the move is
-/// admitted, exactly when [`ParamSpace::validate_row`] accepts the row.
-/// On `false` the buffers hold the rejected move; [`neighbor`] then
-/// falls back to the clamped base ([`ParamSpace::clamp_row`] in row
-/// form).
-///
-/// # Panics
-///
-/// Panics if `encoded_base.len()` differs from [`ParamSpace::len`].
-pub fn neighbor_row_into<R: Rng + ?Sized>(
-    space: &ParamSpace,
-    encoded_base: &[f64],
-    scale: f64,
-    rate: f64,
-    rng: &mut R,
-    row: &mut Vec<ParamValue>,
-    encoded: &mut Vec<f64>,
-) -> bool {
-    encoded.clear();
-    encoded.extend_from_slice(encoded_base);
-    for x in encoded.iter_mut() {
-        if rng.gen::<f64>() < rate {
-            // Box-Muller-free Gaussian-ish step: sum of 4 uniforms.
-            let g: f64 = (0..4).map(|_| rng.gen::<f64>() - 0.5).sum::<f64>() / 2.0;
-            *x = (*x + g * scale * 2.0).clamp(0.0, 1.0);
-        }
-    }
-    assert_eq!(
-        encoded.len(),
-        space.len(),
-        "feature vector has wrong dimension: {} != {}",
-        encoded.len(),
-        space.len()
-    );
-    reset_row(space, row);
-    let mut admitted = true;
-    let dims = space.params().iter().zip(space.dims());
-    for ((p, dim), (slot, x)) in dims.zip(row.iter_mut().zip(encoded.iter_mut())) {
-        let (unit, ok) = dim.decode(p, *x, slot);
-        *x = unit;
-        admitted &= ok;
-    }
-    let admitted = admitted && space.constraints_hold(row);
-    debug_assert_eq!(admitted, space.validate_row(row).is_ok());
-    admitted
+    pool.config(space, 0)
 }
 
 /// Uniform crossover of two parent configurations (genetic search).
@@ -260,9 +155,7 @@ pub fn mutate<R: Rng + ?Sized>(
         .zip(space.dims())
         .map(|(p, dim)| {
             let v = if rng.gen::<f64>() < rate {
-                let mut v = ParamValue::Bool(false);
-                dim.draw(p, rng, &mut v);
-                v
+                value_of(p, dim.draw(rng).0)
             } else {
                 cfg.get(&p.name).unwrap_or(&p.default).clone()
             };

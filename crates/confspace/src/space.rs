@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use crate::config::Configuration;
 use crate::error::ConfigError;
-use crate::param::{ParamDef, ParamKind, ParamValue};
-use crate::plan::Dim;
+use crate::param::{ParamDef, ParamValue};
+use crate::plan::{choices, value_of, Dim, TypedValue};
 
 type ConstraintFn = dyn Fn(&ConstraintArgs<'_>) -> bool + Send + Sync;
 
@@ -64,13 +64,13 @@ impl Constraint {
         &self.name
     }
 
-    /// Whether a row of the space this constraint was added to satisfies
-    /// it.
-    fn holds(&self, row: &[ParamValue]) -> bool {
+    /// Whether a typed row of the space this constraint was added to
+    /// (whose parameters are `defs`) satisfies it.
+    fn holds(&self, defs: &[ParamDef], row: &[TypedValue]) -> bool {
         (self.check)(&ConstraintArgs {
             row,
             at: &self.at,
-            params: &self.params,
+            defs,
         })
     }
 }
@@ -87,67 +87,72 @@ impl fmt::Debug for Constraint {
 /// The arguments of a [`Constraint`]'s predicate: argument `k` is the
 /// value of the `k`-th parameter the constraint names.
 pub struct ConstraintArgs<'a> {
-    row: &'a [ParamValue],
+    row: &'a [TypedValue],
     at: &'a [usize],
-    params: &'a [String],
+    defs: &'a [ParamDef],
 }
 
 impl ConstraintArgs<'_> {
-    /// Argument `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the constraint names fewer than `k + 1` parameters.
-    pub fn value(&self, k: usize) -> &ParamValue {
-        &self.row[self.at[k]]
+    fn typed(&self, k: usize) -> TypedValue {
+        self.row[self.at[k]]
     }
 
     /// Integer argument `k`.
     ///
     /// # Panics
     ///
-    /// Panics if argument `k` is absent or not an integer.
+    /// Panics if the constraint names fewer than `k + 1` parameters, or
+    /// argument `k` is not an integer.
     pub fn int(&self, k: usize) -> i64 {
-        self.value(k)
-            .as_int()
-            .unwrap_or_else(|| self.mismatch(k, "an int"))
+        match self.typed(k) {
+            TypedValue::Int(x) => x,
+            _ => self.mismatch(k, "an int"),
+        }
     }
 
     /// Float argument `k` (integers widen to `f64`).
     ///
     /// # Panics
     ///
-    /// Panics if argument `k` is absent or not numeric.
+    /// Panics if the constraint names fewer than `k + 1` parameters, or
+    /// argument `k` is not numeric.
     pub fn float(&self, k: usize) -> f64 {
-        self.value(k)
-            .as_float()
-            .unwrap_or_else(|| self.mismatch(k, "numeric"))
+        match self.typed(k) {
+            TypedValue::Float(x) => x,
+            TypedValue::Int(x) => x as f64,
+            _ => self.mismatch(k, "numeric"),
+        }
     }
 
     /// Boolean argument `k`.
     ///
     /// # Panics
     ///
-    /// Panics if argument `k` is absent or not a boolean.
+    /// Panics if the constraint names fewer than `k + 1` parameters, or
+    /// argument `k` is not a boolean.
     pub fn bool(&self, k: usize) -> bool {
-        self.value(k)
-            .as_bool()
-            .unwrap_or_else(|| self.mismatch(k, "a bool"))
+        match self.typed(k) {
+            TypedValue::Bool(b) => b,
+            _ => self.mismatch(k, "a bool"),
+        }
     }
 
     /// Categorical argument `k`.
     ///
     /// # Panics
     ///
-    /// Panics if argument `k` is absent or not categorical.
+    /// Panics if the constraint names fewer than `k + 1` parameters, or
+    /// argument `k` is not categorical.
     pub fn str(&self, k: usize) -> &str {
-        self.value(k)
-            .as_str()
-            .unwrap_or_else(|| self.mismatch(k, "categorical"))
+        match self.typed(k) {
+            TypedValue::Choice(i) => &choices(&self.defs[self.at[k]])[i],
+            _ => self.mismatch(k, "categorical"),
+        }
     }
 
     fn mismatch(&self, k: usize, kind: &str) -> ! {
-        panic!("constraint argument `{}` is not {kind}", self.params[k])
+        let name = &self.defs[self.at[k]].name;
+        panic!("constraint argument `{name}` is not {kind}")
     }
 }
 
@@ -155,21 +160,18 @@ impl ConstraintArgs<'_> {
 ///
 /// The order of parameters is significant: it fixes the dimension order
 /// of the feature-vector encoding (see [`crate::encode`]) and of the
-/// *row* form of a configuration — a `Vec<ParamValue>` holding one value
-/// per parameter in space order. Rows skip the string-keyed map of a
-/// [`Configuration`]; search strategies that score many candidates and
-/// keep few draw each row and its encoding in one pass
-/// ([`UniformSampler::sample_row_into`], [`neighbor_row_into`]) into
-/// buffers they keep across rounds, and build a configuration only for
-/// the winners ([`ParamSpace::config_of_row`]).
+/// *row* form of a configuration — one value per parameter in space
+/// order. Search strategies that score many candidates and keep few
+/// draw typed rows (categoricals as choice indices) and their encodings
+/// into a [`CandidatePool`] they keep across rounds, and build a
+/// configuration only for the picks.
 ///
 /// As parameters are added the space compiles a dense per-dimension
 /// plan (bounds, step counts, `ln` bounds, choice counts) that those
 /// draws read, and constraints are resolved to row positions when they
 /// are added.
 ///
-/// [`UniformSampler::sample_row_into`]: crate::UniformSampler::sample_row_into
-/// [`neighbor_row_into`]: crate::neighbor_row_into
+/// [`CandidatePool`]: crate::CandidatePool
 ///
 /// # Example
 ///
@@ -189,6 +191,10 @@ pub struct ParamSpace {
     /// The compiled plan, one dimension per parameter.
     dims: Vec<Dim>,
     index: HashMap<String, usize>,
+    /// Parameter positions in name order: the order of a
+    /// [`Configuration`]'s entries, which [`ParamSpace::encode`] merges
+    /// against.
+    by_name: Vec<usize>,
     constraints: Vec<Constraint>,
 }
 
@@ -209,6 +215,10 @@ impl ParamSpace {
             "duplicate parameter `{}`",
             def.name
         );
+        let at = self
+            .by_name
+            .partition_point(|&i| self.params[i].name < def.name);
+        self.by_name.insert(at, self.params.len());
         self.index.insert(def.name.clone(), self.params.len());
         self.dims.push(Dim::of(&def.kind));
         self.params.push(def);
@@ -269,6 +279,11 @@ impl ParamSpace {
         &self.dims
     }
 
+    /// Parameter positions in name order.
+    pub(crate) fn by_name(&self) -> &[usize] {
+        &self.by_name
+    }
+
     /// The constraints on the space.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
@@ -286,12 +301,18 @@ impl ParamSpace {
 
     /// The configuration assigning every parameter its default value.
     pub fn default_configuration(&self) -> Configuration {
-        self.config_of_row(self.default_row())
+        self.params
+            .iter()
+            .map(|p| (p.name.clone(), p.default.clone()))
+            .collect()
     }
 
-    /// The row of default values, in space order.
-    pub(crate) fn default_row(&self) -> Vec<ParamValue> {
-        self.params.iter().map(|p| p.default.clone()).collect()
+    /// The typed row of default values, in space order.
+    pub(crate) fn default_typed(&self) -> impl Iterator<Item = TypedValue> + '_ {
+        self.params
+            .iter()
+            .zip(&self.dims)
+            .map(|(p, dim)| dim.typed(p, &p.default))
     }
 
     /// Names a row's values: the configuration assigning `row[i]` to the
@@ -315,6 +336,16 @@ impl ParamSpace {
             .collect()
     }
 
+    /// Names a typed row's values, building each choice's string.
+    pub(crate) fn config_of_typed(&self, row: &[TypedValue]) -> Configuration {
+        debug_assert_eq!(row.len(), self.len());
+        self.params
+            .iter()
+            .zip(row)
+            .map(|(p, &t)| (p.name.clone(), value_of(p, t)))
+            .collect()
+    }
+
     /// Validates that `cfg` assigns an admissible value to every
     /// parameter and satisfies all constraints.
     ///
@@ -325,14 +356,7 @@ impl ParamSpace {
     /// for extraneous assignments, or
     /// [`ConfigError::ConstraintViolated`].
     pub fn validate(&self, cfg: &Configuration) -> Result<(), ConfigError> {
-        let mut row = Vec::with_capacity(self.len());
-        for p in &self.params {
-            let v = cfg
-                .get(&p.name)
-                .ok_or_else(|| ConfigError::MissingParam(p.name.clone()))?;
-            p.check(v)?;
-            row.push(v.clone());
-        }
+        let row = self.typed_checked(self.params.iter().map(|p| cfg.get(&p.name)))?;
         for (name, _) in cfg.iter() {
             if !self.index.contains_key(name) {
                 return Err(ConfigError::UnknownParam(name.to_owned()));
@@ -353,29 +377,43 @@ impl ParamSpace {
     /// surplus position of a long row, or
     /// [`ConfigError::ConstraintViolated`].
     pub fn validate_row(&self, row: &[ParamValue]) -> Result<(), ConfigError> {
-        for (i, p) in self.params.iter().enumerate() {
-            match row.get(i) {
-                None => return Err(ConfigError::MissingParam(p.name.clone())),
-                Some(v) => p.check(v)?,
-            }
-        }
+        let typed = self.typed_checked((0..self.len()).map(|i| row.get(i)))?;
         if row.len() > self.len() {
             return Err(ConfigError::UnknownParam(format!("#{}", self.len())));
         }
-        self.check_constraints(row)
+        self.check_constraints(&typed)
     }
 
-    fn check_constraints(&self, row: &[ParamValue]) -> Result<(), ConfigError> {
-        match self.constraints.iter().find(|c| !c.holds(row)) {
+    /// Checks one value per parameter, in space order, and types them.
+    fn typed_checked<'v>(
+        &self,
+        values: impl Iterator<Item = Option<&'v ParamValue>>,
+    ) -> Result<Vec<TypedValue>, ConfigError> {
+        let defs = self.params.iter().zip(&self.dims);
+        defs.zip(values)
+            .map(|((p, dim), v)| {
+                let v = v.ok_or_else(|| ConfigError::MissingParam(p.name.clone()))?;
+                p.check(v)?;
+                Ok(dim.typed(p, v))
+            })
+            .collect()
+    }
+
+    fn check_constraints(&self, row: &[TypedValue]) -> Result<(), ConfigError> {
+        match self
+            .constraints
+            .iter()
+            .find(|c| !c.holds(&self.params, row))
+        {
             Some(c) => Err(ConfigError::ConstraintViolated(c.name.clone())),
             None => Ok(()),
         }
     }
 
-    /// Whether a row of admissible values satisfies every constraint:
-    /// the last step of [`validate_row`](Self::validate_row).
-    pub(crate) fn constraints_hold(&self, row: &[ParamValue]) -> bool {
-        self.constraints.iter().all(|c| c.holds(row))
+    /// Whether a typed row of admissible values satisfies every
+    /// constraint: the last step of [`validate`](Self::validate).
+    pub(crate) fn constraints_hold(&self, row: &[TypedValue]) -> bool {
+        self.constraints.iter().all(|c| c.holds(&self.params, row))
     }
 
     /// Clamps every out-of-range value in `cfg` to the nearest admissible
@@ -384,18 +422,34 @@ impl ParamSpace {
     /// *not* repaired (callers resample instead).
     #[must_use]
     pub fn clamp(&self, cfg: &Configuration) -> Configuration {
-        self.config_of_row(self.clamp_row(cfg))
+        let row: Vec<TypedValue> = self.clamp_typed(cfg).collect();
+        self.config_of_typed(&row)
     }
 
-    /// The row form of [`clamp`](Self::clamp).
-    pub fn clamp_row(&self, cfg: &Configuration) -> Vec<ParamValue> {
-        self.params
-            .iter()
-            .map(|p| match cfg.get(&p.name) {
-                None => p.default.clone(),
-                Some(v) => clamp_value(p, v),
-            })
-            .collect()
+    /// The typed row of [`clamp`](Self::clamp).
+    pub(crate) fn clamp_typed<'a>(
+        &'a self,
+        cfg: &'a Configuration,
+    ) -> impl Iterator<Item = TypedValue> + 'a {
+        self.params.iter().zip(&self.dims).map(|(p, &dim)| {
+            let clamped = match (dim, cfg.get(&p.name)) {
+                (Dim::Int { lo, hi, step, .. }, Some(&ParamValue::Int(x))) => {
+                    let x = x.clamp(lo, hi);
+                    Some(TypedValue::Int(lo + ((x - lo) / step) * step))
+                }
+                (
+                    Dim::Float { lo, hi } | Dim::LogFloat { lo, hi, .. },
+                    Some(&ParamValue::Float(x)),
+                ) if x.is_finite() => Some(TypedValue::Float(x.clamp(lo, hi))),
+                (Dim::Bool, Some(&ParamValue::Bool(b))) => Some(TypedValue::Bool(b)),
+                (Dim::Choice { .. }, Some(ParamValue::Str(s))) => choices(p)
+                    .iter()
+                    .position(|c| c == s)
+                    .map(TypedValue::Choice),
+                _ => None,
+            };
+            clamped.unwrap_or_else(|| dim.typed(p, &p.default))
+        })
     }
 
     /// Merges another space's parameters and constraints into this one.
@@ -413,32 +467,6 @@ impl ParamSpace {
             self.add_constraint(c.clone());
         }
         self
-    }
-}
-
-fn clamp_value(p: &ParamDef, v: &ParamValue) -> ParamValue {
-    match (&p.kind, v) {
-        (ParamKind::Int { lo, hi, step }, ParamValue::Int(x)) => {
-            let x = (*x).clamp(*lo, *hi);
-            let snapped = lo + ((x - lo) / step) * step;
-            ParamValue::Int(snapped)
-        }
-        (ParamKind::Float { lo, hi, .. }, ParamValue::Float(x)) => {
-            if x.is_finite() {
-                ParamValue::Float(x.clamp(*lo, *hi))
-            } else {
-                p.default.clone()
-            }
-        }
-        (ParamKind::Bool, ParamValue::Bool(_)) => v.clone(),
-        (ParamKind::Categorical { choices }, ParamValue::Str(s)) => {
-            if choices.iter().any(|c| c == s) {
-                v.clone()
-            } else {
-                p.default.clone()
-            }
-        }
-        _ => p.default.clone(),
     }
 }
 
@@ -499,7 +527,7 @@ mod tests {
     #[test]
     fn validate_row_reports_short_and_long_rows() {
         let s = small_space();
-        let mut row = s.default_row();
+        let mut row: Vec<ParamValue> = s.params().iter().map(|p| p.default.clone()).collect();
         assert!(s.validate_row(&row).is_ok());
         assert_eq!(s.config_of_row(row.clone()), s.default_configuration());
         row.push(ParamValue::Int(1));

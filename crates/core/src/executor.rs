@@ -455,7 +455,9 @@ impl TrialExecutor {
 
     /// Whether `config` is quarantined (fails without evaluation).
     pub fn is_quarantined(&self, config: &Configuration) -> bool {
-        self.quarantined.contains(&quarantine_key(config))
+        // The key formats every value: skip it while nothing is
+        // quarantined, as on every healthy session.
+        !self.quarantined.is_empty() && self.quarantined.contains(&quarantine_key(config))
     }
 
     /// Evaluates `configs` concurrently, returning a [`TrialOutcome`]
@@ -503,8 +505,11 @@ impl TrialExecutor {
         for outcome in &out {
             match outcome {
                 TrialOutcome::Ok { observation, .. } => {
-                    // A success clears the configuration's strikes.
-                    self.strikes.remove(&quarantine_key(&observation.config));
+                    // A success clears the configuration's strikes (if
+                    // any trial has struck out at all).
+                    if !self.strikes.is_empty() {
+                        self.strikes.remove(&quarantine_key(&observation.config));
+                    }
                 }
                 TrialOutcome::Failed {
                     error: TrialError::Quarantined,

@@ -357,7 +357,7 @@ impl SeamlessTuner {
         // results are bitwise-unchanged by its presence.
         self.slo
             .observe(client, &slo, &outcome.ledger(probe.cost_usd));
-        self.slo.publish(obs::registry());
+        self.slo.publish_tenant(obs::registry(), client);
 
         outcome
     }

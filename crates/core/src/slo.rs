@@ -287,28 +287,44 @@ impl SloTracker {
     pub fn publish(&self, registry: &obs::Registry) {
         let mut tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
         for (tenant, w) in tenants.iter_mut() {
-            let stats = self.stats_of(w);
-            let labels: &[(&str, &str)] = &[("tenant", tenant)];
+            self.publish_window(registry, tenant, w);
+        }
+    }
+
+    /// [`publish`](Self::publish) for one tenant, if it has been
+    /// observed. A tenant's statistics change only when it is observed,
+    /// so publishing just the observed tenant after each
+    /// [`observe`](Self::observe) keeps `registry` as the full publish
+    /// would, at a cost independent of the tenant count.
+    pub fn publish_tenant(&self, registry: &obs::Registry, tenant: &str) {
+        let mut tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(w) = tenants.get_mut(tenant) {
+            self.publish_window(registry, tenant, w);
+        }
+    }
+
+    fn publish_window(&self, registry: &obs::Registry, tenant: &str, w: &mut TenantWindow) {
+        let stats = self.stats_of(w);
+        let labels: &[(&str, &str)] = &[("tenant", tenant)];
+        registry
+            .gauge(&obs::labeled("slo.within_10pct_ratio", labels))
+            .set(stats.within_ratio);
+        registry
+            .gauge(&obs::labeled("slo.error_budget_remaining", labels))
+            .set(stats.error_budget_remaining);
+        registry
+            .gauge(&obs::labeled("slo.burn_rate", labels))
+            .set(stats.burn_rate);
+        registry
+            .gauge(&obs::labeled("slo.retune_amortization", labels))
+            .set(stats.mean_runs_to_break_even.unwrap_or(f64::INFINITY));
+        let cents_total = stats.cost_cents.max(0.0).round() as u64;
+        let delta = cents_total.saturating_sub(w.cents_published);
+        if delta > 0 {
             registry
-                .gauge(&obs::labeled("slo.within_10pct_ratio", labels))
-                .set(stats.within_ratio);
-            registry
-                .gauge(&obs::labeled("slo.error_budget_remaining", labels))
-                .set(stats.error_budget_remaining);
-            registry
-                .gauge(&obs::labeled("slo.burn_rate", labels))
-                .set(stats.burn_rate);
-            registry
-                .gauge(&obs::labeled("slo.retune_amortization", labels))
-                .set(stats.mean_runs_to_break_even.unwrap_or(f64::INFINITY));
-            let cents_total = stats.cost_cents.max(0.0).round() as u64;
-            let delta = cents_total.saturating_sub(w.cents_published);
-            if delta > 0 {
-                registry
-                    .counter(&obs::labeled("slo.tuning_cost_cents", labels))
-                    .add(delta);
-                w.cents_published = cents_total;
-            }
+                .counter(&obs::labeled("slo.tuning_cost_cents", labels))
+                .add(delta);
+            w.cents_published = cents_total;
         }
     }
 }
@@ -476,5 +492,43 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("slo_tuning_cost_cents_total{tenant=\"bob\"} 300"));
+    }
+
+    #[test]
+    fn publishing_the_observed_tenant_keeps_the_full_publish() {
+        // One tracker per registry: a tracker remembers the spend it
+        // has published.
+        let (by_tenant, by_all) = (SloTracker::new(3, 0.10, 0.9), SloTracker::new(3, 0.10, 0.9));
+        let (each, full) = (obs::Registry::new(), obs::Registry::new());
+        let tunes = [
+            ("alice", 100.0, 2.0),
+            ("bob", 150.0, 3.0),
+            ("alice", 104.0, 0.004),
+            ("carol", 120.0, 1.0),
+            ("bob", 100.0, 0.0),
+            ("alice", 300.0, 5.0),
+            ("alice", 100.0, 1.5),
+            ("carol", 101.0, 2.25),
+        ];
+        for (tenant, tuned, cost) in tunes {
+            for tracker in [&by_tenant, &by_all] {
+                tracker.observe(tenant, &report(tuned, 100.0), &ledger(cost, 1.0, 0.5));
+            }
+            by_tenant.publish_tenant(&each, tenant);
+            by_all.publish(&full);
+        }
+        by_tenant.publish_tenant(&each, "nobody");
+        let (each, full) = (each.snapshot(), full.snapshot());
+        assert_eq!(each.counters, full.counters);
+        assert_eq!(each.counters.len(), 3);
+        let bits = |gauges: &[(String, f64)]| -> Vec<(String, u64)> {
+            gauges
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&each.gauges), bits(&full.gauges));
+        assert_eq!(each.gauges.len(), 3 * 4);
+        assert!(each.histograms.is_empty() && full.histograms.is_empty());
     }
 }

@@ -5,8 +5,7 @@
 //! contrasts with 500-sample search (§IV-C).
 
 use confspace::{
-    neighbor_row_into, Configuration, LatinHypercube, ParamSpace, ParamValue, Sampler,
-    UniformSampler,
+    CandidatePool, Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler,
 };
 use models::{expected_improvement, FitKind, GpFitCache, Kernel};
 use rand::RngCore;
@@ -32,7 +31,7 @@ const PENALTY_BANDWIDTH_SQ: f64 = 0.04;
 /// design, so optimism from the prior must not keep re-proposing the
 /// same failing region. No-op when nothing is censored — the scores of
 /// a healthy session are untouched, bit for bit.
-fn penalize_censored(scores: &mut [f64], encoded: &[Vec<f64>], censored: &[Vec<f64>]) {
+fn penalize_censored(scores: &mut [f64], encoded: &[&[f64]], censored: &[Vec<f64>]) {
     if censored.is_empty() {
         return;
     }
@@ -58,11 +57,9 @@ pub struct BayesOpt {
     kernel: Kernel,
     pending_init: Vec<Configuration>,
     fit_cache: GpFitCache,
-    /// Candidate rows, redrawn in place every round; only the picks
-    /// leave (and are regrown on the next draw).
-    pool: Vec<Vec<ParamValue>>,
-    /// Encoding of `pool`, row for row, written by the same draws.
-    encoded: Vec<Vec<f64>>,
+    /// Typed candidate rows and their encodings, redrawn in place every
+    /// round; only the picks become configurations.
+    pool: CandidatePool,
 }
 
 impl Default for BayesOpt {
@@ -102,8 +99,7 @@ impl BayesOpt {
             kernel,
             pending_init: Vec::new(),
             fit_cache: GpFitCache::new(),
-            pool: Vec::new(),
-            encoded: Vec::new(),
+            pool: CandidatePool::default(),
         }
     }
 
@@ -145,43 +141,27 @@ impl BayesOpt {
     }
 
     /// Redraws the candidate pool for one acquisition round into
-    /// `self.pool` as dense rows, and their encodings into
-    /// `self.encoded` in the same pass: global uniform samples plus
-    /// local refinements around the incumbent, which is encoded once per
-    /// pool. Draw for draw the same pool `UniformSampler::sample_n` and
-    /// `neighbor` would build, without naming the values.
+    /// `self.pool`, typed rows and encodings in the same pass: global
+    /// uniform samples plus local refinements around the incumbent, a
+    /// rejected refinement standing in as the clamped incumbent. Draw
+    /// for draw the same pool `UniformSampler::sample_n` and `neighbor`
+    /// would build, without naming the values.
     fn candidate_pool(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
         rng: &mut dyn RngCore,
     ) {
-        let best = best_observation(history);
-        let local = if best.is_some() {
-            self.local_candidates
-        } else {
-            0
-        };
-        self.pool.resize_with(self.candidates + local, Vec::new);
-        self.encoded.resize_with(self.candidates + local, Vec::new);
-        let (global, local_rows) = self.pool.split_at_mut(self.candidates);
-        let (global_enc, local_enc) = self.encoded.split_at_mut(self.candidates);
-        for (row, enc) in global.iter_mut().zip(global_enc) {
-            UniformSampler.sample_row_into(space, rng, row, enc);
+        let pool = &mut self.pool;
+        pool.reset(space);
+        for _ in 0..self.candidates {
+            pool.push_uniform(space, rng);
         }
-        if let Some(best) = best {
-            let base = space.encode(&best.config);
-            // The clamped incumbent stands in for a rejected move.
-            let mut fallback = None;
-            for (row, enc) in local_rows.iter_mut().zip(local_enc) {
-                if !neighbor_row_into(space, &base, 0.05, 0.4, rng, row, enc) {
-                    let (fb_row, fb_enc) = fallback.get_or_insert_with(|| {
-                        let clamped = space.clamp_row(&best.config);
-                        let enc = space.encode(&space.config_of_row(clamped.clone()));
-                        (clamped, enc)
-                    });
-                    row.clone_from(fb_row);
-                    enc.clone_from(fb_enc);
+        if let Some(best) = best_observation(history) {
+            pool.set_base(space, &best.config);
+            for _ in 0..self.local_candidates {
+                if !pool.push_neighbor(space, 0.05, 0.4, rng) {
+                    pool.fall_back();
                 }
             }
         }
@@ -273,7 +253,8 @@ impl Tuner for BayesOpt {
         reg.histogram("bo.candidate_pool_s")
             .time(|| self.candidate_pool(space, history, rng));
         let censored = encode_censored(space, history);
-        let (pool, encoded) = (&mut self.pool, &self.encoded[..]);
+        let pool = &self.pool;
+        let encoded: Vec<&[f64]> = (0..pool.len()).map(|i| pool.encoding(i)).collect();
 
         let _acq = obs::span("acquisition")
             .with("candidates", pool.len())
@@ -284,15 +265,16 @@ impl Tuner for BayesOpt {
             // each chunk runs through the GP's blocked prediction kernel.
             // Scores come back in candidate order, so each arg-max (last
             // maximum on ties) is thread-count independent.
-            let (n, d) = (gp.len(), encoded.first().map_or(0, Vec::len));
+            let (n, d) = (gp.len(), space.len());
             let threads = models::par::threads_for((encoded.len() * n * (d + n)) as u64);
-            let mut scores = models::par::par_chunks_threads(encoded, threads, EI_CHUNK, |chunk| {
-                gp.predict_batch(chunk)
-                    .into_iter()
-                    .map(|(m, s)| expected_improvement(m, s, best_ln))
-                    .collect()
-            });
-            penalize_censored(&mut scores, encoded, &censored);
+            let mut scores =
+                models::par::par_chunks_threads(&encoded, threads, EI_CHUNK, |chunk| {
+                    gp.predict_batch(chunk)
+                        .into_iter()
+                        .map(|(m, s)| expected_improvement(m, s, best_ln))
+                        .collect()
+                });
+            penalize_censored(&mut scores, &encoded, &censored);
             let mut taken = vec![false; scores.len()];
             let mut out: Vec<Configuration> = Vec::with_capacity(q);
             while out.len() < q {
@@ -303,7 +285,7 @@ impl Tuner for BayesOpt {
                     break;
                 };
                 taken[i] = true;
-                out.push(space.config_of_row(std::mem::take(&mut pool[i])));
+                out.push(pool.config(space, i));
                 if out.len() == q {
                     break;
                 }
@@ -313,7 +295,7 @@ impl Tuner for BayesOpt {
                     }
                     let d2: f64 = encoded[i]
                         .iter()
-                        .zip(&encoded[j])
+                        .zip(encoded[j])
                         .map(|(a, b)| (a - b) * (a - b))
                         .sum();
                     scores[j] *= 1.0 - (-d2 / (2.0 * PENALTY_BANDWIDTH_SQ)).exp();

@@ -3,7 +3,7 @@
 //! candidates are ranked by a lower confidence bound over the
 //! ensemble's mean and spread.
 
-use confspace::{Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler};
+use confspace::{CandidatePool, Configuration, LatinHypercube, ParamSpace, Sampler};
 use models::{lower_confidence_bound, ForestParams, RandomForest};
 use rand::RngCore;
 
@@ -24,6 +24,8 @@ pub struct ForestTuner {
     /// Exploration weight on the ensemble spread.
     pub beta: f64,
     pending_init: Vec<Configuration>,
+    /// Typed candidate rows, redrawn every proposal.
+    pool: CandidatePool,
 }
 
 impl Default for ForestTuner {
@@ -40,6 +42,7 @@ impl ForestTuner {
             candidates: 256,
             beta: 1.0,
             pending_init: Vec::new(),
+            pool: CandidatePool::default(),
         }
     }
 }
@@ -69,14 +72,16 @@ impl Tuner for ForestTuner {
         let (x, y) = encode_history(space, history);
         let forest = RandomForest::fit(&x, &y, ForestParams::default(), rng);
         let censored = encode_censored(space, history);
-        // Score dense candidate rows; only the winner becomes a
+        // Score typed candidate rows; only the winner becomes a
         // configuration.
-        let mut point = Vec::new();
-        (0..self.candidates)
-            .map(|_| {
-                let mut row = Vec::new();
-                UniformSampler.sample_row_into(space, rng, &mut row, &mut point);
-                let (m, s) = forest.predict_with_std(&point);
+        self.pool.reset(space);
+        for _ in 0..self.candidates {
+            self.pool.push_uniform(space, rng);
+        }
+        (0..self.pool.len())
+            .map(|i| {
+                let point = self.pool.encoding(i);
+                let (m, s) = forest.predict_with_std(point);
                 let mut score = lower_confidence_bound(m, s, self.beta);
                 if !censored.is_empty() {
                     // LCB minimizes, so censored regions add a penalty
@@ -92,10 +97,10 @@ impl Tuner for ForestTuner {
                         .fold(0.0, f64::max);
                     score += FAILURE_PENALTY_S.ln() * proximity;
                 }
-                (row, score)
+                (i, score)
             })
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(row, _)| space.config_of_row(row))
+            .map(|(i, _)| self.pool.config(space, i))
             .unwrap_or_else(|| space.default_configuration())
     }
 

@@ -3,7 +3,9 @@
 //! predicts fastest (with ε-greedy exploration, since a single tree's
 //! piecewise-constant surface is easy to get stuck on).
 
-use confspace::{Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler};
+use confspace::{
+    CandidatePool, Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler,
+};
 use models::{RegressionTree, TreeParams};
 use rand::{Rng, RngCore};
 
@@ -20,6 +22,8 @@ pub struct RegressionTreeTuner {
     /// Probability of proposing a purely random configuration.
     pub epsilon: f64,
     pending_init: Vec<Configuration>,
+    /// Typed candidate rows, redrawn every proposal.
+    pool: CandidatePool,
 }
 
 impl Default for RegressionTreeTuner {
@@ -36,6 +40,7 @@ impl RegressionTreeTuner {
             candidates: 256,
             epsilon: 0.15,
             pending_init: Vec::new(),
+            pool: CandidatePool::default(),
         }
     }
 }
@@ -64,17 +69,16 @@ impl Tuner for RegressionTreeTuner {
         }
         let (x, y) = encode_history(space, history);
         let tree = RegressionTree::fit(&x, &y, TreeParams::default(), rng);
-        // Score dense candidate rows; only the winner becomes a
+        // Score typed candidate rows; only the winner becomes a
         // configuration.
-        let mut point = Vec::new();
-        (0..self.candidates)
-            .map(|_| {
-                let mut row = Vec::new();
-                UniformSampler.sample_row_into(space, rng, &mut row, &mut point);
-                (row, tree.predict(&point))
-            })
+        self.pool.reset(space);
+        for _ in 0..self.candidates {
+            self.pool.push_uniform(space, rng);
+        }
+        (0..self.pool.len())
+            .map(|i| (i, tree.predict(self.pool.encoding(i))))
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(row, _)| space.config_of_row(row))
+            .map(|(i, _)| self.pool.config(space, i))
             .unwrap_or_else(|| space.default_configuration())
     }
 

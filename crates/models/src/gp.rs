@@ -373,6 +373,13 @@ impl GpRegressor {
         let mut kv = vec![0.0; n * block];
         let mut mean = vec![0.0; block];
         let mut sq = vec![0.0; block];
+        // The prior variance `k(q, q) + noise` has the same bits for
+        // every finite query: each of the kernel's per-dimension terms
+        // reads `(q_k − q_k)/ls`, which is `(0 − 0)/ls` when `q_k` is
+        // finite. A query holding a NaN or an infinity keeps the
+        // per-query formula.
+        let origin = vec![0.0; d];
+        let prior = self.kernel.eval(&origin, &origin) + self.noise;
         let mut out = Vec::with_capacity(qs.len());
         for chunk in qs.chunks(PREDICT_BLOCK) {
             let b = chunk.len();
@@ -414,7 +421,11 @@ impl GpRegressor {
             }
             for ((q, &m), &s) in chunk.iter().zip(&*mean).zip(&*sq) {
                 let q = q.as_ref();
-                let kss = self.kernel.eval(q, q) + self.noise;
+                let kss = if q.iter().all(|v| v.is_finite()) {
+                    prior
+                } else {
+                    self.kernel.eval(q, q) + self.noise
+                };
                 let var = (kss - s).max(1e-12);
                 out.push((m * self.y_std + self.y_mean, var.sqrt() * self.y_std));
             }
@@ -820,5 +831,83 @@ mod tests {
         .unwrap();
         let (m, _) = gp.predict(&[0.5]);
         assert!((m - 1.0).abs() < 0.05);
+    }
+
+    /// One query scored alone with the textbook formulas, the prior
+    /// variance `k(q, q) + noise` included, in `predict_batch`'s
+    /// per-query operation order.
+    fn predict_reference(gp: &GpRegressor, q: &[f64]) -> (f64, f64) {
+        let kstar: Vec<f64> = gp.x.iter().map(|xi| gp.kernel.eval(xi, q)).collect();
+        let mean = kstar
+            .iter()
+            .zip(&gp.alpha)
+            .fold(-0.0, |m, (k, a)| m + k * a);
+        let mut v: Vec<f64> = Vec::with_capacity(kstar.len());
+        for (i, &k) in kstar.iter().enumerate() {
+            let lrow = gp.chol.row(i);
+            let mut s = k;
+            for (lij, vj) in lrow.iter().zip(&v) {
+                s -= lij * vj;
+            }
+            v.push(s / lrow[i]);
+        }
+        let sq = v.iter().fold(-0.0, |acc, v| acc + v * v);
+        let var = (gp.kernel.eval(q, q) + gp.noise - sq).max(1e-12);
+        (mean * gp.y_std + gp.y_mean, var.sqrt() * gp.y_std)
+    }
+
+    #[test]
+    fn predict_batch_matches_the_per_query_prior_variance() {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let d = 3;
+        let x: Vec<Vec<f64>> = (0..9)
+            .map(|i| {
+                (0..d)
+                    .map(|k| ((i * 7 + k * 3) % 10) as f64 / 9.0)
+                    .collect()
+            })
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|r| r.iter().sum::<f64>().sin() + 2.0)
+            .collect();
+        let mut qs: Vec<Vec<f64>> = (0..70)
+            .map(|i| {
+                (0..d)
+                    .map(|k| ((i * 13 + k * 5) % 17) as f64 / 8.0 - 0.5)
+                    .collect()
+            })
+            .collect();
+        for (i, bad) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            .into_iter()
+            .enumerate()
+        {
+            qs[3 * i + 1][i] = bad;
+            qs[3 * i + 2] = vec![bad; d];
+            qs[60 + i][d - 1 - i] = bad;
+        }
+        qs.push(vec![1e300, -1e-300, f64::MIN_POSITIVE / 4.0]);
+        for kernel in [
+            Kernel::SquaredExp {
+                length_scale: 0.4,
+                variance: 1.0,
+            },
+            Kernel::Matern52 {
+                length_scale: 0.3,
+                variance: 1.7,
+            },
+            Kernel::Additive {
+                length_scale: 0.3,
+                variance: 0.9,
+            },
+        ] {
+            let gp = GpRegressor::fit(&x, &y, kernel, 1e-2).unwrap();
+            let batch = gp.predict_batch(&qs);
+            for (q, &(m, s)) in qs.iter().zip(&batch) {
+                let (rm, rs) = predict_reference(&gp, q);
+                assert!(same(m, rm), "{kernel:?} mean at {q:?}: {m} vs {rm}");
+                assert!(same(s, rs), "{kernel:?} std at {q:?}: {s} vs {rs}");
+            }
+        }
     }
 }

@@ -50,6 +50,14 @@ cargo build -q -p bench --bins --benches
 # The end-to-end benchmark is its own workspace built against the
 # crates' public API; building it here catches an API change that
 # would break it.
+# Building and running the benchmark rewrites e2ebench/Cargo.lock when
+# the crates' dependencies have moved on since it was committed (a
+# benchmark change refreshes it); restore it on exit, pass or fail, so
+# a CI run leaves the tree as it found it.
+lock_backup="$(mktemp)"
+cp e2ebench/Cargo.lock "$lock_backup"
+trap 'cp "$lock_backup" e2ebench/Cargo.lock; rm -f "$lock_backup"' EXIT
+
 echo "==> cargo build --release --manifest-path e2ebench/Cargo.toml"
 CARGO_TARGET_DIR=.bench_build cargo build --release --manifest-path e2ebench/Cargo.toml
 

@@ -240,12 +240,13 @@ proptest! {
     }
 }
 
-/// The spaces the dense row path must agree on: Spark, cloud, the joint
-/// space, a small space with the kinds those catalogs lack (a log-scale
-/// float, a float-reading constraint), and a space of degenerate
-/// dimensions (an int, a float and a log-float with `lo == hi`, a
-/// single-choice categorical, and a stepped int whose `hi` is off its
-/// grid, so decoded moves can round onto an inadmissible value).
+/// The spaces the typed candidate pool must agree on: Spark, cloud,
+/// the joint space, a small space with the kinds those catalogs lack (a
+/// log-scale float, a float-reading constraint), and a space of
+/// degenerate dimensions (an int, a float and a log-float with
+/// `lo == hi`, a single-choice categorical, and a stepped int whose
+/// `hi` is off its grid, so decoded moves must snap to the top grid
+/// point).
 fn row_spaces() -> [ParamSpace; 5] {
     use seamless_tuning::confspace::{Constraint, ParamDef};
     let log_space = ParamSpace::new()
@@ -273,15 +274,17 @@ fn row_spaces() -> [ParamSpace; 5] {
     ]
 }
 
-/// One uniform draw into fresh buffers: the row and its fused encoding.
-fn draw_row(space: &ParamSpace, rng: &mut StdRng) -> (Vec<ParamValue>, Vec<f64>) {
-    let (mut row, mut encoded) = (Vec::new(), Vec::new());
-    UniformSampler.sample_row_into(space, rng, &mut row, &mut encoded);
-    (row, encoded)
-}
-
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A configuration's values in space order: its row.
+fn row_of(space: &ParamSpace, cfg: &Configuration) -> Vec<ParamValue> {
+    space
+        .params()
+        .iter()
+        .map(|p| cfg.get(&p.name).expect("a full configuration").clone())
+        .collect()
 }
 
 /// Deliberately bad variants of a valid row, one defect each: speculation
@@ -336,39 +339,68 @@ fn bad_rows(space: &ParamSpace, row: &[ParamValue]) -> Vec<Vec<ParamValue>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The dense row path used by acquisition scans and the
-    /// `Configuration` path agree draw for draw and bit for bit:
-    /// sampling, neighbourhood moves, encoding and validation. The
-    /// encodings fused into the row draws equal the encoder's, and a
-    /// move is admitted exactly when `validate_row` accepts it.
+    /// The typed candidate pool and the `Configuration` path agree draw
+    /// for draw and bit for bit: a uniform row's pick is
+    /// `Sampler::sample`'s configuration, a neighbour row's pick (after
+    /// `fall_back` on rejection) is `neighbor`'s and a full decode of
+    /// the moved encoding's, every row's encoding is the encoder's, and
+    /// a move is admitted exactly when `validate_row` accepts it.
     #[test]
     fn row_path_agrees_with_configuration_path(which in 0usize..5, seed in any::<u64>()) {
         use rand::Rng;
-        use seamless_tuning::confspace::{neighbor, neighbor_row_into};
+        use seamless_tuning::confspace::{neighbor, CandidatePool};
         let space = &row_spaces()[which];
 
         let mut cfg_rng = StdRng::seed_from_u64(seed);
-        let mut row_rng = StdRng::seed_from_u64(seed);
-        let cfg = UniformSampler.sample(space, &mut cfg_rng);
-        let (row, encoded) = draw_row(space, &mut row_rng);
-        prop_assert_eq!(&cfg, &space.config_of_row(row.clone()));
-        prop_assert_eq!(bits(&encoded), bits(&space.encode(&cfg)));
-
-        // Wide, frequent moves, so some are rejected and fall back.
-        let (mut moved_row, mut moved_enc) = (Vec::new(), Vec::new());
-        for _ in 0..8 {
-            let moved = neighbor(space, &cfg, 0.5, 0.8, &mut cfg_rng);
-            let admitted = neighbor_row_into(
-                space, &encoded, 0.5, 0.8, &mut row_rng, &mut moved_row, &mut moved_enc,
-            );
-            let moved_cfg = space.config_of_row(moved_row.clone());
-            prop_assert_eq!(bits(&moved_enc), bits(&space.encode(&moved_cfg)));
-            prop_assert_eq!(admitted, space.validate_row(&moved_row).is_ok());
-            prop_assert_eq!(&moved, &if admitted { moved_cfg } else { space.clamp(&cfg) });
+        let mut pool_rng = StdRng::seed_from_u64(seed);
+        let mut pool = CandidatePool::new(space);
+        let mut cfgs = Vec::new();
+        for i in 0..3 {
+            let cfg = UniformSampler.sample(space, &mut cfg_rng);
+            pool.push_uniform(space, &mut pool_rng);
+            prop_assert_eq!(&pool.config(space, i), &cfg);
+            prop_assert_eq!(bits(pool.encoding(i)), bits(&space.encode(&cfg)));
+            cfgs.push(cfg);
         }
-        prop_assert_eq!(cfg_rng.gen::<u64>(), row_rng.gen::<u64>(), "draw counts differ");
+        let cfg = &cfgs[0];
 
-        prop_assert_eq!(space.validate_row(&row), space.validate(&cfg));
+        // Wide, frequent moves, so some are rejected and fall back. The
+        // reference moves the whole encoding and decodes all of it.
+        let mut ref_rng = cfg_rng.clone();
+        pool.set_base(space, cfg);
+        for i in 3..11 {
+            let moved = neighbor(space, cfg, 0.5, 0.8, &mut cfg_rng);
+            let mut x = space.encode(cfg);
+            for xk in x.iter_mut() {
+                if ref_rng.gen::<f64>() < 0.8 {
+                    let g: f64 = (0..4).map(|_| ref_rng.gen::<f64>() - 0.5).sum::<f64>() / 2.0;
+                    *xk = (*xk + g * 0.5 * 2.0).clamp(0.0, 1.0);
+                }
+            }
+            let decoded = space.decode(&x);
+            let reference = if space.validate(&decoded).is_ok() {
+                decoded
+            } else {
+                space.clamp(cfg)
+            };
+            prop_assert_eq!(&moved, &reference);
+            let admitted = pool.push_neighbor(space, 0.5, 0.8, &mut pool_rng);
+            let move_cfg = pool.config(space, i);
+            prop_assert_eq!(bits(pool.encoding(i)), bits(&space.encode(&move_cfg)));
+            prop_assert_eq!(admitted, space.validate_row(&row_of(space, &move_cfg)).is_ok());
+            if !admitted {
+                pool.fall_back();
+            }
+            prop_assert_eq!(&pool.config(space, i), &moved);
+            prop_assert_eq!(bits(pool.encoding(i)), bits(&space.encode(&moved)));
+        }
+        prop_assert_eq!(pool.len(), 11);
+        let next = cfg_rng.gen::<u64>();
+        prop_assert_eq!(next, pool_rng.gen::<u64>(), "draw counts differ");
+        prop_assert_eq!(next, ref_rng.gen::<u64>(), "draw counts differ");
+
+        let row = row_of(space, cfg);
+        prop_assert_eq!(space.validate_row(&row), space.validate(cfg));
         prop_assert!(space.validate_row(&row).is_ok());
         for bad in bad_rows(space, &row) {
             let via_config = space.validate(&space.config_of_row(bad.clone()));
@@ -378,75 +410,176 @@ proptest! {
     }
 }
 
-/// A dirty row buffer for `sample_row_into` to overwrite: empty, short,
-/// long, holding the wrong value kinds, or a row of the cloud space.
-fn dirty_row(space: &ParamSpace, which: usize, seed: u64) -> Vec<ParamValue> {
+/// A pool left dirty by earlier use: never reset, holding rows of the
+/// same space, rows and a neighbour base of the cloud space, rows of
+/// the joint space (longer rows), or rows of the degenerate space with
+/// rejected neighbours left in place.
+fn dirty_pool(
+    space: &ParamSpace,
+    which: usize,
+    seed: u64,
+) -> seamless_tuning::confspace::CandidatePool {
+    use seamless_tuning::confspace::CandidatePool;
     let mut rng = StdRng::seed_from_u64(seed);
-    let (mut row, _) = draw_row(space, &mut rng);
-    match which {
-        0 => Vec::new(),
-        1 => {
-            row.truncate(space.len() / 2);
-            row
-        }
-        2 => {
-            row.extend([ParamValue::Str("surplus".into()), ParamValue::Int(-1)]);
-            row
-        }
-        3 => row
-            .iter()
-            .enumerate()
-            .map(|(i, v)| match (i % 2, v) {
-                (0, ParamValue::Str(_)) => ParamValue::Float(f64::NAN),
-                (0, _) => ParamValue::Str("a stale categorical value".into()),
-                (_, ParamValue::Bool(_)) => ParamValue::Int(7),
-                _ => ParamValue::Bool(true),
-            })
-            .collect(),
-        _ => draw_row(&cloud_space(), &mut rng).0,
+    let other = match which {
+        0 => return CandidatePool::default(),
+        1 => space.clone(),
+        2 => cloud_space(),
+        3 => seamless_tuning::confspace::cloud::joint_space(),
+        _ => row_spaces()[4].clone(),
+    };
+    let mut pool = CandidatePool::new(&other);
+    for _ in 0..5 {
+        pool.push_uniform(&other, &mut rng);
     }
+    pool.set_base(&other, &UniformSampler.sample(&other, &mut rng));
+    for _ in 0..5 {
+        pool.push_neighbor(&other, 0.5, 0.8, &mut rng);
+    }
+    pool
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `sample_row_into` and `neighbor_row_into` overwrite any row and
-    /// encoding buffers with exactly what they write into fresh ones
-    /// from the same RNG state, and consume the same draws: the next
-    /// rows, drawn into the now-clean buffers, and the next raw draw
-    /// agree too.
+    /// A reset pool, whatever it held before (another space's rows,
+    /// another base, rejected moves), fills exactly as a fresh pool from
+    /// the same RNG state and consumes the same draws: the picks, the
+    /// encodings and the next raw draw agree.
     #[test]
-    fn sample_row_into_reuses_any_buffer(
+    fn candidate_pool_reuses_its_buffers(
         which in 0usize..5,
         dirt in 0usize..5,
         seed in any::<u64>(),
     ) {
         use rand::Rng;
-        use seamless_tuning::confspace::neighbor_row_into;
+        use seamless_tuning::confspace::CandidatePool;
         let space = &row_spaces()[which];
         let mut fresh_rng = StdRng::seed_from_u64(seed);
         let mut reuse_rng = StdRng::seed_from_u64(seed);
-        let mut buf = dirty_row(space, dirt, seed ^ 0x5eed);
-        let mut enc_buf = vec![f64::NAN; 7 * dirt];
+        let mut reused = dirty_pool(space, dirt, seed ^ 0x5eed);
         for _ in 0..2 {
-            let (fresh, fresh_enc) = draw_row(space, &mut fresh_rng);
-            UniformSampler.sample_row_into(space, &mut reuse_rng, &mut buf, &mut enc_buf);
-            prop_assert_eq!(&buf, &fresh);
-            prop_assert_eq!(bits(&enc_buf), bits(&fresh_enc));
-
-            let (mut moved, mut moved_enc) = (Vec::new(), Vec::new());
-            let fresh_ok = neighbor_row_into(
-                space, &fresh_enc, 0.5, 0.8, &mut fresh_rng, &mut moved, &mut moved_enc,
-            );
-            let base = enc_buf.clone();
-            let reuse_ok = neighbor_row_into(
-                space, &base, 0.5, 0.8, &mut reuse_rng, &mut buf, &mut enc_buf,
-            );
-            prop_assert_eq!(fresh_ok, reuse_ok);
-            prop_assert_eq!(&buf, &moved);
-            prop_assert_eq!(bits(&enc_buf), bits(&moved_enc));
+            let mut fresh = CandidatePool::new(space);
+            reused.reset(space);
+            for pool_rng in [(&mut fresh, &mut fresh_rng), (&mut reused, &mut reuse_rng)] {
+                let (pool, rng) = pool_rng;
+                for _ in 0..3 {
+                    pool.push_uniform(space, rng);
+                }
+                let base = pool.config(space, 1);
+                pool.set_base(space, &base);
+                for _ in 0..3 {
+                    if !pool.push_neighbor(space, 0.5, 0.8, rng) {
+                        pool.fall_back();
+                    }
+                }
+            }
+            prop_assert_eq!(reused.len(), fresh.len());
+            for i in 0..fresh.len() {
+                prop_assert_eq!(reused.config(space, i), fresh.config(space, i));
+                prop_assert_eq!(bits(reused.encoding(i)), bits(fresh.encoding(i)));
+            }
         }
         prop_assert_eq!(fresh_rng.gen::<u64>(), reuse_rng.gen::<u64>(), "draw counts differ");
+    }
+}
+
+/// The unit coordinate of one parameter's value by the encoding's
+/// definition, written out per kind: a missing value reads the
+/// default, a value of the wrong kind (or an unknown choice) the bottom
+/// of the range, and ints widen to floats.
+fn reference_unit(p: &seamless_tuning::confspace::ParamDef, v: Option<&ParamValue>) -> f64 {
+    use seamless_tuning::confspace::ParamKind;
+    let v = v.unwrap_or(&p.default);
+    match &p.kind {
+        ParamKind::Int { lo, hi, .. } => {
+            let x = v.as_int().unwrap_or(*lo);
+            if hi == lo {
+                0.0
+            } else {
+                (x.clamp(*lo, *hi) - lo) as f64 / (hi - lo) as f64
+            }
+        }
+        ParamKind::Float { lo, hi, log } => {
+            let x = v.as_float().unwrap_or(*lo).clamp(*lo, *hi);
+            match (log, hi == lo) {
+                (_, true) => 0.0,
+                (false, false) => (x - lo) / (hi - lo),
+                (true, false) => (x.ln() - lo.ln()) / (hi.ln() - lo.ln()),
+            }
+        }
+        ParamKind::Bool => {
+            if v.as_bool().unwrap_or(false) {
+                1.0
+            } else {
+                0.0
+            }
+        }
+        ParamKind::Categorical { choices } => {
+            let i = v
+                .as_str()
+                .and_then(|s| choices.iter().position(|c| c == s))
+                .unwrap_or(0);
+            if choices.len() <= 1 {
+                0.0
+            } else {
+                i as f64 / (choices.len() - 1) as f64
+            }
+        }
+    }
+}
+
+/// A configuration of `space` damaged from a sample: some entries
+/// dropped, some replaced by a value of another kind (an int where a
+/// float belongs widens), an unknown choice, NaN or an out-of-range
+/// number, and unknown names added before, between and after the
+/// space's own.
+fn damaged_config(space: &ParamSpace, seed: u64) -> Configuration {
+    use rand::Rng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sample = UniformSampler.sample(space, &mut rng);
+    let mut cfg = Configuration::new();
+    for (name, v) in sample.iter() {
+        let v = match rng.gen_range(0..12) {
+            0 | 1 => continue,
+            2 => ParamValue::Str("not a choice".into()),
+            3 => ParamValue::Int(rng.gen_range(-5i64..5000)),
+            4 => ParamValue::Float(f64::NAN),
+            5 => ParamValue::Float(rng.gen_range(-1e4..1e4)),
+            6 => ParamValue::Bool(rng.gen()),
+            _ => v.clone(),
+        };
+        cfg.set(name, v);
+    }
+    for name in ["", "a", "spark.", "spark.zzz", "zzz", "\u{10ffff}"] {
+        if rng.gen() {
+            cfg.set(name, 1i64);
+        }
+    }
+    if let Some(first) = space.params().first() {
+        if rng.gen() {
+            cfg.set(&format!("{}.suffix", first.name), true);
+        }
+    }
+    cfg
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `encode`'s one merge pass over a configuration's sorted entries
+    /// gives, bit for bit, what one name lookup per parameter gives, on
+    /// configurations with missing, unknown and wrong-kind entries.
+    #[test]
+    fn encode_agrees_with_a_name_lookup_reference(which in 0usize..5, seed in any::<u64>()) {
+        let space = &row_spaces()[which];
+        let cfg = damaged_config(space, seed);
+        let reference: Vec<f64> = space
+            .params()
+            .iter()
+            .map(|p| reference_unit(p, cfg.get(&p.name)))
+            .collect();
+        prop_assert_eq!(bits(&space.encode(&cfg)), bits(&reference));
     }
 }
 
