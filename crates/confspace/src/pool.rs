@@ -233,6 +233,24 @@ impl CandidatePool {
         self.encoded[start..end].copy_from_slice(&self.base.clamped_encoded);
     }
 
+    /// Keeps the rows whose `keep` entry is true, in order, with their
+    /// encodings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep.len() != len()`.
+    pub fn retain(&mut self, keep: &[bool]) {
+        assert_eq!(keep.len(), self.len, "one keep flag per row");
+        let w = self.width;
+        let mut kept = 0;
+        for (i, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
+            self.rows.copy_within(i * w..(i + 1) * w, kept * w);
+            self.encoded.copy_within(i * w..(i + 1) * w, kept * w);
+            kept += 1;
+        }
+        self.len = kept;
+    }
+
     /// The encoding of row `i`.
     ///
     /// # Panics
@@ -253,5 +271,39 @@ impl CandidatePool {
         assert!(i < self.len, "row {i} of a pool of {}", self.len);
         debug_assert_eq!(space.len(), self.width, "pool was reset for another space");
         space.config_of_typed(&self.rows[i * self.width..(i + 1) * self.width])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spark::spark_space;
+    use rand::SeedableRng;
+
+    #[test]
+    fn retain_keeps_the_flagged_rows_in_order() {
+        let space = spark_space();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut pool = CandidatePool::new(&space);
+        for _ in 0..9 {
+            pool.push_uniform(&space, &mut rng);
+        }
+        let before: Vec<(Configuration, Vec<f64>)> = (0..pool.len())
+            .map(|i| (pool.config(&space, i), pool.encoding(i).to_vec()))
+            .collect();
+        let keep: Vec<bool> = (0..9).map(|i| i % 3 != 1).collect();
+        pool.retain(&keep);
+        let kept: Vec<&(Configuration, Vec<f64>)> = before
+            .iter()
+            .zip(&keep)
+            .filter_map(|(row, &k)| k.then_some(row))
+            .collect();
+        assert_eq!(pool.len(), kept.len());
+        for (i, (config, encoding)) in kept.into_iter().enumerate() {
+            assert_eq!(&pool.config(&space, i), config);
+            assert_eq!(pool.encoding(i), &encoding[..]);
+        }
+        pool.push_uniform(&space, &mut rng);
+        assert_eq!(pool.len(), 7);
     }
 }

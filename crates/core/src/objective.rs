@@ -6,6 +6,7 @@
 //! what lets every strategy in [`crate::tuner`] be substrate-agnostic.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use confspace::{Configuration, ParamSpace};
 use rand::rngs::StdRng;
@@ -30,6 +31,20 @@ pub const LAUNCH_FAILURE_COST_S: f64 = 60.0;
 /// execution" is minutes of burn, not the scheduling penalty used for
 /// ranking.
 pub const RUNTIME_FAILURE_COST_S: f64 = 600.0;
+
+/// The Spark space, built once per process and shared by every
+/// [`DiscObjective`] (a space is immutable once built).
+pub(crate) fn spark_space() -> &'static ParamSpace {
+    static SPACE: OnceLock<ParamSpace> = OnceLock::new();
+    SPACE.get_or_init(confspace::spark::spark_space)
+}
+
+/// The cloud space, built once per process and shared by every
+/// [`CloudObjective`].
+fn cloud_space() -> &'static ParamSpace {
+    static SPACE: OnceLock<ParamSpace> = OnceLock::new();
+    SPACE.get_or_init(confspace::cloud::cloud_space)
+}
 
 /// One observed execution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -154,7 +169,7 @@ impl SimEnvironment {
 pub struct DiscObjective {
     cluster: ClusterSpec,
     job: JobSpec,
-    space: ParamSpace,
+    space: &'static ParamSpace,
     sim: Simulator,
     evaluations: AtomicU64,
 }
@@ -165,7 +180,7 @@ impl DiscObjective {
         DiscObjective {
             cluster,
             job,
-            space: confspace::spark::spark_space(),
+            space: spark_space(),
             sim: Simulator::with_interference(env.interference),
             evaluations: AtomicU64::new(0),
         }
@@ -256,7 +271,7 @@ fn observe_provisioned(
 
 impl Objective for DiscObjective {
     fn space(&self) -> &ParamSpace {
-        &self.space
+        self.space
     }
 
     fn evaluate(&self, config: &Configuration, trial_seed: u64) -> Observation {
@@ -282,7 +297,7 @@ impl Objective for DiscObjective {
 pub struct CloudObjective {
     job: JobSpec,
     disc_config: Configuration,
-    space: ParamSpace,
+    space: &'static ParamSpace,
     sim: Simulator,
 }
 
@@ -292,7 +307,7 @@ impl CloudObjective {
         CloudObjective {
             job,
             disc_config,
-            space: confspace::cloud::cloud_space(),
+            space: cloud_space(),
             sim: Simulator::with_interference(env.interference),
         }
     }
@@ -300,7 +315,7 @@ impl CloudObjective {
 
 impl Objective for CloudObjective {
     fn space(&self) -> &ParamSpace {
-        &self.space
+        self.space
     }
 
     fn evaluate(&self, config: &Configuration, trial_seed: u64) -> Observation {

@@ -10,7 +10,7 @@
 //! then runs the tuned workload on behalf of the tenant, watching for
 //! drift and re-tuning automatically (§V-D).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use confspace::spark::names as sp;
 use confspace::Configuration;
@@ -167,6 +167,20 @@ pub struct TenantRequest {
     pub seed: u64,
 }
 
+/// [`SeamlessTuner::house_default`], built once per process.
+fn house_default() -> &'static Configuration {
+    static HOUSE: OnceLock<Configuration> = OnceLock::new();
+    HOUSE.get_or_init(|| {
+        crate::objective::spark_space()
+            .default_configuration()
+            .with(sp::EXECUTOR_INSTANCES, 8i64)
+            .with(sp::EXECUTOR_CORES, 2i64)
+            .with(sp::EXECUTOR_MEMORY_MB, 6144i64)
+            .with(sp::DEFAULT_PARALLELISM, 64i64)
+            .with(sp::SHUFFLE_PARTITIONS, 64i64)
+    })
+}
+
 /// The provider-operated tuning service.
 pub struct SeamlessTuner {
     store: Arc<HistoryStore>,
@@ -196,13 +210,7 @@ impl SeamlessTuner {
     /// shipped defaults (which crash memory-hungry workloads), a
     /// provider would deploy a layout sized to the cluster.
     pub fn house_default() -> Configuration {
-        confspace::spark::spark_space()
-            .default_configuration()
-            .with(sp::EXECUTOR_INSTANCES, 8i64)
-            .with(sp::EXECUTOR_CORES, 2i64)
-            .with(sp::EXECUTOR_MEMORY_MB, 6144i64)
-            .with(sp::DEFAULT_PARALLELISM, 64i64)
-            .with(sp::SHUFFLE_PARTITIONS, 64i64)
+        house_default().clone()
     }
 
     /// Shared access to the history store.
@@ -220,7 +228,7 @@ impl SeamlessTuner {
         // --- Probe: one run on the house defaults to characterize. ---
         let probe_span = obs::span("probe");
         let probe_obj = DiscObjective::new(ClusterSpec::table1_testbed(), job.clone(), &self.env);
-        let probe = probe_obj.evaluate(&Self::house_default(), self.env.seed ^ seed ^ 0x9e37);
+        let probe = probe_obj.evaluate(house_default(), self.env.seed ^ seed ^ 0x9e37);
         let signature = probe
             .metrics
             .as_ref()
@@ -230,7 +238,7 @@ impl SeamlessTuner {
 
         // --- Stage 1: cloud configuration. ---
         let stage1_span = obs::span("stage1").with("budget", self.config.stage1_budget);
-        let cloud_obj = CloudObjective::new(job.clone(), Self::house_default(), &self.env);
+        let cloud_obj = CloudObjective::new(job.clone(), house_default().clone(), &self.env);
         let s1 = self
             .config
             .apply_resilience(
@@ -242,7 +250,7 @@ impl SeamlessTuner {
         let cloud_config = s1
             .best_config()
             .cloned()
-            .unwrap_or_else(|| confspace::cloud::cloud_space().default_configuration());
+            .unwrap_or_else(|| cloud_obj.space().default_configuration());
         let cluster = ClusterSpec::from_config(&cloud_config)
             .unwrap_or_else(|_| ClusterSpec::table1_testbed());
         drop(stage1_span);
@@ -250,7 +258,7 @@ impl SeamlessTuner {
         // --- Stage 2: DISC configuration on the chosen cluster, ---
         // --- warm-started from similar tenants.                 ---
         let transfer_span = obs::span("transfer").with("k", self.config.transfer_k);
-        let disc_space = confspace::spark::spark_space();
+        let disc_space = crate::objective::spark_space();
         let raw_donations: Vec<Observation> = if self.config.transfer_k == 0 {
             Vec::new()
         } else {
@@ -300,7 +308,7 @@ impl SeamlessTuner {
         // baseline (one evaluation charged to the stage-2 budget).
         let incumbent = {
             let _incumbent = obs::span("incumbent");
-            disc_obj.evaluate(&Self::house_default(), self.env.seed ^ seed ^ 0x52)
+            disc_obj.evaluate(house_default(), self.env.seed ^ seed ^ 0x52)
         };
         s2.history.push(incumbent);
         s2.best = crate::tuner::best_observation(&s2.history).cloned();

@@ -7,7 +7,7 @@
 use confspace::{
     CandidatePool, Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler,
 };
-use models::{expected_improvement, FitKind, GpFitCache, Kernel};
+use models::{expected_improvement, FitKind, GpFitCache, GpPredictCache, Kernel};
 use rand::RngCore;
 
 use crate::objective::Observation;
@@ -16,11 +16,6 @@ use crate::tuner::{best_observation, encode_censored, encode_history, Tuner};
 /// Maximum observations kept for the GP fit (most recent + the best are
 /// retained): bounds the O(n³) Cholesky cost for long sessions.
 const MAX_GP_POINTS: usize = 120;
-
-/// Candidates scored per parallel chunk in the acquisition loop: large
-/// enough to amortize thread hand-off, and a whole number of
-/// `GpRegressor::predict_batch`'s 64-row blocks.
-const EI_CHUNK: usize = 64;
 
 /// Squared bandwidth of the local EI penalty used by batch proposals
 /// (h = 0.2 in the unit-normalized encoded space).
@@ -50,16 +45,24 @@ fn penalize_censored(scores: &mut [f64], encoded: &[&[f64]], censored: &[Vec<f64
 pub struct BayesOpt {
     /// Warm-up design size before the GP takes over.
     pub init_samples: usize,
-    /// Random candidates scored per proposal.
+    /// Uniform candidates drawn for a session (and again whenever the
+    /// session has proposed them all).
     pub candidates: usize,
-    /// Extra neighbourhood candidates around the incumbent.
+    /// Extra neighbourhood candidates around the incumbent, redrawn
+    /// every round.
     pub local_candidates: usize,
     kernel: Kernel,
     pending_init: Vec<Configuration>,
     fit_cache: GpFitCache,
-    /// Typed candidate rows and their encodings, redrawn in place every
-    /// round; only the picks become configurations.
-    pool: CandidatePool,
+    /// The session's uniform candidates, typed rows and encodings:
+    /// drawn at the first model-guided proposal and kept, less each row
+    /// once it is proposed. Only the picks become configurations. A
+    /// session runs on one space; [`Tuner::reset`] starts a new one.
+    uniform: CandidatePool,
+    /// The uniform candidates' predictions, carried from fit to fit.
+    scores: GpPredictCache,
+    /// The neighbour candidates of the current round.
+    local: CandidatePool,
 }
 
 impl Default for BayesOpt {
@@ -99,7 +102,9 @@ impl BayesOpt {
             kernel,
             pending_init: Vec::new(),
             fit_cache: GpFitCache::new(),
-            pool: CandidatePool::default(),
+            uniform: CandidatePool::default(),
+            scores: GpPredictCache::default(),
+            local: CandidatePool::default(),
         }
     }
 
@@ -140,28 +145,35 @@ impl BayesOpt {
         gp
     }
 
-    /// Redraws the candidate pool for one acquisition round into
-    /// `self.pool`, typed rows and encodings in the same pass: global
-    /// uniform samples plus local refinements around the incumbent, a
-    /// rejected refinement standing in as the clamped incumbent. Draw
-    /// for draw the same pool `UniformSampler::sample_n` and `neighbor`
-    /// would build, without naming the values.
+    /// Readies the candidates of one acquisition round: the session's
+    /// uniform rows, drawn and encoded only when the session has none
+    /// left (its first model-guided round, or once all are proposed),
+    /// and local refinements around the incumbent, redrawn every round,
+    /// a rejected refinement standing in as the clamped incumbent. Draw
+    /// for draw the rows `UniformSampler::sample_n` and `neighbor` would
+    /// build, without naming the values.
     fn candidate_pool(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
         rng: &mut dyn RngCore,
     ) {
-        let pool = &mut self.pool;
-        pool.reset(space);
-        for _ in 0..self.candidates {
-            pool.push_uniform(space, rng);
+        let uniform = &mut self.uniform;
+        if uniform.is_empty() {
+            uniform.reset(space);
+            for _ in 0..self.candidates {
+                uniform.push_uniform(space, rng);
+            }
+            let rows: Vec<&[f64]> = (0..uniform.len()).map(|i| uniform.encoding(i)).collect();
+            self.scores = GpPredictCache::new(&rows);
         }
+        let local = &mut self.local;
+        local.reset(space);
         if let Some(best) = best_observation(history) {
-            pool.set_base(space, &best.config);
+            local.set_base(space, &best.config);
             for _ in 0..self.local_candidates {
-                if !pool.push_neighbor(space, 0.05, 0.4, rng) {
-                    pool.fall_back();
+                if !local.push_neighbor(space, 0.05, 0.4, rng) {
+                    local.fall_back();
                 }
             }
         }
@@ -253,27 +265,32 @@ impl Tuner for BayesOpt {
         reg.histogram("bo.candidate_pool_s")
             .time(|| self.candidate_pool(space, history, rng));
         let censored = encode_censored(space, history);
-        let pool = &self.pool;
-        let encoded: Vec<&[f64]> = (0..pool.len()).map(|i| pool.encoding(i)).collect();
+        let (uniform, local) = (&self.uniform, &self.local);
+        let m = uniform.len();
+        let encoded: Vec<&[f64]> = (0..m)
+            .map(|i| uniform.encoding(i))
+            .chain((0..local.len()).map(|i| local.encoding(i)))
+            .collect();
 
         let _acq = obs::span("acquisition")
-            .with("candidates", pool.len())
+            .with("candidates", encoded.len())
             .with("q", q);
-        reg.histogram("bo.acquisition_s").time(|| {
-            // Score candidates in chunks, in parallel only when the scan
-            // (≈ candidates·n·(d + n) for n GP points) is large enough;
-            // each chunk runs through the GP's blocked prediction kernel.
-            // Scores come back in candidate order, so each arg-max (last
-            // maximum on ties) is thread-count independent.
-            let (n, d) = (gp.len(), space.len());
-            let threads = models::par::threads_for((encoded.len() * n * (d + n)) as u64);
-            let mut scores =
-                models::par::par_chunks_threads(&encoded, threads, EI_CHUNK, |chunk| {
-                    gp.predict_batch(chunk)
-                        .into_iter()
-                        .map(|(m, s)| expected_improvement(m, s, best_ln))
-                        .collect()
-                });
+        let cache = &mut self.scores;
+        let (mut out, taken) = reg.histogram("bo.acquisition_s").time(|| {
+            // The uniform rows' predictions carry over from the last
+            // fit; the fresh neighbour rows are scored from scratch by
+            // the same kernel. Scores come back in candidate order, so
+            // each arg-max (last maximum on ties) is deterministic.
+            let path = cache.update(&gp);
+            reg.counter(&obs::labeled("bo.pool.rescore", &[("path", path.label())]))
+                .inc();
+            let fresh = gp.predict_batch(&encoded[m..]);
+            let mut scores: Vec<f64> = cache
+                .predictions()
+                .iter()
+                .chain(&fresh)
+                .map(|&(mean, std)| expected_improvement(mean, std, best_ln))
+                .collect();
             penalize_censored(&mut scores, &encoded, &censored);
             let mut taken = vec![false; scores.len()];
             let mut out: Vec<Configuration> = Vec::with_capacity(q);
@@ -285,7 +302,14 @@ impl Tuner for BayesOpt {
                     break;
                 };
                 taken[i] = true;
-                out.push(pool.config(space, i));
+                let (pick, source) = if i < m {
+                    (uniform.config(space, i), "uniform")
+                } else {
+                    (local.config(space, i - m), "neighbour")
+                };
+                reg.counter(&obs::labeled("bo.pick", &[("source", source)]))
+                    .inc();
+                out.push(pick);
                 if out.len() == q {
                     break;
                 }
@@ -301,18 +325,27 @@ impl Tuner for BayesOpt {
                     scores[j] *= 1.0 - (-d2 / (2.0 * PENALTY_BANDWIDTH_SQ)).exp();
                 }
             }
-            // Degenerate pools (q > candidates) top up with uniform
-            // exploration rather than duplicating picks.
-            while out.len() < q {
-                out.push(UniformSampler.sample(space, rng));
-            }
-            out
-        })
+            (out, taken)
+        });
+        // A proposed uniform row leaves the session's pool.
+        if taken[..m].contains(&true) {
+            let keep: Vec<bool> = taken[..m].iter().map(|&t| !t).collect();
+            self.uniform.retain(&keep);
+            self.scores.retain(&keep);
+        }
+        // Degenerate pools (q > candidates) top up with uniform
+        // exploration rather than duplicating picks.
+        while out.len() < q {
+            out.push(UniformSampler.sample(space, rng));
+        }
+        out
     }
 
     fn reset(&mut self) {
         self.pending_init.clear();
         self.fit_cache.clear();
+        self.uniform = CandidatePool::default();
+        self.scores = GpPredictCache::default();
     }
 }
 
@@ -401,6 +434,249 @@ mod tests {
                 failure: None,
             });
         }
+    }
+
+    /// A smooth synthetic runtime over any space, through the encoding.
+    fn smooth_runtime(space: &ParamSpace, cfg: &Configuration) -> f64 {
+        let x = space.encode(cfg);
+        let bowl: f64 = x
+            .iter()
+            .enumerate()
+            .map(|(k, v)| (v - 0.2 - 0.6 * (k % 3) as f64 / 2.0).powi(2))
+            .sum();
+        20.0 + 40.0 * bowl
+    }
+
+    fn observed(config: Configuration, runtime_s: f64) -> Observation {
+        Observation {
+            config,
+            runtime_s,
+            cost_usd: 0.0,
+            metrics: None,
+            failure: None,
+        }
+    }
+
+    /// A rugged synthetic runtime: no smooth bowl for neighbours to
+    /// descend, so uniform rows win picks too.
+    fn rugged_runtime(space: &ParamSpace, cfg: &Configuration) -> f64 {
+        let x = space.encode(cfg);
+        let waves: f64 = x
+            .iter()
+            .enumerate()
+            .map(|(k, v)| (17.0 * k as f64 + 40.0 * v).sin())
+            .sum();
+        20.0 + 10.0 * waves.abs()
+    }
+
+    fn bits(p: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        p.iter().map(|(m, s)| (m.to_bits(), s.to_bits())).collect()
+    }
+
+    /// After a model-guided proposal over `history`, the pool's cached
+    /// scores equal a from-scratch fit's `predict_batch` over the same
+    /// rows, bit for bit. Returns the path the cache took, replayed on
+    /// its state from before the proposal (`before`).
+    fn check_cached_scores(
+        bo: &BayesOpt,
+        before: &GpPredictCache,
+        space: &ParamSpace,
+        history: &[Observation],
+    ) -> models::Rescore {
+        let (x, y) = encode_history(space, bo.subsample(history));
+        let gp = models::GpRegressor::fit_auto(&x, &y, bo.kernel);
+        let rows: Vec<&[f64]> = (0..bo.uniform.len())
+            .map(|i| bo.uniform.encoding(i))
+            .collect();
+        assert_eq!(bo.scores.len(), rows.len());
+        assert_eq!(
+            bits(bo.scores.predictions()),
+            bits(&gp.predict_batch(&rows)),
+            "cached scores differ from a fresh predict_batch at n = {}",
+            x.len()
+        );
+        before.clone().update(&gp)
+    }
+
+    fn guided(bo: &BayesOpt, history: &[Observation]) -> bool {
+        history.iter().filter(|o| !o.is_censored()).count() >= bo.init_samples
+    }
+
+    /// A [`BayesOpt`] shared with the test, recording the history it was
+    /// last shown, so it can sit inside a [`TransferTuner`].
+    ///
+    /// [`TransferTuner`]: crate::transfer::TransferTuner
+    struct Shared {
+        bo: std::rc::Rc<std::cell::RefCell<BayesOpt>>,
+        seen: std::rc::Rc<std::cell::RefCell<Vec<Observation>>>,
+    }
+
+    impl Tuner for Shared {
+        fn name(&self) -> &str {
+            "shared"
+        }
+
+        fn propose(
+            &mut self,
+            space: &ParamSpace,
+            history: &[Observation],
+            rng: &mut dyn RngCore,
+        ) -> Configuration {
+            *self.seen.borrow_mut() = history.to_vec();
+            self.bo.borrow_mut().propose(space, history, rng)
+        }
+    }
+
+    #[test]
+    fn cached_scores_match_a_fresh_predict_batch_on_every_path() {
+        use models::Rescore;
+        let space = confspace::spark::spark_space();
+        let mut paths = Vec::new();
+
+        // A plain session: the cache appends, and follows the grid.
+        let mut bo = BayesOpt::new();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut history: Vec<Observation> = Vec::new();
+        for _ in 0..40 {
+            let before = bo.scores.clone();
+            let cfg = bo.propose(&space, &history, &mut rng);
+            if guided(&bo, &history) {
+                paths.push(check_cached_scores(&bo, &before, &space, &history));
+            }
+            let runtime = smooth_runtime(&space, &cfg);
+            history.push(observed(cfg, runtime));
+        }
+        assert_eq!(paths[0], Rescore::Rebuild, "the first fit fills the cache");
+
+        // A donation that misleads is dropped mid-session: the training
+        // set stops extending the cached one.
+        let shared = Shared {
+            bo: Default::default(),
+            seen: Default::default(),
+        };
+        let (bo, seen) = (shared.bo.clone(), shared.seen.clone());
+        let mut lhs = StdRng::seed_from_u64(8);
+        let trap = UniformSampler.sample(&space, &mut lhs);
+        let mut donated = vec![observed(trap.clone(), 1.0)];
+        donated.extend(
+            (0..5).map(|i| observed(UniformSampler.sample(&space, &mut lhs), 30.0 + i as f64)),
+        );
+        let mut transfer = crate::transfer::TransferTuner::new(Box::new(shared), donated);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut history: Vec<Observation> = Vec::new();
+        let mut transfer_paths = Vec::new();
+        for _ in 0..16 {
+            let before = bo.borrow().scores.clone();
+            seen.borrow_mut().clear();
+            let cfg = transfer.propose(&space, &history, &mut rng);
+            let shown = seen.borrow().clone();
+            if !shown.is_empty() && guided(&bo.borrow(), &shown) {
+                transfer_paths.push(check_cached_scores(&bo.borrow(), &before, &space, &shown));
+            }
+            let runtime = if cfg == trap {
+                10_000.0
+            } else {
+                smooth_runtime(&space, &cfg)
+            };
+            history.push(observed(cfg, runtime));
+        }
+        assert!(
+            !transfer.donation_active(),
+            "the donation should be dropped"
+        );
+        assert!(
+            transfer_paths[1..].contains(&Rescore::Rebuild),
+            "dropping the donation rebuilds: {transfer_paths:?}"
+        );
+        paths.extend(&transfer_paths[1..]);
+
+        // Past MAX_GP_POINTS the fit subsamples, so its training set
+        // is no longer an extension of the last one.
+        let mut bo = BayesOpt::new();
+        let mut rng = StdRng::seed_from_u64(6);
+        let long: Vec<Observation> = (0..MAX_GP_POINTS + 3)
+            .map(|_| {
+                let cfg = UniformSampler.sample(&space, &mut rng);
+                let runtime = smooth_runtime(&space, &cfg);
+                observed(cfg, runtime)
+            })
+            .collect();
+        for n in MAX_GP_POINTS + 1..=MAX_GP_POINTS + 3 {
+            let before = bo.scores.clone();
+            let _ = bo.propose(&space, &long[..n], &mut rng);
+            let path = check_cached_scores(&bo, &before, &space, &long[..n]);
+            if n > MAX_GP_POINTS + 1 {
+                assert_eq!(path, Rescore::Rebuild, "a subsampled fit at n = {n}");
+            }
+        }
+
+        for want in [
+            Rescore::Append,
+            Rescore::Noise,
+            Rescore::LengthScale,
+            Rescore::Rebuild,
+        ] {
+            assert!(paths[1..].contains(&want), "no {want:?} in {paths:?}");
+        }
+    }
+
+    #[test]
+    fn proposed_rows_leave_the_pool_and_batch_picks_are_distinct() {
+        let space = confspace::spark::spark_space();
+        for q in [1, 4] {
+            let mut bo = BayesOpt::new();
+            let mut rng = StdRng::seed_from_u64(12);
+            let mut history: Vec<Observation> = Vec::new();
+            while history.len() < 40 {
+                let rows_before: Vec<Vec<f64>> = (0..bo.uniform.len())
+                    .map(|i| bo.uniform.encoding(i).to_vec())
+                    .collect();
+                let was_guided = guided(&bo, &history);
+                let batch = bo.propose_batch(&space, &history, q, &mut rng);
+                assert_eq!(batch.len(), q);
+                for (i, a) in batch.iter().enumerate() {
+                    assert!(!batch[..i].contains(a), "q = {q}: a repeated pick");
+                }
+                if was_guided && !rows_before.is_empty() {
+                    let rows_after: Vec<Vec<f64>> = (0..bo.uniform.len())
+                        .map(|i| bo.uniform.encoding(i).to_vec())
+                        .collect();
+                    let from_pool = batch
+                        .iter()
+                        .filter(|c| rows_before.contains(&space.encode(c)))
+                        .count();
+                    assert_eq!(rows_after.len() + from_pool, rows_before.len());
+                    for c in &batch {
+                        assert!(!rows_after.contains(&space.encode(c)), "a pick stayed");
+                    }
+                }
+                for cfg in batch {
+                    let runtime = rugged_runtime(&space, &cfg);
+                    history.push(observed(cfg, runtime));
+                }
+            }
+            assert!(
+                bo.uniform.len() < bo.candidates,
+                "q = {q}: no pick came from the pool"
+            );
+        }
+    }
+
+    #[test]
+    fn reset_clears_the_pool_and_its_scores() {
+        let space = synth_space();
+        let mut bo = BayesOpt::new();
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut history = Vec::new();
+        for _ in 0..12 {
+            let cfg = bo.propose(&space, &history, &mut rng);
+            let runtime_s = synth_eval(&cfg);
+            history.push(observed(cfg, runtime_s));
+        }
+        assert!(!bo.uniform.is_empty() && !bo.scores.is_empty());
+        bo.reset();
+        assert!(bo.uniform.is_empty() && bo.scores.is_empty());
+        assert!(bo.scores.predictions().is_empty());
     }
 
     #[test]

@@ -351,9 +351,9 @@ fn batch_1_service_tune_matches_its_pinned_fingerprint() {
             "house default",
         ),
         (
-            4626163978277326135,
+            4626089705475221494,
             "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
-            "{spark.broadcast.blockSize.mb=71, spark.default.parallelism=432, spark.driver.memory.mb=8192, spark.dynamicAllocation.enabled=false, spark.executor.cores=6, spark.executor.instances=27, spark.executor.memory.mb=17408, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=96, spark.locality.wait.ms=9000, spark.memory.fraction=0.8911419273150993, spark.memory.storageFraction=0.5555683209410196, spark.network.timeout.s=53, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=39, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=656, spark.shuffle.sort.bypassMergeThreshold=764, spark.shuffle.spill.compress=false, spark.speculation=true, spark.speculation.multiplier=1.225837732499041, spark.speculation.quantile=0.6986227500565719, spark.sql.shuffle.partitions=617, spark.storage.level=MEMORY_ONLY}",
+            "{spark.broadcast.blockSize.mb=107, spark.default.parallelism=566, spark.driver.memory.mb=3328, spark.dynamicAllocation.enabled=false, spark.executor.cores=8, spark.executor.instances=21, spark.executor.memory.mb=22016, spark.io.compression.codec=lz4, spark.kryoserializer.buffer.max.mb=47, spark.locality.wait.ms=2500, spark.memory.fraction=0.7406608019675778, spark.memory.storageFraction=0.4485482993093698, spark.network.timeout.s=339, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=71, spark.scheduler.mode=FIFO, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=800, spark.shuffle.sort.bypassMergeThreshold=857, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.2544843558618421, spark.speculation.quantile=0.7728816337897582, spark.sql.shuffle.partitions=202, spark.storage.level=MEMORY_AND_DISK}",
         ),
     ];
     assert_fingerprints(&got, &want);
@@ -371,14 +371,14 @@ fn additive_batch_1_service_tune_matches_its_pinned_fingerprint() {
     });
     let want = [
         (
-            4619004634660142882,
+            4620132302229839249,
             "{cloud.instance.family=h1, cloud.instance.size=4xlarge, cloud.node.count=11}",
-            "{spark.broadcast.blockSize.mb=127, spark.default.parallelism=221, spark.driver.memory.mb=4608, spark.dynamicAllocation.enabled=false, spark.executor.cores=4, spark.executor.instances=34, spark.executor.memory.mb=23040, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=57, spark.locality.wait.ms=7500, spark.memory.fraction=0.31796526985367357, spark.memory.storageFraction=0.44221100701796934, spark.network.timeout.s=52, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=56, spark.scheduler.mode=FAIR, spark.serializer=java, spark.shuffle.compress=false, spark.shuffle.file.buffer.kb=336, spark.shuffle.sort.bypassMergeThreshold=33, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=2.601063644919469, spark.speculation.quantile=0.902461766042196, spark.sql.shuffle.partitions=769, spark.storage.level=MEMORY_ONLY}",
+            "{spark.broadcast.blockSize.mb=64, spark.default.parallelism=692, spark.driver.memory.mb=6400, spark.dynamicAllocation.enabled=false, spark.executor.cores=5, spark.executor.instances=31, spark.executor.memory.mb=23808, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=30, spark.locality.wait.ms=5000, spark.memory.fraction=0.7918813253470127, spark.memory.storageFraction=0.4286907962123083, spark.network.timeout.s=232, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=101, spark.scheduler.mode=FIFO, spark.serializer=kryo, spark.shuffle.compress=false, spark.shuffle.file.buffer.kb=128, spark.shuffle.sort.bypassMergeThreshold=200, spark.shuffle.spill.compress=false, spark.speculation=false, spark.speculation.multiplier=1.4912121696182208, spark.speculation.quantile=0.8866917755722734, spark.sql.shuffle.partitions=743, spark.storage.level=MEMORY_AND_DISK}",
         ),
         (
-            4627399236279170429,
+            4627551973608732886,
             "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
-            "{spark.broadcast.blockSize.mb=120, spark.default.parallelism=442, spark.driver.memory.mb=6656, spark.dynamicAllocation.enabled=false, spark.executor.cores=4, spark.executor.instances=30, spark.executor.memory.mb=4096, spark.io.compression.codec=zstd, spark.kryoserializer.buffer.max.mb=100, spark.locality.wait.ms=3000, spark.memory.fraction=0.48682850417000856, spark.memory.storageFraction=0.7659233430646809, spark.network.timeout.s=237, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=19, spark.scheduler.mode=FIFO, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=784, spark.shuffle.sort.bypassMergeThreshold=690, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=2.317028537995605, spark.speculation.quantile=0.9271469501978749, spark.sql.shuffle.partitions=782, spark.storage.level=MEMORY_ONLY}",
+            "{spark.broadcast.blockSize.mb=50, spark.default.parallelism=219, spark.driver.memory.mb=6912, spark.dynamicAllocation.enabled=false, spark.executor.cores=13, spark.executor.instances=39, spark.executor.memory.mb=23552, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=93, spark.locality.wait.ms=9500, spark.memory.fraction=0.6264720896649636, spark.memory.storageFraction=0.2909815478974599, spark.network.timeout.s=493, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=160, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=928, spark.shuffle.sort.bypassMergeThreshold=823, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.2097860410866292, spark.speculation.quantile=0.6304126919184099, spark.sql.shuffle.partitions=609, spark.storage.level=MEMORY_AND_DISK}",
         ),
     ];
     assert_fingerprints(&got, &want);
@@ -428,9 +428,9 @@ fn chaos_service_tune_matches_its_pinned_fingerprint() {
             "house default",
         ),
         (
-            4626163978277326135,
+            4626089705475221494,
             "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
-            "{spark.broadcast.blockSize.mb=71, spark.default.parallelism=432, spark.driver.memory.mb=8192, spark.dynamicAllocation.enabled=false, spark.executor.cores=6, spark.executor.instances=27, spark.executor.memory.mb=17408, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=96, spark.locality.wait.ms=9000, spark.memory.fraction=0.8911419273150993, spark.memory.storageFraction=0.5555683209410196, spark.network.timeout.s=53, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=39, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=656, spark.shuffle.sort.bypassMergeThreshold=764, spark.shuffle.spill.compress=false, spark.speculation=true, spark.speculation.multiplier=1.225837732499041, spark.speculation.quantile=0.6986227500565719, spark.sql.shuffle.partitions=617, spark.storage.level=MEMORY_ONLY}",
+            "{spark.broadcast.blockSize.mb=107, spark.default.parallelism=566, spark.driver.memory.mb=3328, spark.dynamicAllocation.enabled=false, spark.executor.cores=8, spark.executor.instances=21, spark.executor.memory.mb=22016, spark.io.compression.codec=lz4, spark.kryoserializer.buffer.max.mb=47, spark.locality.wait.ms=2500, spark.memory.fraction=0.7406608019675778, spark.memory.storageFraction=0.4485482993093698, spark.network.timeout.s=339, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=71, spark.scheduler.mode=FIFO, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=800, spark.shuffle.sort.bypassMergeThreshold=857, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.2544843558618421, spark.speculation.quantile=0.7728816337897582, spark.sql.shuffle.partitions=202, spark.storage.level=MEMORY_AND_DISK}",
         ),
     ];
     assert_fingerprints(&got, &want);

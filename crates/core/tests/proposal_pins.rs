@@ -143,8 +143,8 @@ fn assert_pinned_on(
 fn bayesopt_replays_its_pinned_proposals() {
     assert_pinned(
         &mut BayesOpt::new(),
-        11421691642649820655,
-        "{spark.broadcast.blockSize.mb=3, spark.default.parallelism=920, spark.driver.memory.mb=4864, spark.dynamicAllocation.enabled=false, spark.executor.cores=4, spark.executor.instances=24, spark.executor.memory.mb=13312, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=17, spark.locality.wait.ms=0, spark.memory.fraction=0.750962793968378, spark.memory.storageFraction=0.6012428493243702, spark.network.timeout.s=84, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=256, spark.scheduler.mode=FAIR, spark.serializer=java, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=992, spark.shuffle.sort.bypassMergeThreshold=687, spark.shuffle.spill.compress=false, spark.speculation=true, spark.speculation.multiplier=1.9813465373295833, spark.speculation.quantile=0.9277553120834969, spark.sql.shuffle.partitions=508, spark.storage.level=MEMORY_ONLY}",
+        7103996086746789392,
+        "{spark.broadcast.blockSize.mb=115, spark.default.parallelism=175, spark.driver.memory.mb=5120, spark.dynamicAllocation.enabled=false, spark.executor.cores=13, spark.executor.instances=45, spark.executor.memory.mb=18176, spark.io.compression.codec=lz4, spark.kryoserializer.buffer.max.mb=8, spark.locality.wait.ms=5500, spark.memory.fraction=0.580735650231521, spark.memory.storageFraction=0.5871582166486154, spark.network.timeout.s=509, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=233, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=928, spark.shuffle.sort.bypassMergeThreshold=700, spark.shuffle.spill.compress=false, spark.speculation=false, spark.speculation.multiplier=1.7938045082102194, spark.speculation.quantile=0.6371824342025456, spark.sql.shuffle.partitions=33, spark.storage.level=DISK_ONLY}",
     );
 }
 
@@ -172,8 +172,8 @@ fn bayesopt_replays_its_pinned_cloud_proposals() {
         &cloud_space(),
         observe_cloud,
         &mut BayesOpt::new(),
-        15738486489701988903,
-        "{cloud.instance.family=r5, cloud.instance.size=large, cloud.node.count=17}",
+        5776847067537276088,
+        "{cloud.instance.family=m5, cloud.instance.size=2xlarge, cloud.node.count=2}",
     );
 }
 
@@ -183,7 +183,7 @@ fn bayesopt_replays_its_pinned_constrained_proposals() {
         &constrained_space(),
         observe_constrained,
         &mut BayesOpt::new(),
-        1392942389425353921,
-        "{c=y, n=32, scale=98.57664320657624}",
+        11950795614027733459,
+        "{c=z, n=0, scale=94.92851092622874}",
     );
 }

@@ -289,6 +289,49 @@ fn grid_factorize(
     .collect()
 }
 
+/// Writes `Σ_i kv_i · alpha_i` across a block of queries into `mean`,
+/// summing each query's terms in training order from −0.0 (row `i` of
+/// `kv` holds `k(x_i, q)` across the block).
+fn weigh_rows(kv: &[f64], alpha: &[f64], mean: &mut [f64]) {
+    mean.fill(-0.0);
+    for (row, &a) in kv.chunks_exact(mean.len()).zip(alpha) {
+        for (m, &k) in mean.iter_mut().zip(row) {
+            *m += k * a;
+        }
+    }
+}
+
+/// Forward substitution `L v = k*` across a block of `b` queries, in
+/// place: rows `from..` of `kv` hold `k(x_i, q)` and are overwritten by
+/// `v_i`, row by row; rows before `from` must already hold `v`. Each
+/// entry is computed in one fixed order, so solving rows in two calls
+/// gives the bits of one call.
+fn forward_substitute(chol: &Matrix, kv: &mut [f64], b: usize, from: usize) {
+    for i in from..kv.len() / b {
+        let (solved, rest) = kv.split_at_mut(i * b);
+        let vi = &mut rest[..b];
+        let lrow = chol.row(i);
+        for (&lij, vj) in lrow.iter().zip(solved.chunks_exact(b)) {
+            for (s, &v) in vi.iter_mut().zip(vj) {
+                *s -= lij * v;
+            }
+        }
+        for s in vi.iter_mut() {
+            *s /= lrow[i];
+        }
+    }
+}
+
+/// Adds `v_i²` of every row of `v` to `sq`, row by row, across a block
+/// of queries.
+fn add_squares(v: &[f64], sq: &mut [f64]) {
+    for row in v.chunks_exact(sq.len()) {
+        for (acc, &x) in sq.iter_mut().zip(row) {
+            *acc += x * x;
+        }
+    }
+}
+
 impl GpRegressor {
     /// Fits a GP with the given kernel and observation-noise variance
     /// (in standardized-target units).
@@ -373,13 +416,7 @@ impl GpRegressor {
         let mut kv = vec![0.0; n * block];
         let mut mean = vec![0.0; block];
         let mut sq = vec![0.0; block];
-        // The prior variance `k(q, q) + noise` has the same bits for
-        // every finite query: each of the kernel's per-dimension terms
-        // reads `(q_k − q_k)/ls`, which is `(0 − 0)/ls` when `q_k` is
-        // finite. A query holding a NaN or an infinity keeps the
-        // per-query formula.
-        let origin = vec![0.0; d];
-        let prior = self.kernel.eval(&origin, &origin) + self.noise;
+        let prior = self.prior_variance();
         let mut out = Vec::with_capacity(qs.len());
         for chunk in qs.chunks(PREDICT_BLOCK) {
             let b = chunk.len();
@@ -393,32 +430,10 @@ impl GpRegressor {
                 }
             }
             self.kernel.eval_block(&self.x, qt, b, kv);
-            mean.fill(-0.0);
-            for (row, &a) in kv.chunks_exact(b).zip(&self.alpha) {
-                for (m, &k) in mean.iter_mut().zip(row) {
-                    *m += k * a;
-                }
-            }
-            // Forward substitution `L v = k*`, row by row in place.
-            for i in 0..n {
-                let (solved, rest) = kv.split_at_mut(i * b);
-                let vi = &mut rest[..b];
-                let lrow = self.chol.row(i);
-                for (&lij, vj) in lrow.iter().zip(solved.chunks_exact(b)) {
-                    for (s, &v) in vi.iter_mut().zip(vj) {
-                        *s -= lij * v;
-                    }
-                }
-                for s in vi.iter_mut() {
-                    *s /= lrow[i];
-                }
-            }
+            weigh_rows(kv, &self.alpha, mean);
+            forward_substitute(&self.chol, kv, b, 0);
             sq.fill(-0.0);
-            for row in kv.chunks_exact(b) {
-                for (acc, &v) in sq.iter_mut().zip(row) {
-                    *acc += v * v;
-                }
-            }
+            add_squares(kv, sq);
             for ((q, &m), &s) in chunk.iter().zip(&*mean).zip(&*sq) {
                 let q = q.as_ref();
                 let kss = if q.iter().all(|v| v.is_finite()) {
@@ -426,11 +441,27 @@ impl GpRegressor {
                 } else {
                     self.kernel.eval(q, q) + self.noise
                 };
-                let var = (kss - s).max(1e-12);
-                out.push((m * self.y_std + self.y_mean, var.sqrt() * self.y_std));
+                out.push(self.posterior(kss, m, s));
             }
         }
         out
+    }
+
+    /// The prior variance `k(q, q) + noise` of every finite query: each
+    /// of the kernel's per-dimension terms reads `(q_k − q_k)/ls`, which
+    /// is `(0 − 0)/ls` when `q_k` is finite, so the bits are the same
+    /// for every such query. A query holding a NaN or an infinity needs
+    /// the per-query formula.
+    fn prior_variance(&self) -> f64 {
+        let origin = vec![0.0; self.x[0].len()];
+        self.kernel.eval(&origin, &origin) + self.noise
+    }
+
+    /// A query's `(mean, std)` in target units from its prior variance
+    /// `kss`, its standardized posterior mean `k*·α` and `Σv²`.
+    fn posterior(&self, kss: f64, mean: f64, sq: f64) -> (f64, f64) {
+        let var = (kss - sq).max(1e-12);
+        (mean * self.y_std + self.y_mean, var.sqrt() * self.y_std)
     }
 
     /// The fit's log marginal likelihood (standardized-target units).
@@ -665,6 +696,205 @@ impl GpFitCache {
             chols,
         });
         gp
+    }
+}
+
+/// Which part of a [`GpPredictCache`] a refit recomputed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rescore {
+    /// The training set grew under the same length scale and noise:
+    /// one kernel row and one `v` row per new point, O(m·(d + n)) each.
+    Append,
+    /// Only the noise changed: `v` is solved again from the kept kernel
+    /// values, O(m·n²).
+    Noise,
+    /// The length scale changed: kernel values and `v` are recomputed,
+    /// O(m·n·(d + n)).
+    LengthScale,
+    /// The training set is not an extension of the cached one (or the
+    /// cache was empty): everything is recomputed.
+    Rebuild,
+}
+
+impl Rescore {
+    /// The path's telemetry label.
+    pub fn label(self) -> &'static str {
+        match self {
+            Rescore::Append => "append",
+            Rescore::Noise => "noise",
+            Rescore::LengthScale => "length_scale",
+            Rescore::Rebuild => "rebuild",
+        }
+    }
+}
+
+/// Posterior predictions for a fixed set of query rows, carried from one
+/// fit of a growing training set to the next.
+///
+/// A Bayesian-optimization session scores the same candidates against
+/// a model that is refitted after every observation, usually on the
+/// old training set plus one point and often at the same grid point.
+/// Per query this keeps the kernel values `k(x_i, q)` and the forward
+/// substitution `v = L⁻¹k*` with `Σv²`, for the fit they were computed
+/// under. [`update`](Self::update) recomputes only what the new fit
+/// changed (see [`Rescore`]); the mean `k*·α` is recomputed every time,
+/// in O(m·n), since standardization moves `α` with every target.
+///
+/// Row `i` of the Cholesky factor depends only on the first `i + 1`
+/// training points, the length scale and the noise, so a kept `v_i` is
+/// the one a fresh solve computes; every entry keeps
+/// [`GpRegressor::predict_batch`]'s operation order, so each cached
+/// `(mean, std)` is bit for bit `predict_batch` of its query.
+#[derive(Debug, Clone, Default)]
+pub struct GpPredictCache {
+    /// Number of queries (the block width of every buffer).
+    m: usize,
+    /// The queries, column-major: `qt[k * m + c]` is dimension `k` of
+    /// query `c`.
+    qt: Vec<f64>,
+    /// The fit the buffers hold: training rows, kernel and noise.
+    x: Vec<Vec<f64>>,
+    fit: Option<(Kernel, f64)>,
+    /// `k(x_i, q)`, row `i` across the queries.
+    kstar: Vec<f64>,
+    /// `v_i`, row `i` across the queries.
+    v: Vec<f64>,
+    /// `Σv²` per query.
+    sq: Vec<f64>,
+    /// Scratch for `k*·α`, rewritten by every update.
+    mean: Vec<f64>,
+    out: Vec<(f64, f64)>,
+}
+
+impl GpPredictCache {
+    /// A cache for `queries`, scored by no fit yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queries differ in dimension or hold a non-finite
+    /// value.
+    pub fn new<Q: AsRef<[f64]>>(queries: &[Q]) -> Self {
+        let m = queries.len();
+        let d = queries.first().map_or(0, |q| q.as_ref().len());
+        let mut qt = vec![0.0; d * m];
+        for (c, q) in queries.iter().enumerate() {
+            let q = q.as_ref();
+            assert_eq!(q.len(), d, "query dimension mismatch");
+            assert!(q.iter().all(|v| v.is_finite()), "non-finite query");
+            for (k, &v) in q.iter().enumerate() {
+                qt[k * m + c] = v;
+            }
+        }
+        GpPredictCache {
+            m,
+            qt,
+            ..GpPredictCache::default()
+        }
+    }
+
+    /// Number of queries.
+    pub fn len(&self) -> usize {
+        self.m
+    }
+
+    /// Whether the cache holds no queries.
+    pub fn is_empty(&self) -> bool {
+        self.m == 0
+    }
+
+    /// The `(mean, std)` of each query under the last
+    /// [`update`](Self::update)'s fit, in query order.
+    pub fn predictions(&self) -> &[(f64, f64)] {
+        &self.out
+    }
+
+    /// Rescores the queries under `gp`, recomputing only what changed
+    /// since the last update, and returns the path taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the queries' dimension differs from the training rows'.
+    pub fn update(&mut self, gp: &GpRegressor) -> Rescore {
+        let (m, n, old) = (self.m, gp.x.len(), self.x.len());
+        let extends = self.fit.is_some() && n >= old && gp.x[..old] == self.x[..];
+        let path = match self.fit {
+            _ if !extends => Rescore::Rebuild,
+            Some((kernel, _)) if kernel != gp.kernel => Rescore::LengthScale,
+            Some((_, noise)) if noise != gp.noise => Rescore::Noise,
+            _ => Rescore::Append,
+        };
+        if m > 0 {
+            assert_eq!(
+                self.qt.len(),
+                gp.x[0].len() * m,
+                "kernel dimension mismatch"
+            );
+            // Kernel rows: all of them, or those of the new points.
+            let kept = match path {
+                Rescore::Rebuild | Rescore::LengthScale => 0,
+                Rescore::Noise | Rescore::Append => old,
+            };
+            self.kstar.resize(n * m, 0.0);
+            gp.kernel
+                .eval_block(&gp.x[kept..], &self.qt, m, &mut self.kstar[kept * m..]);
+            // `v` rows: all of them, or those of the new points.
+            let solved = if path == Rescore::Append { old } else { 0 };
+            self.v.truncate(solved * m);
+            self.v.extend_from_slice(&self.kstar[solved * m..]);
+            forward_substitute(&gp.chol, &mut self.v, m, solved);
+            if solved == 0 {
+                self.sq.clear();
+                self.sq.resize(m, -0.0);
+            }
+            add_squares(&self.v[solved * m..], &mut self.sq);
+            self.mean.resize(m, 0.0);
+            weigh_rows(&self.kstar, &gp.alpha, &mut self.mean);
+            let prior = gp.prior_variance();
+            self.out.clear();
+            self.out.extend(
+                self.mean
+                    .iter()
+                    .zip(&self.sq)
+                    .map(|(&mean, &sq)| gp.posterior(prior, mean, sq)),
+            );
+        }
+        if path == Rescore::Rebuild {
+            self.x.clear();
+        }
+        self.x.extend_from_slice(&gp.x[self.x.len()..]);
+        self.fit = Some((gp.kernel, gp.noise));
+        path
+    }
+
+    /// Keeps the queries whose `keep` entry is true, in order, with
+    /// their cached state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep.len() != self.len()`.
+    pub fn retain(&mut self, keep: &[bool]) {
+        assert_eq!(keep.len(), self.m, "one keep flag per query");
+        let m = self.m;
+        let kept = keep.iter().filter(|&&k| k).count();
+        let compact = |buf: &mut Vec<f64>| {
+            let mut w = 0;
+            for r in 0..buf.len() / m.max(1) {
+                for (c, &k) in keep.iter().enumerate() {
+                    if k {
+                        buf[w] = buf[r * m + c];
+                        w += 1;
+                    }
+                }
+            }
+            buf.truncate(w);
+        };
+        for buf in [&mut self.qt, &mut self.kstar, &mut self.v, &mut self.sq] {
+            compact(buf);
+        }
+        let mut flags = keep.iter();
+        self.out
+            .retain(|_| *flags.next().expect("one flag per query"));
+        self.m = kept;
     }
 }
 

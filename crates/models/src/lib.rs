@@ -36,7 +36,8 @@ pub use changepoint::{ChangeDetector, Cusum, FixedThreshold, PageHinkley};
 pub use cluster::{k_medoids, k_nearest, Clustering};
 pub use forest::{ForestParams, RandomForest};
 pub use gp::{
-    expected_improvement, lower_confidence_bound, FitKind, GpFitCache, GpRegressor, Kernel,
+    expected_improvement, lower_confidence_bound, FitKind, GpFitCache, GpPredictCache, GpRegressor,
+    Kernel, Rescore,
 };
 pub use linalg::{ridge_solve, LinalgError, Matrix};
 pub use linear::{ErnestModel, RidgeRegression};

@@ -7,8 +7,6 @@
 //!
 //! * [`par_map`] / [`par_map_threads`] — order-preserving parallel map
 //!   over a slice;
-//! * [`par_chunks_threads`] — order-preserving parallel flat-map over
-//!   contiguous chunks (lets workers reuse per-chunk scratch buffers);
 //! * [`num_threads`] — worker count from `available_parallelism`, with a
 //!   `SEAMLESS_THREADS` environment override;
 //! * [`threads_for`] — the worker count a model kernel should ask for,
@@ -29,17 +27,17 @@
 //!
 //! **A work cutoff.** Model kernels fan out only when [`threads_for`]
 //! says their estimated work reaches [`PAR_WORK_CUTOFF`]: at service
-//! sizes (a cached GP append, a full fit or an acquisition scan up to
+//! sizes (a cached GP append, or a full fit up to
 //! ~60 points) spawning threads costs more CPU than it saves wall time,
 //! while the cold n = 120 grid refit and the n = 512 fit still split
 //! across cores.
 //!
-//! Both helpers have a sequential path (one worker, tiny inputs, or a
-//! nested call) and take an explicit thread count, so callers pick the
-//! fan-out and equivalence tests can pin it. Callers keep results
-//! deterministic: closures must be pure functions of their input
-//! (seed-split RNGs, no shared mutable state), and both helpers return
-//! results in input order whatever the thread count, so outputs are
+//! [`par_map_threads`] has a sequential path (one worker, tiny inputs,
+//! or a nested call) and takes an explicit thread count, so callers
+//! pick the fan-out and equivalence tests can pin it. Callers keep
+//! results deterministic: closures must be pure functions of their
+//! input (seed-split RNGs, no shared mutable state), and results come
+//! back in input order whatever the thread count, so outputs are
 //! bitwise identical at every thread count.
 
 use std::cell::Cell;
@@ -173,31 +171,6 @@ where
         .collect()
 }
 
-/// Parallel flat-map over contiguous chunks: one chunk per worker, at
-/// least `min_chunk` items each except possibly the last, mapped with
-/// [`par_map_threads`]. `f` receives whole chunks so it can amortize
-/// per-chunk scratch allocations; the concatenated output preserves
-/// input order. Inputs smaller than two chunks, `threads <= 1` and
-/// calls made on a worker thread run sequentially as one chunk.
-pub fn par_chunks_threads<T, R, F>(items: &[T], threads: usize, min_chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    let min_chunk = min_chunk.max(1);
-    let threads = threads.max(1).min(items.len() / min_chunk);
-    if threads <= 1 || on_worker() {
-        return f(items);
-    }
-    let chunk = items.len().div_ceil(threads).max(min_chunk);
-    let chunks: Vec<&[T]> = items.chunks(chunk).collect();
-    par_map_threads(&chunks, threads, |c| f(c))
-        .into_iter()
-        .flatten()
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,29 +188,6 @@ mod tests {
     fn par_map_handles_tiny_inputs() {
         assert_eq!(par_map_threads::<u32, u32, _>(&[], 8, |x| *x), vec![]);
         assert_eq!(par_map_threads(&[5u32], 8, |x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn par_chunks_matches_flat_map() {
-        let items: Vec<i64> = (0..131).collect();
-        let expect: Vec<i64> = items.iter().map(|x| x * 3).collect();
-        for threads in [1, 2, 4, 16] {
-            let got =
-                par_chunks_threads(&items, threads, 10, |c| c.iter().map(|x| x * 3).collect());
-            assert_eq!(got, expect);
-        }
-    }
-
-    #[test]
-    fn par_chunks_respects_min_chunk_sequentially() {
-        // 8 items with min_chunk 100 => single sequential chunk.
-        let seen = std::sync::atomic::AtomicUsize::new(0);
-        let got = par_chunks_threads(&[1u8; 8][..], 8, 100, |c| {
-            seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            c.to_vec()
-        });
-        assert_eq!(got.len(), 8);
-        assert_eq!(seen.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 
     /// Waits until `counter` reaches `target`, giving up after ten
@@ -260,12 +210,7 @@ mod tests {
             let me = std::thread::current().id();
             assert!(on_worker());
             let mapped = par_map_threads(&[0u8; 16], 8, |_| std::thread::current().id());
-            let chunked = par_chunks_threads(&[0u8; 64], 8, 4, |c| {
-                vec![std::thread::current().id(); c.len()]
-            });
-            mapped.len() == 16
-                && chunked.len() == 64
-                && mapped.iter().chain(&chunked).all(|id| *id == me)
+            mapped.len() == 16 && mapped.iter().all(|id| *id == me)
         });
         assert_eq!(outer, vec![true; 4]);
     }
@@ -314,7 +259,6 @@ mod tests {
     #[test]
     fn worker_flag_does_not_leak_to_the_caller() {
         let _ = par_map_threads(&[0u8; 8], 2, |x| x + 1);
-        let _ = par_chunks_threads(&[0u8; 8], 2, 2, |c| c.to_vec());
         assert!(!on_worker());
         // Both items must run at once: each waits for the other, which
         // only a real second worker can satisfy.

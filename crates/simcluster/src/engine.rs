@@ -543,6 +543,11 @@ impl Simulator {
 /// List-schedules task `durations` (seconds) onto `slots` identical
 /// slots, returning the makespan in seconds. Earliest-free-slot
 /// assignment — the event-driven core of the simulator.
+///
+/// The heap holds only the slots' free times, so each task moves the
+/// earliest one forward in place (one sift-down, where a pop and a push
+/// would sift twice); the multiset of free times, and so the makespan,
+/// evolves exactly as with a pop and a push.
 fn schedule(durations: &[f64], slots: usize) -> f64 {
     let slots = slots.max(1);
     if durations.is_empty() {
@@ -551,10 +556,10 @@ fn schedule(durations: &[f64], slots: usize) -> f64 {
     let mut heap: BinaryHeap<Reverse<Micros>> = (0..slots).map(|_| Reverse(0)).collect();
     let mut makespan: Micros = 0;
     for &d in durations {
-        let Reverse(free) = heap.pop().expect("heap is never empty");
-        let end = free + to_micros(d);
+        let mut earliest = heap.peek_mut().expect("heap is never empty");
+        let end = earliest.0 + to_micros(d);
         makespan = makespan.max(end);
-        heap.push(Reverse(end));
+        earliest.0 = end;
     }
     to_secs(makespan)
 }
@@ -609,6 +614,45 @@ mod tests {
         // Long pole dominates.
         assert!((schedule(&[5.0, 1.0, 1.0], 4) - 5.0).abs() < 1e-6);
         assert_eq!(schedule(&[], 4), 0.0);
+    }
+
+    /// [`schedule`] as a pop of the earliest free slot and a push of its
+    /// new free time per task.
+    fn schedule_pop_push(durations: &[f64], slots: usize) -> f64 {
+        let slots = slots.max(1);
+        if durations.is_empty() {
+            return 0.0;
+        }
+        let mut heap: BinaryHeap<Reverse<Micros>> = (0..slots).map(|_| Reverse(0)).collect();
+        let mut makespan: Micros = 0;
+        for &d in durations {
+            let Reverse(free) = heap.pop().expect("heap is never empty");
+            let end = free + to_micros(d);
+            makespan = makespan.max(end);
+            heap.push(Reverse(end));
+        }
+        to_secs(makespan)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(400))]
+
+        /// The in-place update schedules like a pop and a push, bit for
+        /// bit: random durations drawn from a few values (ties), zeros,
+        /// and slot counts up to past the task count.
+        #[test]
+        fn schedule_matches_pop_push(seed in proptest::prelude::any::<u64>(), tasks in 0usize..200, slots in 0usize..260) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let durations: Vec<f64> = (0..tasks)
+                .map(|_| match rng.gen_range(0..4u32) {
+                    0 => 0.0,
+                    1 => [0.5, 1.0, 2.25][rng.gen_range(0..3usize)],
+                    _ => rng.gen::<f64>() * 30.0,
+                })
+                .collect();
+            let (fast, slow) = (schedule(&durations, slots), schedule_pop_push(&durations, slots));
+            proptest::prop_assert_eq!(fast.to_bits(), slow.to_bits(), "{} tasks on {} slots", tasks, slots);
+        }
     }
 
     #[test]

@@ -34,6 +34,10 @@ for threads in 1 2 8; do
   # property suite's round-trip and damage cases must hold at any count.
   echo "==> SEAMLESS_THREADS=${threads} cargo test -q --test properties"
   SEAMLESS_THREADS="${threads}" cargo test -q --test properties
+  # BayesOpt's session pool: cached scores must equal a fresh fit's
+  # predictions bit for bit whatever worker count the fit ran on.
+  echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p seamless-core --lib tuner::bo"
+  SEAMLESS_THREADS="${threads}" cargo test -q -p seamless-core --lib tuner::bo
 done
 
 # The chaos suite asserts seed-for-seed reproducible fault injection;
@@ -46,6 +50,13 @@ done
 
 echo "==> cargo build -q -p bench --bins --benches"
 cargo build -q -p bench --bins --benches
+
+# The paired quality sweep, one seed, so the tool keeps running: it
+# must print one JSON line per transfer arm plus the two arm summaries.
+echo "==> service_sweep smoke (1 seed)"
+sweep="$(cargo run -q -p bench --bin service_sweep -- --seeds 1)"
+[ "$(echo "$sweep" | grep -c '"tuned_vs_default"')" -eq 2 ] \
+  || { echo "service_sweep printed no result for each arm"; exit 1; }
 
 # The end-to-end benchmark is its own workspace built against the
 # crates' public API; building it here catches an API change that

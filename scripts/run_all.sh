@@ -12,3 +12,7 @@ for exp in table1 pipeline anatomy misconfig efficiency amortization \
   ./target/release/exp_$exp | tee results/exp_$exp.txt
   echo
 done
+# The paired quality sweep: one JSON line per seed and transfer arm,
+# then each arm's BayesOpt rescore-path and pick-source sums.
+echo "== service_sweep =="
+./target/release/service_sweep --seeds 10 | tee results/service_sweep.jsonl
