@@ -19,8 +19,16 @@
 //! the same tenants on both. A last line per arm sums BayesOpt's
 //! rescore paths and pick sources over the sweep.
 //!
-//! Run with: `cargo run --release -p bench --bin service_sweep -- --seeds 10`
+//! `--compare <parent.jsonl> <change.jsonl>` reads two such sweeps,
+//! pairs their lines by seed within each arm, and prints one JSON line
+//! per arm: the mean, sd and standard error of the paired differences
+//! (change minus parent) of `ln tuned_vs_default`, `ln tuning_cost_usd`
+//! and `crashed_stage2_per_tune`.
+//!
+//! Run with: `cargo run --release -p bench --bin service_sweep -- --seeds 10`,
+//! or `... -- --compare parent.jsonl change.jsonl`.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -95,26 +103,51 @@ fn counter_values() -> Vec<u64> {
         .collect()
 }
 
-fn parse_seeds() -> Result<u64, String> {
+/// What the command line asks for.
+enum Mode {
+    /// Sweep seeds `1..=n`.
+    Sweep(u64),
+    /// Pair two sweeps' lines: (parent file, change file).
+    Compare(String, String),
+}
+
+fn parse_args() -> Result<Mode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.as_slice() {
-        [] => Ok(10),
+        [] => Ok(Mode::Sweep(10)),
         [flag, n] if flag == "--seeds" => match n.parse::<u64>() {
-            Ok(n) if n > 0 => Ok(n),
+            Ok(n) if n > 0 => Ok(Mode::Sweep(n)),
             _ => Err(format!("bad --seeds {n} (a positive count)")),
         },
-        _ => Err("usage: service_sweep [--seeds <n>]".to_owned()),
+        [flag, parent, change] if flag == "--compare" => {
+            Ok(Mode::Compare(parent.clone(), change.clone()))
+        }
+        _ => Err(
+            "usage: service_sweep [--seeds <n>] | --compare <parent.jsonl> <change.jsonl>"
+                .to_owned(),
+        ),
     }
 }
 
 fn main() -> ExitCode {
-    let seeds = match parse_seeds() {
-        Ok(n) => n,
+    let result = match parse_args() {
+        Ok(Mode::Sweep(seeds)) => {
+            sweep(seeds);
+            Ok(())
+        }
+        Ok(Mode::Compare(parent, change)) => compare(&parent, &change),
+        Err(why) => Err(why),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(why) => {
             eprintln!("service_sweep: {why}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+fn sweep(seeds: u64) {
     let mut per_arm = vec![vec![0u64; COUNTERS.len()]; ARMS.len()];
     for seed in 1..=seeds {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EE9);
@@ -176,5 +209,118 @@ fn main() -> ExitCode {
             fields.join(", ")
         );
     }
-    ExitCode::SUCCESS
+}
+
+/// The per-seed fields `--compare` pairs, and whether each is compared
+/// as a log-ratio (`true`) or a plain difference.
+const COMPARED: [(&str, bool); 3] = [
+    ("tuned_vs_default", true),
+    ("tuning_cost_usd", true),
+    ("crashed_stage2_per_tune", false),
+];
+
+/// A sweep's per-seed lines: (seed, transfer_k) → the [`COMPARED`]
+/// fields. Arm summary lines carry no seed and are skipped.
+fn read_sweep(path: &str) -> Result<BTreeMap<(u64, u64), [f64; 3]>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut lines = BTreeMap::new();
+    for (n, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let at = format!("{path}:{}", n + 1);
+        let v: serde::Value = serde_json::from_str(line).map_err(|e| format!("{at}: {e}"))?;
+        if v.get("seed").is_none() {
+            continue;
+        }
+        let num = |key: &str| {
+            v.get(key)
+                .and_then(serde::Value::as_f64)
+                .ok_or_else(|| format!("{at}: no number `{key}`"))
+        };
+        let key = (num("seed")? as u64, num("transfer_k")? as u64);
+        let fields = [
+            num(COMPARED[0].0)?,
+            num(COMPARED[1].0)?,
+            num(COMPARED[2].0)?,
+        ];
+        if lines.insert(key, fields).is_some() {
+            return Err(format!("{at}: seed {} arm {} appears twice", key.0, key.1));
+        }
+    }
+    Ok(lines)
+}
+
+/// Mean, sample sd and standard error of `xs`; the sd and se are NaN
+/// below two values.
+fn paired_stats(xs: &[f64]) -> [f64; 3] {
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    let sd = (xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt();
+    [mean, sd, sd / n.sqrt()]
+}
+
+/// A JSON number, or `null` when it is not finite.
+fn json_num(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x:.6}")
+    } else {
+        "null".to_owned()
+    }
+}
+
+fn compare(parent: &str, change: &str) -> Result<(), String> {
+    let (before, after) = (read_sweep(parent)?, read_sweep(change)?);
+    for &transfer_k in &ARMS {
+        let pairs: Vec<(&[f64; 3], &[f64; 3])> = before
+            .iter()
+            .filter(|((_, arm), _)| *arm == transfer_k as u64)
+            .filter_map(|(key, b)| after.get(key).map(|a| (b, a)))
+            .collect();
+        if pairs.is_empty() {
+            return Err(format!(
+                "no seed of arm transfer_k={transfer_k} is in both files"
+            ));
+        }
+        let fields: Vec<String> = COMPARED
+            .iter()
+            .enumerate()
+            .map(|(f, &(name, log))| {
+                let diffs: Vec<f64> = pairs
+                    .iter()
+                    .map(|(b, a)| if log { (a[f] / b[f]).ln() } else { a[f] - b[f] })
+                    .collect();
+                let [mean, sd, se] = paired_stats(&diffs);
+                format!(
+                    "\"{}{name}\": {{\"mean\": {}, \"sd\": {}, \"se\": {}}}",
+                    if log { "log_ratio_" } else { "diff_" },
+                    json_num(mean),
+                    json_num(sd),
+                    json_num(se)
+                )
+            })
+            .collect();
+        println!(
+            "{{\"transfer_k\": {transfer_k}, \"pairs\": {}, {}}}",
+            pairs.len(),
+            fields.join(", ")
+        );
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn paired_stats_are_mean_sample_sd_and_se() {
+        let [mean, sd, se] = paired_stats(&[1.0, 2.0, 3.0, 6.0]);
+        assert_eq!(mean, 3.0);
+        assert!((sd - (14.0f64 / 3.0).sqrt()).abs() < 1e-12);
+        assert!((se - sd / 2.0).abs() < 1e-12);
+        let [mean, sd, _] = paired_stats(&[0.25]);
+        assert_eq!(mean, 0.25);
+        assert!(sd.is_nan());
+    }
 }

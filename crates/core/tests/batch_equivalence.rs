@@ -346,14 +346,14 @@ fn batch_1_service_tune_matches_its_pinned_fingerprint() {
     });
     let want = [
         (
-            4623560622410178765,
-            "{cloud.instance.family=i3, cloud.instance.size=large, cloud.node.count=16}",
-            "house default",
+            4620873179271438808,
+            "{cloud.instance.family=i3, cloud.instance.size=2xlarge, cloud.node.count=9}",
+            "{spark.broadcast.blockSize.mb=95, spark.default.parallelism=635, spark.driver.memory.mb=2048, spark.dynamicAllocation.enabled=false, spark.executor.cores=5, spark.executor.instances=42, spark.executor.memory.mb=26112, spark.io.compression.codec=zstd, spark.kryoserializer.buffer.max.mb=116, spark.locality.wait.ms=5000, spark.memory.fraction=0.5539144365935974, spark.memory.storageFraction=0.1860992037369613, spark.network.timeout.s=273, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=184, spark.scheduler.mode=FAIR, spark.serializer=java, spark.shuffle.compress=false, spark.shuffle.file.buffer.kb=416, spark.shuffle.sort.bypassMergeThreshold=301, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=2.7070193608898268, spark.speculation.quantile=0.9098073301553598, spark.sql.shuffle.partitions=767, spark.storage.level=MEMORY_ONLY}",
         ),
         (
-            4626089705475221494,
+            4627014565539123229,
             "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
-            "{spark.broadcast.blockSize.mb=107, spark.default.parallelism=566, spark.driver.memory.mb=3328, spark.dynamicAllocation.enabled=false, spark.executor.cores=8, spark.executor.instances=21, spark.executor.memory.mb=22016, spark.io.compression.codec=lz4, spark.kryoserializer.buffer.max.mb=47, spark.locality.wait.ms=2500, spark.memory.fraction=0.7406608019675778, spark.memory.storageFraction=0.4485482993093698, spark.network.timeout.s=339, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=71, spark.scheduler.mode=FIFO, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=800, spark.shuffle.sort.bypassMergeThreshold=857, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.2544843558618421, spark.speculation.quantile=0.7728816337897582, spark.sql.shuffle.partitions=202, spark.storage.level=MEMORY_AND_DISK}",
+            "{spark.broadcast.blockSize.mb=50, spark.default.parallelism=198, spark.driver.memory.mb=6656, spark.dynamicAllocation.enabled=false, spark.executor.cores=14, spark.executor.instances=39, spark.executor.memory.mb=23552, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=93, spark.locality.wait.ms=10000, spark.memory.fraction=0.6264720896649636, spark.memory.storageFraction=0.29496555262235546, spark.network.timeout.s=468, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=160, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=992, spark.shuffle.sort.bypassMergeThreshold=860, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.1327747441873681, spark.speculation.quantile=0.6304126919184099, spark.sql.shuffle.partitions=609, spark.storage.level=MEMORY_AND_DISK}",
         ),
     ];
     assert_fingerprints(&got, &want);
@@ -371,12 +371,12 @@ fn additive_batch_1_service_tune_matches_its_pinned_fingerprint() {
     });
     let want = [
         (
-            4620132302229839249,
-            "{cloud.instance.family=h1, cloud.instance.size=4xlarge, cloud.node.count=11}",
+            4620900052813365280,
+            "{cloud.instance.family=i3, cloud.instance.size=2xlarge, cloud.node.count=15}",
             "{spark.broadcast.blockSize.mb=64, spark.default.parallelism=692, spark.driver.memory.mb=6400, spark.dynamicAllocation.enabled=false, spark.executor.cores=5, spark.executor.instances=31, spark.executor.memory.mb=23808, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=30, spark.locality.wait.ms=5000, spark.memory.fraction=0.7918813253470127, spark.memory.storageFraction=0.4286907962123083, spark.network.timeout.s=232, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=101, spark.scheduler.mode=FIFO, spark.serializer=kryo, spark.shuffle.compress=false, spark.shuffle.file.buffer.kb=128, spark.shuffle.sort.bypassMergeThreshold=200, spark.shuffle.spill.compress=false, spark.speculation=false, spark.speculation.multiplier=1.4912121696182208, spark.speculation.quantile=0.8866917755722734, spark.sql.shuffle.partitions=743, spark.storage.level=MEMORY_AND_DISK}",
         ),
         (
-            4627551973608732886,
+            4628106399936909446,
             "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
             "{spark.broadcast.blockSize.mb=50, spark.default.parallelism=219, spark.driver.memory.mb=6912, spark.dynamicAllocation.enabled=false, spark.executor.cores=13, spark.executor.instances=39, spark.executor.memory.mb=23552, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=93, spark.locality.wait.ms=9500, spark.memory.fraction=0.6264720896649636, spark.memory.storageFraction=0.2909815478974599, spark.network.timeout.s=493, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=160, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=928, spark.shuffle.sort.bypassMergeThreshold=823, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.2097860410866292, spark.speculation.quantile=0.6304126919184099, spark.sql.shuffle.partitions=609, spark.storage.level=MEMORY_AND_DISK}",
         ),
@@ -398,14 +398,14 @@ fn batch_4_service_tune_matches_its_pinned_fingerprint() {
     });
     let want = [
         (
-            4623560622410178765,
-            "{cloud.instance.family=i3, cloud.instance.size=large, cloud.node.count=16}",
-            "house default",
+            4620410805956695747,
+            "{cloud.instance.family=i3, cloud.instance.size=4xlarge, cloud.node.count=7}",
+            "{spark.broadcast.blockSize.mb=64, spark.default.parallelism=692, spark.driver.memory.mb=6400, spark.dynamicAllocation.enabled=false, spark.executor.cores=5, spark.executor.instances=31, spark.executor.memory.mb=23808, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=34, spark.locality.wait.ms=5000, spark.memory.fraction=0.7918813253470127, spark.memory.storageFraction=0.4286907962123083, spark.network.timeout.s=232, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=101, spark.scheduler.mode=FIFO, spark.serializer=kryo, spark.shuffle.compress=false, spark.shuffle.file.buffer.kb=192, spark.shuffle.sort.bypassMergeThreshold=251, spark.shuffle.spill.compress=false, spark.speculation=false, spark.speculation.multiplier=1.42491893036668, spark.speculation.quantile=0.8866917755722734, spark.sql.shuffle.partitions=743, spark.storage.level=MEMORY_AND_DISK}",
         ),
         (
-            4627253398745712081,
+            4627014565539123229,
             "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
-            "{spark.broadcast.blockSize.mb=51, spark.default.parallelism=219, spark.driver.memory.mb=6912, spark.dynamicAllocation.enabled=false, spark.executor.cores=13, spark.executor.instances=38, spark.executor.memory.mb=25856, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=89, spark.locality.wait.ms=9500, spark.memory.fraction=0.6264720896649636, spark.memory.storageFraction=0.2909815478974599, spark.network.timeout.s=523, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=160, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=912, spark.shuffle.sort.bypassMergeThreshold=823, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.2097860410866292, spark.speculation.quantile=0.6304126919184099, spark.sql.shuffle.partitions=609, spark.storage.level=MEMORY_AND_DISK}",
+            "{spark.broadcast.blockSize.mb=50, spark.default.parallelism=198, spark.driver.memory.mb=6656, spark.dynamicAllocation.enabled=false, spark.executor.cores=14, spark.executor.instances=39, spark.executor.memory.mb=23552, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=93, spark.locality.wait.ms=10000, spark.memory.fraction=0.6264720896649636, spark.memory.storageFraction=0.29496555262235546, spark.network.timeout.s=468, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=160, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=992, spark.shuffle.sort.bypassMergeThreshold=860, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.1327747441873681, spark.speculation.quantile=0.6304126919184099, spark.sql.shuffle.partitions=609, spark.storage.level=MEMORY_AND_DISK}",
         ),
     ];
     assert_fingerprints(&got, &want);
@@ -423,14 +423,14 @@ fn chaos_service_tune_matches_its_pinned_fingerprint() {
     });
     let want = [
         (
-            4623595263535562545,
-            "{cloud.instance.family=i3, cloud.instance.size=large, cloud.node.count=17}",
-            "house default",
+            4620873179271438808,
+            "{cloud.instance.family=i3, cloud.instance.size=2xlarge, cloud.node.count=9}",
+            "{spark.broadcast.blockSize.mb=95, spark.default.parallelism=635, spark.driver.memory.mb=2048, spark.dynamicAllocation.enabled=false, spark.executor.cores=5, spark.executor.instances=42, spark.executor.memory.mb=26112, spark.io.compression.codec=zstd, spark.kryoserializer.buffer.max.mb=116, spark.locality.wait.ms=5000, spark.memory.fraction=0.5539144365935974, spark.memory.storageFraction=0.1860992037369613, spark.network.timeout.s=273, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=184, spark.scheduler.mode=FAIR, spark.serializer=java, spark.shuffle.compress=false, spark.shuffle.file.buffer.kb=416, spark.shuffle.sort.bypassMergeThreshold=301, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=2.7070193608898268, spark.speculation.quantile=0.9098073301553598, spark.sql.shuffle.partitions=767, spark.storage.level=MEMORY_ONLY}",
         ),
         (
-            4626089705475221494,
+            4627014565539123229,
             "{cloud.instance.family=c5, cloud.instance.size=4xlarge, cloud.node.count=9}",
-            "{spark.broadcast.blockSize.mb=107, spark.default.parallelism=566, spark.driver.memory.mb=3328, spark.dynamicAllocation.enabled=false, spark.executor.cores=8, spark.executor.instances=21, spark.executor.memory.mb=22016, spark.io.compression.codec=lz4, spark.kryoserializer.buffer.max.mb=47, spark.locality.wait.ms=2500, spark.memory.fraction=0.7406608019675778, spark.memory.storageFraction=0.4485482993093698, spark.network.timeout.s=339, spark.rdd.compress=true, spark.reducer.maxSizeInFlight.mb=71, spark.scheduler.mode=FIFO, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=800, spark.shuffle.sort.bypassMergeThreshold=857, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.2544843558618421, spark.speculation.quantile=0.7728816337897582, spark.sql.shuffle.partitions=202, spark.storage.level=MEMORY_AND_DISK}",
+            "{spark.broadcast.blockSize.mb=50, spark.default.parallelism=198, spark.driver.memory.mb=6656, spark.dynamicAllocation.enabled=false, spark.executor.cores=14, spark.executor.instances=39, spark.executor.memory.mb=23552, spark.io.compression.codec=snappy, spark.kryoserializer.buffer.max.mb=93, spark.locality.wait.ms=10000, spark.memory.fraction=0.6264720896649636, spark.memory.storageFraction=0.29496555262235546, spark.network.timeout.s=468, spark.rdd.compress=false, spark.reducer.maxSizeInFlight.mb=160, spark.scheduler.mode=FAIR, spark.serializer=kryo, spark.shuffle.compress=true, spark.shuffle.file.buffer.kb=992, spark.shuffle.sort.bypassMergeThreshold=860, spark.shuffle.spill.compress=true, spark.speculation=true, spark.speculation.multiplier=1.1327747441873681, spark.speculation.quantile=0.6304126919184099, spark.sql.shuffle.partitions=609, spark.storage.level=MEMORY_AND_DISK}",
         ),
     ];
     assert_fingerprints(&got, &want);

@@ -23,6 +23,7 @@ use crate::error::FailureKind;
 use crate::interference::{InterferenceModel, InterferenceState};
 use crate::metrics::{ExecMetrics, SimResult, StageMetrics};
 use crate::sparkenv::SparkEnv;
+use crate::ziggurat;
 
 /// Time unit used inside the event loop (microseconds).
 type Micros = u64;
@@ -193,6 +194,9 @@ impl Simulator {
         let mut total_oom: u32 = 0;
 
         let storage_total = env.total_storage_mem_mb().max(1.0);
+        // Per-stage task buffers, reused across the run's stages.
+        let mut weights: Vec<f64> = Vec::new();
+        let mut durations: Vec<f64> = Vec::new();
 
         for (i, stage) in job.stages.iter().enumerate() {
             let start: Micros = stage.deps.iter().map(|&d| stage_end[d]).max().unwrap_or(0);
@@ -250,16 +254,15 @@ impl Simulator {
 
             // ---- Per-task durations ---------------------------------
             // Skewed task weights, normalized to sum = ntasks.
-            let mut weights: Vec<f64> = (0..ntasks)
-                .map(|_| {
-                    if stage.skew <= 0.0 {
-                        1.0
-                    } else {
-                        let z: f64 = -(1.0 - rng.gen::<f64>()).ln(); // Exp(1)
-                        (1.0 - stage.skew) + stage.skew * z
-                    }
-                })
-                .collect();
+            weights.clear();
+            weights.extend((0..ntasks).map(|_| {
+                if stage.skew <= 0.0 {
+                    1.0
+                } else {
+                    let z: f64 = -(1.0 - rng.gen::<f64>()).ln(); // Exp(1)
+                    (1.0 - stage.skew) + stage.skew * z
+                }
+            }));
             let wsum: f64 = weights.iter().sum();
             for w in weights.iter_mut() {
                 *w *= ntasks as f64 / wsum.max(1e-12);
@@ -276,9 +279,8 @@ impl Simulator {
                 ..Default::default()
             };
 
-            let mut durations: Vec<f64> = Vec::with_capacity(ntasks);
+            durations.clear();
             let mut median_est = 0.0f64;
-            let mut oom_failed_stage = false;
 
             for (t, &w) in weights.iter().enumerate() {
                 let data_pt = (input_pt + sread_pt + cread_pt) * w;
@@ -346,12 +348,13 @@ impl Simulator {
                     cpu += lost_bytes * stage.cpu_s_per_mb * k::RECOMPUTE_FACTOR / cpu_speed;
                 }
 
-                // Memory pressure: spill or OOM.
+                // Memory pressure: spill, or an OOM loop that fails the
+                // stage (and so the run) at the first such task.
                 let ws = data_pt * stage.mem_expansion;
-                let mut retries = 0u32;
                 if ws > avail_mb * k::OOM_WORKING_SET_FACTOR {
-                    retries = k::MAX_TASK_FAILURES;
-                    oom_failed_stage = true;
+                    return Err(FailureKind::ExecutorOomLoop {
+                        stage: stage.name.clone(),
+                    });
                 } else if ws > avail_mb {
                     let spill = ws - avail_mb;
                     let phys_spill = if spill_compress {
@@ -384,12 +387,6 @@ impl Simulator {
                     }
                 }
 
-                // OOM retries re-run the task.
-                if retries > 0 {
-                    dur *= k::RETRY_TIME_FACTOR.powi(retries as i32);
-                    sm.oom_retries += retries;
-                }
-
                 // Task-level noise.
                 let noise = lognormal(rng, k::TASK_NOISE_SIGMA);
                 dur *= noise;
@@ -407,12 +404,6 @@ impl Simulator {
                 sm.gc_s += gc;
                 sm.ser_s += ser;
                 durations.push(dur);
-            }
-
-            if oom_failed_stage {
-                return Err(FailureKind::ExecutorOomLoop {
-                    stage: stage.name.clone(),
-                });
             }
 
             // Fragile network timeouts under interference bursts.
@@ -443,14 +434,8 @@ impl Simulator {
 
             // ---- Cache this stage's output ---------------------------
             if stage.cache_output {
-                let entry = self.cache_insert(
-                    &storage_level,
-                    stage,
-                    rdd_compress,
-                    codec_ratio,
-                    storage_total,
-                    &mut storage_used_mb,
-                );
+                let entry =
+                    self.cache_insert(&storage_level, stage, storage_total, &mut storage_used_mb);
                 cache[i] = Some(entry);
                 peak_storage_frac = peak_storage_frac.max(storage_used_mb / storage_total);
             }
@@ -497,13 +482,10 @@ impl Simulator {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn cache_insert(
         &self,
         storage_level: &str,
         stage: &StageSpec,
-        rdd_compress: bool,
-        codec_ratio: f64,
         storage_total: f64,
         storage_used_mb: &mut f64,
     ) -> CacheEntry {
@@ -521,7 +503,6 @@ impl Simulator {
                 *storage_used_mb += mem_size * mem_frac;
                 let overflow = 1.0 - mem_frac;
                 if level == "MEMORY_AND_DISK" {
-                    let _ = rdd_compress && codec_ratio > 0.0; // disk bytes shrink; read path accounts for it
                     CacheEntry {
                         mem_frac,
                         disk_frac: overflow,
@@ -564,13 +545,10 @@ fn schedule(durations: &[f64], slots: usize) -> f64 {
     to_secs(makespan)
 }
 
-/// Multiplicative lognormal noise with unit median.
+/// Multiplicative lognormal noise with unit median: `exp(sigma·z)` for a
+/// ziggurat-drawn standard normal `z`.
 fn lognormal<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> f64 {
-    // Box–Muller.
-    let u1: f64 = rng.gen::<f64>().max(1e-12);
-    let u2: f64 = rng.gen();
-    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    (sigma * z).exp()
+    (sigma * ziggurat::standard_normal(rng)).exp()
 }
 
 #[cfg(test)]
@@ -652,6 +630,30 @@ mod tests {
                 .collect();
             let (fast, slow) = (schedule(&durations, slots), schedule_pop_push(&durations, slots));
             proptest::prop_assert_eq!(fast.to_bits(), slow.to_bits(), "{} tasks on {} slots", tasks, slots);
+        }
+    }
+
+    #[test]
+    fn lognormal_factors_have_unit_median_and_sigma_log_sd() {
+        const N: usize = 200_000;
+        for sigma in [k::TASK_NOISE_SIGMA, k::STAGE_NOISE_SIGMA] {
+            let mut rng = StdRng::seed_from_u64(17);
+            let mut logs: Vec<f64> = (0..N).map(|_| lognormal(&mut rng, sigma).ln()).collect();
+            logs.sort_by(f64::total_cmp);
+            let median = logs[N / 2].exp();
+            let mean = logs.iter().sum::<f64>() / N as f64;
+            let sd = (logs.iter().map(|l| (l - mean).powi(2)).sum::<f64>() / N as f64).sqrt();
+            let n = N as f64;
+            // 5 standard errors: 1.2533·σ/√n for the median, σ/√(2n)
+            // for the sd.
+            assert!(
+                (median - 1.0).abs() < 5.0 * 1.2533 * sigma / n.sqrt(),
+                "median {median}"
+            );
+            assert!(
+                (sd - sigma).abs() < 5.0 * sigma / (2.0 * n).sqrt(),
+                "log-sd {sd} vs {sigma}"
+            );
         }
     }
 

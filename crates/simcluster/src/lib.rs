@@ -46,6 +46,7 @@ pub mod interference;
 pub mod metrics;
 pub mod shared;
 pub mod sparkenv;
+mod ziggurat;
 
 pub use catalog::InstanceType;
 pub use cluster::ClusterSpec;

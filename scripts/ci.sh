@@ -58,6 +58,19 @@ sweep="$(cargo run -q -p bench --bin service_sweep -- --seeds 1)"
 [ "$(echo "$sweep" | grep -c '"tuned_vs_default"')" -eq 2 ] \
   || { echo "service_sweep printed no result for each arm"; exit 1; }
 
+# The paired comparison of two sweeps (here the same one-seed sweep,
+# saved twice): one result line per transfer arm.
+echo "==> service_sweep --compare smoke (two 1-seed files)"
+sweep_dir="$(mktemp -d)"
+echo "$sweep" > "$sweep_dir/parent.jsonl"
+echo "$sweep" > "$sweep_dir/change.jsonl"
+compared="$(cargo run -q -p bench --bin service_sweep -- --compare \
+  "$sweep_dir/parent.jsonl" "$sweep_dir/change.jsonl")"
+rm -rf "$sweep_dir"
+echo "$compared"
+[ "$(echo "$compared" | grep -c '"pairs": 1,')" -eq 2 ] \
+  || { echo "service_sweep --compare printed no result for each arm"; exit 1; }
+
 # The end-to-end benchmark is its own workspace built against the
 # crates' public API; building it here catches an API change that
 # would break it.
