@@ -131,7 +131,7 @@ fn propose_latency(n: usize) -> f64 {
         .collect();
     let mut bo = BayesOpt::new();
     time_median(5, || {
-        let _ = bo.propose(&space, &history, &mut rng);
+        let _ = bo.propose(&space, &history, 1, &mut rng);
     })
 }
 

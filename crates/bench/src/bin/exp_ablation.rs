@@ -42,7 +42,7 @@ fn mean_best(make: impl Fn() -> Box<BayesOpt>, job_seed: u64) -> f64 {
             job.clone(),
             &SimEnvironment::dedicated(job_seed + rep),
         );
-        let mut session = TuningSession::with_tuner(make(), 100 + rep);
+        let session = TuningSession::with_tuner(make(), 100 + rep);
         total += session.run(&obj, BUDGET).best_runtime_s();
     }
     total / REPEATS as f64
@@ -144,7 +144,7 @@ fn main() {
                     SeamlessTuner::house_default(),
                     &SimEnvironment::dedicated(70 + rep),
                 );
-                let mut session = TuningSession::new(kind, 200 + rep);
+                let session = TuningSession::new(kind, 200 + rep);
                 total += session.run(&obj, 14).best_runtime_s();
             }
             per_kind.push(total / REPEATS as f64);

@@ -59,7 +59,7 @@ fn main() {
     let mut json = Vec::new();
     for (kind, budget) in plans {
         let obj = DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(51));
-        let mut session = TuningSession::new(kind, 4321);
+        let session = TuningSession::new(kind, 4321);
         let outcome = session.run(&obj, budget);
         let tuned_cost = outcome
             .best

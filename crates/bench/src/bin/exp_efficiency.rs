@@ -56,7 +56,7 @@ fn main() {
                     job.clone(),
                     &SimEnvironment::dedicated(1000 + rep),
                 );
-                let mut session = TuningSession::new(kind, 777 + rep);
+                let session = TuningSession::new(kind, 777 + rep);
                 let outcome = session.run(&obj, BUDGET);
                 for (i, b) in best_so_far(&outcome.history).iter().enumerate() {
                     mean_curve[i] += b / REPEATS as f64;

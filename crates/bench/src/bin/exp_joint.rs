@@ -47,7 +47,7 @@ fn main() {
             let (best_runtime, best_cost) = match mode {
                 "disc-only" => {
                     let obj = DiscObjective::new(ClusterSpec::table1_testbed(), job.clone(), &env);
-                    let mut s = TuningSession::new(TunerKind::BayesOpt, 71 + rep);
+                    let s = TuningSession::new(TunerKind::BayesOpt, 71 + rep);
                     let o = s.run(&obj, TOTAL_BUDGET);
                     (
                         o.best_runtime_s(),
@@ -57,14 +57,14 @@ fn main() {
                 "staged" => {
                     let cloud =
                         CloudObjective::new(job.clone(), SeamlessTuner::house_default(), &env);
-                    let mut s1 = TuningSession::new(TunerKind::BayesOpt, 72 + rep);
+                    let s1 = TuningSession::new(TunerKind::BayesOpt, 72 + rep);
                     let o1 = s1.run(&cloud, TOTAL_BUDGET / 3);
                     let cluster = o1
                         .best_config()
                         .and_then(|c| ClusterSpec::from_config(c).ok())
                         .unwrap_or_else(ClusterSpec::table1_testbed);
                     let disc = DiscObjective::new(cluster, job.clone(), &env);
-                    let mut s2 = TuningSession::new(TunerKind::BayesOpt, 73 + rep);
+                    let s2 = TuningSession::new(TunerKind::BayesOpt, 73 + rep);
                     let o2 = s2.run(&disc, TOTAL_BUDGET - TOTAL_BUDGET / 3);
                     (
                         o2.best_runtime_s(),
@@ -73,7 +73,7 @@ fn main() {
                 }
                 _ => {
                     let obj = JointObjective::new(job.clone(), &env);
-                    let mut s = TuningSession::new(TunerKind::BayesOpt, 74 + rep);
+                    let s = TuningSession::new(TunerKind::BayesOpt, 74 + rep);
                     let o = s.run(&obj, TOTAL_BUDGET);
                     (
                         o.best_runtime_s(),

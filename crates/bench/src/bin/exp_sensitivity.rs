@@ -43,7 +43,7 @@ fn main() {
             w.job(DataScale::Small),
             &SimEnvironment::dedicated(7),
         );
-        let mut session = TuningSession::new(TunerKind::Lhs, 7);
+        let session = TuningSession::new(TunerKind::Lhs, 7);
         let history = session.run(&objective, 60).history;
 
         let additive = additive_effects(&space, &history);

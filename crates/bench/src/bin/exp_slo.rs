@@ -96,7 +96,7 @@ fn main() {
             .map(|(_, c)| refined(&job, c))
             .fold(f64::INFINITY, f64::min);
         let obj = DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(61));
-        let mut session = TuningSession::new(TunerKind::BayesOpt, 616);
+        let session = TuningSession::new(TunerKind::BayesOpt, 616);
         let bo_best = session
             .run(&obj, 60)
             .best_config()
@@ -132,7 +132,7 @@ fn main() {
                 job.clone(),
                 &SimEnvironment::dedicated(620 + rep),
             );
-            let mut session = TuningSession::new(TunerKind::BayesOpt, 6260 + rep);
+            let session = TuningSession::new(TunerKind::BayesOpt, 6260 + rep);
             let best = session
                 .run(&obj, ISOLATED_BUDGET)
                 .best_config()

@@ -101,7 +101,7 @@ fn main() {
     for goal in goals {
         let inner = CloudObjective::new(job.clone(), disc.clone(), &SimEnvironment::dedicated(9));
         let obj = GoalObjective::new(inner, goal);
-        let mut session = TuningSession::new(TunerKind::BayesOpt, 33);
+        let session = TuningSession::new(TunerKind::BayesOpt, 33);
         let outcome = session.run(&obj, 20);
         let best_cfg = outcome.best_config().cloned();
         let (cluster_name, runtime, cost) = match best_cfg {

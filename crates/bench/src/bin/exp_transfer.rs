@@ -35,7 +35,7 @@ fn donor_history(seed: u64) -> Vec<Observation> {
         Pagerank::with_iterations(4).job(DataScale::Small),
         &SimEnvironment::dedicated(seed),
     );
-    let mut session = TuningSession::new(TunerKind::BayesOpt, seed);
+    let session = TuningSession::new(TunerKind::BayesOpt, seed);
     session.run(&obj, 30).history
 }
 
@@ -48,7 +48,7 @@ fn dissimilar_history(seed: u64) -> Vec<Observation> {
         Wordcount::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(seed),
     );
-    let mut session = TuningSession::new(TunerKind::BayesOpt, seed);
+    let session = TuningSession::new(TunerKind::BayesOpt, seed);
     session.run(&obj, 30).history
 }
 
@@ -61,7 +61,7 @@ fn mean_curve(settings: &str, donor: Option<Vec<Observation>>) -> Vec<f64> {
             Pagerank::new().job(DataScale::Small),
             &SimEnvironment::dedicated(900 + rep),
         );
-        let mut session = match &donor {
+        let session = match &donor {
             None => TuningSession::new(TunerKind::BayesOpt, 40 + rep),
             Some(d) => TuningSession::with_tuner(
                 Box::new(TransferTuner::new(TunerKind::BayesOpt.build(), d.clone())),

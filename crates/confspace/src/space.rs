@@ -315,27 +315,6 @@ impl ParamSpace {
             .map(|(p, dim)| dim.typed(p, &p.default))
     }
 
-    /// Names a row's values: the configuration assigning `row[i]` to the
-    /// `i`-th parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len()` differs from [`ParamSpace::len`].
-    pub fn config_of_row(&self, row: Vec<ParamValue>) -> Configuration {
-        assert_eq!(
-            row.len(),
-            self.len(),
-            "row has wrong dimension: {} != {}",
-            row.len(),
-            self.len()
-        );
-        self.params
-            .iter()
-            .zip(row)
-            .map(|(p, v)| (p.name.clone(), v))
-            .collect()
-    }
-
     /// Names a typed row's values, building each choice's string.
     pub(crate) fn config_of_typed(&self, row: &[TypedValue]) -> Configuration {
         debug_assert_eq!(row.len(), self.len());
@@ -363,25 +342,6 @@ impl ParamSpace {
             }
         }
         self.check_constraints(&row)
-    }
-
-    /// The row form of [`validate`](Self::validate): `row` must hold an
-    /// admissible value for every parameter, in space order, and satisfy
-    /// all constraints. Agrees with `validate(&config_of_row(row))`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violation found: [`ConfigError::MissingParam`]
-    /// for the first parameter a short row lacks, a per-parameter
-    /// range/type error, [`ConfigError::UnknownParam`] naming the first
-    /// surplus position of a long row, or
-    /// [`ConfigError::ConstraintViolated`].
-    pub fn validate_row(&self, row: &[ParamValue]) -> Result<(), ConfigError> {
-        let typed = self.typed_checked((0..self.len()).map(|i| row.get(i)))?;
-        if row.len() > self.len() {
-            return Err(ConfigError::UnknownParam(format!("#{}", self.len())));
-        }
-        self.check_constraints(&typed)
     }
 
     /// Checks one value per parameter, in space order, and types them.
@@ -522,44 +482,6 @@ mod tests {
         ));
         let ok = s.default_configuration().with("b", true).with("n", 3i64);
         assert!(s.validate(&ok).is_ok());
-    }
-
-    #[test]
-    fn validate_row_reports_short_and_long_rows() {
-        let s = small_space();
-        let mut row: Vec<ParamValue> = s.params().iter().map(|p| p.default.clone()).collect();
-        assert!(s.validate_row(&row).is_ok());
-        assert_eq!(s.config_of_row(row.clone()), s.default_configuration());
-        row.push(ParamValue::Int(1));
-        assert!(matches!(
-            s.validate_row(&row),
-            Err(ConfigError::UnknownParam(p)) if p == "#4"
-        ));
-        row.truncate(2);
-        assert!(matches!(
-            s.validate_row(&row),
-            Err(ConfigError::MissingParam(p)) if p == "b"
-        ));
-    }
-
-    #[test]
-    fn constraints_read_rows_by_position() {
-        let s = small_space().with_constraint(Constraint::new("n<=4 when b", &["b", "n"], |v| {
-            !v.bool(0) || v.int(1) <= 4
-        }));
-        let row = |n: i64, b: bool| {
-            vec![
-                ParamValue::Int(n),
-                ParamValue::Float(0.5),
-                ParamValue::Bool(b),
-                ParamValue::Str("x".into()),
-            ]
-        };
-        assert!(s.validate_row(&row(8, false)).is_ok());
-        assert!(matches!(
-            s.validate_row(&row(8, true)),
-            Err(ConfigError::ConstraintViolated(_))
-        ));
     }
 
     #[test]

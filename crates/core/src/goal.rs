@@ -180,7 +180,7 @@ mod tests {
             let inner =
                 CloudObjective::new(job.clone(), disc.clone(), &SimEnvironment::dedicated(9));
             let obj = GoalObjective::new(inner, goal);
-            let mut session = TuningSession::new(TunerKind::BayesOpt, 21);
+            let session = TuningSession::new(TunerKind::BayesOpt, 21);
             let outcome = session.run(&obj, 18);
             ClusterSpec::from_config(outcome.best_config().expect("found a config"))
                 .expect("valid cloud config")

@@ -102,9 +102,8 @@ impl ServiceConfig {
 
     /// `session` with this configuration's retry policy and fault
     /// injector (reseeded with `salt`).
-    fn apply_resilience(&self, mut session: TuningSession, salt: u64) -> TuningSession {
-        session.with_resilience(self.effective_retry(), self.injector(salt));
-        session
+    fn apply_resilience(&self, session: TuningSession, salt: u64) -> TuningSession {
+        session.with_resilience(self.effective_retry(), self.injector(salt))
     }
 }
 

@@ -59,9 +59,9 @@ pub fn donated_observations(
 /// donation if it turns out to mislead (negative transfer).
 ///
 /// Batch-native: a round of `q` is the unprobed donated incumbent (if
-/// any) followed by one inner `propose_batch` over the donated prefix
-/// and the real history, so nothing but real outcomes and donations
-/// ever reaches the inner strategy.
+/// any) followed by one inner `propose` over the donated prefix and the
+/// real history, so nothing but real outcomes and donations ever
+/// reaches the inner strategy.
 pub struct TransferTuner {
     inner: Box<dyn Tuner>,
     donated: Vec<Observation>,
@@ -91,13 +91,10 @@ impl TransferTuner {
         &self.visible[self.donated.len()..]
     }
 
-    /// Brings `visible` up to date with `history`. Within a session the
-    /// history only grows (the [`Tuner`] contract), so only new entries
-    /// are cloned; a shorter history means a new session and a rebuild.
+    /// Brings `visible` up to date with `history`. A tuner serves one
+    /// session, whose history only grows (the [`Tuner`] contract), so
+    /// only new entries are cloned.
     fn sync(&mut self, history: &[Observation]) {
-        if history.len() < self.seen().len() {
-            self.visible.truncate(self.donated.len());
-        }
         let seen = self.seen().len();
         debug_assert!(
             seen == 0 || self.seen()[seen - 1] == history[seen - 1],
@@ -210,43 +207,24 @@ impl Tuner for TransferTuner {
         "transfer"
     }
 
-    fn propose(
-        &mut self,
-        space: &ParamSpace,
-        history: &[Observation],
-        rng: &mut dyn RngCore,
-    ) -> Configuration {
-        match self.prepare_round(space, history) {
-            Some(probe) => probe,
-            None => self.inner.propose(space, &self.visible, rng),
-        }
-    }
-
     /// One round: the unprobed donated incumbent (if any) first, then
-    /// one inner `propose_batch` call over `visible` for the rest, so a
+    /// one inner `propose` call over `visible` for the rest, so a
     /// batch-native inner strategy (BayesOpt's q-EI) fits its surrogate
     /// once per round.
-    fn propose_batch(
+    fn propose(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
         q: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<Configuration> {
-        let q = q.max(1);
         let mut batch: Vec<Configuration> =
             self.prepare_round(space, history).into_iter().collect();
         if batch.len() < q {
             let rest = q - batch.len();
-            batch.extend(self.inner.propose_batch(space, &self.visible, rest, rng));
+            batch.extend(self.inner.propose(space, &self.visible, rest, rng));
         }
         batch
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-        self.validated = false;
-        self.visible.truncate(self.donated.len());
     }
 }
 
@@ -285,14 +263,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         // With 8 donated points the BO warm-up is already satisfied, so
         // the first proposal is model-guided.
-        let c = t.propose(&s, &[], &mut rng);
+        let c = t.propose(&s, &[], 1, &mut rng).remove(0);
         assert!(c.int("a") <= 40, "should exploit the donated trend: {c}");
     }
 
-    /// Each inner `propose_batch` call's `q` and the history it was shown.
+    /// Each inner `propose` call's `q` and the history it was shown.
     type Calls = Rc<RefCell<Vec<(usize, Vec<Observation>)>>>;
 
-    /// Records every `propose_batch` call; proposes `a = 0, 1, 2, …`
+    /// Records every `propose` call; proposes `a = 0, 1, 2, …`
     /// in call order.
     struct Spy {
         calls: Calls,
@@ -305,15 +283,6 @@ mod tests {
         }
 
         fn propose(
-            &mut self,
-            space: &ParamSpace,
-            history: &[Observation],
-            rng: &mut dyn RngCore,
-        ) -> Configuration {
-            self.propose_batch(space, history, 1, rng).remove(0)
-        }
-
-        fn propose_batch(
             &mut self,
             space: &ParamSpace,
             history: &[Observation],
@@ -343,7 +312,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut history = Vec::new();
         for round in 0..3 {
-            let batch = t.propose_batch(&s, &history, 8, &mut rng);
+            let batch = t.propose(&s, &history, 8, &mut rng);
             assert_eq!(batch.len(), 8, "round {round}");
             let calls = calls.borrow();
             assert_eq!(calls.len(), round + 1, "one inner call per round");
@@ -392,7 +361,7 @@ mod tests {
             .map(|i| observe(UniformSampler.sample(&s, &mut rng), 40.0 + 3.0 * i as f64))
             .collect();
         let mut t = TransferTuner::new(Box::new(BayesOpt::new()), donated);
-        let batch = t.propose_batch(&s, &history, 8, &mut rng);
+        let batch = t.propose(&s, &history, 8, &mut rng);
         assert_eq!(batch.len(), 8);
         for (i, cfg) in batch.iter().enumerate() {
             assert!(s.validate(cfg).is_ok(), "invalid proposal {cfg}");
@@ -416,7 +385,7 @@ mod tests {
             obs(&s, 95, 12.0),
         ];
         assert!(t.donation_active());
-        let _ = t.propose(&s, &real, &mut rng);
+        let _ = t.propose(&s, &real, 1, &mut rng);
         assert!(!t.donation_active(), "negative transfer should be dropped");
     }
 
@@ -433,7 +402,7 @@ mod tests {
             obs(&s, 90, 80.0),
             obs(&s, 95, 90.0),
         ];
-        let _ = t.propose(&s, &real, &mut rng);
+        let _ = t.propose(&s, &real, 1, &mut rng);
         assert!(t.donation_active());
     }
 

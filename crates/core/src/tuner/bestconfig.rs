@@ -15,13 +15,14 @@ use rand::{Rng, RngCore};
 use crate::objective::Observation;
 use crate::tuner::{best_observation, Tuner};
 
+/// Bound-contraction factor per improving round.
+const CONTRACTION: f64 = 0.5;
+
 /// BestConfig's DDS + RBS strategy.
 #[derive(Debug, Clone)]
 pub struct BestConfig {
     /// Samples per round (the "divide" factor).
     pub k: usize,
-    /// Bound-contraction factor per improving round.
-    pub contraction: f64,
     lo: Vec<f64>,
     hi: Vec<f64>,
     pending: Vec<Configuration>,
@@ -39,7 +40,6 @@ impl BestConfig {
         assert!(k > 0, "k must be positive");
         BestConfig {
             k,
-            contraction: 0.5,
             lo: Vec::new(),
             hi: Vec::new(),
             pending: Vec::new(),
@@ -85,7 +85,7 @@ impl BestConfig {
 
     fn contract_around(&mut self, center: &[f64]) {
         for (j, &c) in center.iter().enumerate() {
-            let radius = (self.hi[j] - self.lo[j]) * self.contraction / 2.0;
+            let radius = (self.hi[j] - self.lo[j]) * CONTRACTION / 2.0;
             self.lo[j] = (c - radius).max(0.0);
             self.hi[j] = (c + radius).min(1.0);
         }
@@ -97,14 +97,10 @@ impl BestConfig {
             self.hi[j] = 1.0;
         }
     }
-}
 
-impl Tuner for BestConfig {
-    fn name(&self) -> &str {
-        "bestconfig"
-    }
-
-    fn propose(
+    /// The next point of the current round, deciding bound or diverge
+    /// when a round completes.
+    fn step(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
@@ -145,30 +141,26 @@ impl Tuner for BestConfig {
             space.clamp(&cand)
         }
     }
+}
+
+impl Tuner for BestConfig {
+    fn name(&self) -> &str {
+        "bestconfig"
+    }
 
     /// Native batch: the divide-and-diverge round *is* the batch —
     /// draining `q` proposals against the same (real) history pops the
     /// current stratified round, re-deciding bound/diverge only at
     /// round boundaries. No constant-liar augmentation, which would
     /// feed fake improvements into the contraction logic.
-    fn propose_batch(
+    fn propose(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
         q: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<Configuration> {
-        (0..q.max(1))
-            .map(|_| self.propose(space, history, rng))
-            .collect()
-    }
-
-    fn reset(&mut self) {
-        self.lo.clear();
-        self.hi.clear();
-        self.pending.clear();
-        self.round_start = 0;
-        self.best_at_round_start = f64::INFINITY;
+        (0..q).map(|_| self.step(space, history, rng)).collect()
     }
 }
 
@@ -198,7 +190,7 @@ mod tests {
         let mut history = Vec::new();
         // Run two full rounds.
         for _ in 0..12 {
-            let cfg = t.propose(&s, &history, &mut rng);
+            let cfg = t.propose(&s, &history, 1, &mut rng).remove(0);
             history.push(Observation {
                 runtime_s: eval(&cfg),
                 config: cfg,
@@ -208,7 +200,7 @@ mod tests {
             });
         }
         // Trigger round-boundary logic.
-        let _ = t.propose(&s, &history, &mut rng);
+        let _ = t.propose(&s, &history, 1, &mut rng);
         let width: f64 = t.hi.iter().zip(&t.lo).map(|(h, l)| h - l).sum();
         assert!(width < 2.0, "bounds should have contracted: {width}");
     }
@@ -220,7 +212,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut history = Vec::new();
         for _ in 0..64 {
-            let cfg = t.propose(&s, &history, &mut rng);
+            let cfg = t.propose(&s, &history, 1, &mut rng).remove(0);
             history.push(Observation {
                 runtime_s: eval(&cfg),
                 config: cfg,
@@ -241,7 +233,7 @@ mod tests {
         // Feed a history where nothing ever improves: constant runtimes.
         let mut history = Vec::new();
         for _ in 0..16 {
-            let cfg = t.propose(&s, &history, &mut rng);
+            let cfg = t.propose(&s, &history, 1, &mut rng).remove(0);
             history.push(Observation {
                 runtime_s: 100.0,
                 config: cfg,
@@ -250,7 +242,7 @@ mod tests {
                 failure: None,
             });
         }
-        let _ = t.propose(&s, &history, &mut rng);
+        let _ = t.propose(&s, &history, 1, &mut rng);
         // After diverging, bounds must span the full space again.
         let width: f64 = t.hi.iter().zip(&t.lo).map(|(h, l)| h - l).sum();
         assert!(
@@ -266,7 +258,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut history = Vec::new();
         for i in 0..30 {
-            let cfg = t.propose(&s, &history, &mut rng);
+            let cfg = t.propose(&s, &history, 1, &mut rng).remove(0);
             assert!(s.validate(&cfg).is_ok(), "proposal {i} invalid");
             history.push(Observation {
                 runtime_s: 50.0 + (i % 7) as f64,

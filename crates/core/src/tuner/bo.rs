@@ -4,22 +4,25 @@
 //! Latin-hypercube design — the data-efficient strategy the paper
 //! contrasts with 500-sample search (§IV-C).
 
-use confspace::{
-    CandidatePool, Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler,
-};
+use confspace::{CandidatePool, Configuration, ParamSpace, Sampler, UniformSampler};
 use models::{expected_improvement, FitKind, GpFitCache, GpPredictCache, Kernel};
 use rand::RngCore;
 
 use crate::objective::Observation;
-use crate::tuner::{best_observation, encode_censored, encode_history, Tuner};
+use crate::tuner::{
+    best_observation, encode_censored, encode_history, next_lhs_point, proximity, Tuner,
+};
 
 /// Maximum observations kept for the GP fit (most recent + the best are
 /// retained): bounds the O(n³) Cholesky cost for long sessions.
 const MAX_GP_POINTS: usize = 120;
 
-/// Squared bandwidth of the local EI penalty used by batch proposals
-/// (h = 0.2 in the unit-normalized encoded space).
-const PENALTY_BANDWIDTH_SQ: f64 = 0.04;
+/// Uniform candidates drawn for a session (and again whenever the
+/// session has proposed them all).
+const CANDIDATES: usize = 256;
+
+/// Neighbourhood candidates around the incumbent, redrawn every round.
+const LOCAL_CANDIDATES: usize = 64;
 
 /// Damps EI scores near censored observations (trials the execution
 /// harness aborted or quarantined): the surrogate has no data there by
@@ -33,8 +36,7 @@ fn penalize_censored(scores: &mut [f64], encoded: &[&[f64]], censored: &[Vec<f64
     for (score, point) in scores.iter_mut().zip(encoded) {
         let mut damp = 1.0;
         for bad in censored {
-            let d2: f64 = point.iter().zip(bad).map(|(a, b)| (a - b) * (a - b)).sum();
-            damp *= 1.0 - (-d2 / (2.0 * PENALTY_BANDWIDTH_SQ)).exp();
+            damp *= 1.0 - proximity(point, bad);
         }
         *score *= damp;
     }
@@ -45,19 +47,13 @@ fn penalize_censored(scores: &mut [f64], encoded: &[&[f64]], censored: &[Vec<f64
 pub struct BayesOpt {
     /// Warm-up design size before the GP takes over.
     pub init_samples: usize,
-    /// Uniform candidates drawn for a session (and again whenever the
-    /// session has proposed them all).
-    pub candidates: usize,
-    /// Extra neighbourhood candidates around the incumbent, redrawn
-    /// every round.
-    pub local_candidates: usize,
     kernel: Kernel,
     pending_init: Vec<Configuration>,
     fit_cache: GpFitCache,
     /// The session's uniform candidates, typed rows and encodings:
     /// drawn at the first model-guided proposal and kept, less each row
     /// once it is proposed. Only the picks become configurations. A
-    /// session runs on one space; [`Tuner::reset`] starts a new one.
+    /// tuner serves one session, so the rows all belong to one space.
     uniform: CandidatePool,
     /// The uniform candidates' predictions, carried from fit to fit.
     scores: GpPredictCache,
@@ -97,8 +93,6 @@ impl BayesOpt {
     pub fn with_kernel(kernel: Kernel) -> Self {
         BayesOpt {
             init_samples: 8,
-            candidates: 256,
-            local_candidates: 64,
             kernel,
             pending_init: Vec::new(),
             fit_cache: GpFitCache::new(),
@@ -161,7 +155,7 @@ impl BayesOpt {
         let uniform = &mut self.uniform;
         if uniform.is_empty() {
             uniform.reset(space);
-            for _ in 0..self.candidates {
+            for _ in 0..CANDIDATES {
                 uniform.push_uniform(space, rng);
             }
             let rows: Vec<&[f64]> = (0..uniform.len()).map(|i| uniform.encoding(i)).collect();
@@ -171,7 +165,7 @@ impl BayesOpt {
         local.reset(space);
         if let Some(best) = best_observation(history) {
             local.set_base(space, &best.config);
-            for _ in 0..self.local_candidates {
+            for _ in 0..LOCAL_CANDIDATES {
                 if !local.push_neighbor(space, 0.05, 0.4, rng) {
                     local.fall_back();
                 }
@@ -216,45 +210,24 @@ impl Tuner for BayesOpt {
         }
     }
 
-    fn propose(
-        &mut self,
-        space: &ParamSpace,
-        history: &[Observation],
-        rng: &mut dyn RngCore,
-    ) -> Configuration {
-        self.propose_batch(space, history, 1, rng)
-            .pop()
-            .unwrap_or_else(|| UniformSampler.sample(space, rng))
-    }
-
     /// Native q-EI via local penalization (González et al.): one GP
     /// fit and one acquisition scan yield the whole batch — EI around
     /// each chosen point is damped so the batch spreads out instead of
     /// clustering on the same optimum. At `q = 1` this is plain EI.
-    fn propose_batch(
+    fn propose(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
         q: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<Configuration> {
-        let q = q.max(1);
         // Warm-up: a stratified initial design. Censored observations
         // don't count — the surrogate needs real measurements to fit.
         let survivors = history.iter().filter(|o| !o.is_censored()).count();
         if survivors < self.init_samples {
-            let mut out = Vec::with_capacity(q);
-            for _ in 0..q {
-                if self.pending_init.is_empty() {
-                    self.pending_init = LatinHypercube.sample_n(space, self.init_samples, rng);
-                }
-                out.push(
-                    self.pending_init
-                        .pop()
-                        .unwrap_or_else(|| UniformSampler.sample(space, rng)),
-                );
-            }
-            return out;
+            return (0..q)
+                .map(|_| next_lhs_point(&mut self.pending_init, space, self.init_samples, rng))
+                .collect();
         }
 
         let gp = self.fit_surrogate(space, history);
@@ -314,15 +287,9 @@ impl Tuner for BayesOpt {
                     break;
                 }
                 for j in 0..scores.len() {
-                    if taken[j] {
-                        continue;
+                    if !taken[j] {
+                        scores[j] *= 1.0 - proximity(encoded[i], encoded[j]);
                     }
-                    let d2: f64 = encoded[i]
-                        .iter()
-                        .zip(encoded[j])
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum();
-                    scores[j] *= 1.0 - (-d2 / (2.0 * PENALTY_BANDWIDTH_SQ)).exp();
                 }
             }
             (out, taken)
@@ -339,13 +306,6 @@ impl Tuner for BayesOpt {
             out.push(UniformSampler.sample(space, rng));
         }
         out
-    }
-
-    fn reset(&mut self) {
-        self.pending_init.clear();
-        self.fit_cache.clear();
-        self.uniform = CandidatePool::default();
-        self.scores = GpPredictCache::default();
     }
 }
 
@@ -373,7 +333,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut history = Vec::new();
         for _ in 0..budget {
-            let cfg = tuner.propose(&space, &history, &mut rng);
+            let cfg = tuner.propose(&space, &history, 1, &mut rng).remove(0);
             let runtime_s = synth_eval(&cfg);
             history.push(Observation {
                 config: cfg,
@@ -411,7 +371,7 @@ mod tests {
         let space = synth_space();
         let mut t = BayesOpt::new();
         let mut rng = StdRng::seed_from_u64(9);
-        let c = t.propose(&space, &[], &mut rng);
+        let c = t.propose(&space, &[], 1, &mut rng).remove(0);
         assert!(space.validate(&c).is_ok());
         assert_eq!(t.pending_init.len(), t.init_samples - 1);
     }
@@ -424,7 +384,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut history = Vec::new();
         for _ in 0..12 {
-            let cfg = t.propose(&space, &history, &mut rng);
+            let cfg = t.propose(&space, &history, 1, &mut rng).remove(0);
             assert!(space.validate(&cfg).is_ok());
             history.push(Observation {
                 runtime_s: 100.0 + history.len() as f64,
@@ -520,10 +480,11 @@ mod tests {
             &mut self,
             space: &ParamSpace,
             history: &[Observation],
+            q: usize,
             rng: &mut dyn RngCore,
-        ) -> Configuration {
+        ) -> Vec<Configuration> {
             *self.seen.borrow_mut() = history.to_vec();
-            self.bo.borrow_mut().propose(space, history, rng)
+            self.bo.borrow_mut().propose(space, history, q, rng)
         }
     }
 
@@ -539,7 +500,7 @@ mod tests {
         let mut history: Vec<Observation> = Vec::new();
         for _ in 0..40 {
             let before = bo.scores.clone();
-            let cfg = bo.propose(&space, &history, &mut rng);
+            let cfg = bo.propose(&space, &history, 1, &mut rng).remove(0);
             if guided(&bo, &history) {
                 paths.push(check_cached_scores(&bo, &before, &space, &history));
             }
@@ -568,7 +529,7 @@ mod tests {
         for _ in 0..16 {
             let before = bo.borrow().scores.clone();
             seen.borrow_mut().clear();
-            let cfg = transfer.propose(&space, &history, &mut rng);
+            let cfg = transfer.propose(&space, &history, 1, &mut rng).remove(0);
             let shown = seen.borrow().clone();
             if !shown.is_empty() && guided(&bo.borrow(), &shown) {
                 transfer_paths.push(check_cached_scores(&bo.borrow(), &before, &space, &shown));
@@ -603,7 +564,7 @@ mod tests {
             .collect();
         for n in MAX_GP_POINTS + 1..=MAX_GP_POINTS + 3 {
             let before = bo.scores.clone();
-            let _ = bo.propose(&space, &long[..n], &mut rng);
+            let _ = bo.propose(&space, &long[..n], 1, &mut rng);
             let path = check_cached_scores(&bo, &before, &space, &long[..n]);
             if n > MAX_GP_POINTS + 1 {
                 assert_eq!(path, Rescore::Rebuild, "a subsampled fit at n = {n}");
@@ -632,7 +593,7 @@ mod tests {
                     .map(|i| bo.uniform.encoding(i).to_vec())
                     .collect();
                 let was_guided = guided(&bo, &history);
-                let batch = bo.propose_batch(&space, &history, q, &mut rng);
+                let batch = bo.propose(&space, &history, q, &mut rng);
                 assert_eq!(batch.len(), q);
                 for (i, a) in batch.iter().enumerate() {
                     assert!(!batch[..i].contains(a), "q = {q}: a repeated pick");
@@ -656,27 +617,10 @@ mod tests {
                 }
             }
             assert!(
-                bo.uniform.len() < bo.candidates,
+                bo.uniform.len() < CANDIDATES,
                 "q = {q}: no pick came from the pool"
             );
         }
-    }
-
-    #[test]
-    fn reset_clears_the_pool_and_its_scores() {
-        let space = synth_space();
-        let mut bo = BayesOpt::new();
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut history = Vec::new();
-        for _ in 0..12 {
-            let cfg = bo.propose(&space, &history, &mut rng);
-            let runtime_s = synth_eval(&cfg);
-            history.push(observed(cfg, runtime_s));
-        }
-        assert!(!bo.uniform.is_empty() && !bo.scores.is_empty());
-        bo.reset();
-        assert!(bo.uniform.is_empty() && bo.scores.is_empty());
-        assert!(bo.scores.predictions().is_empty());
     }
 
     #[test]
@@ -702,7 +646,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut history = Vec::new();
         for _ in 0..35 {
-            let cfg = t.propose(&space, &history, &mut rng);
+            let cfg = t.propose(&space, &history, 1, &mut rng).remove(0);
             history.push(Observation {
                 runtime_s: eval(&cfg),
                 config: cfg,

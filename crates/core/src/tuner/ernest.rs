@@ -17,7 +17,7 @@ use models::ErnestModel;
 use rand::RngCore;
 
 use crate::objective::Observation;
-use crate::tuner::Tuner;
+use crate::tuner::{constant_liar, Tuner};
 
 /// Ernest's designed-experiment + analytic-model strategy.
 #[derive(Debug, Clone, Default)]
@@ -70,14 +70,8 @@ impl Ernest {
         }
         self.design.reverse();
     }
-}
 
-impl Tuner for Ernest {
-    fn name(&self) -> &str {
-        "ernest"
-    }
-
-    fn propose(
+    fn propose_one(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
@@ -136,10 +130,21 @@ impl Tuner for Ernest {
         best.map(|(_, c)| c)
             .unwrap_or_else(|| UniformSampler.sample(space, rng))
     }
+}
 
-    fn reset(&mut self) {
-        self.design.clear();
-        self.design_built = false;
+impl Tuner for Ernest {
+    fn name(&self) -> &str {
+        "ernest"
+    }
+
+    fn propose(
+        &mut self,
+        space: &ParamSpace,
+        history: &[Observation],
+        q: usize,
+        rng: &mut dyn RngCore,
+    ) -> Vec<Configuration> {
+        constant_liar(history, q, |h| self.propose_one(space, h, rng))
     }
 }
 
@@ -158,7 +163,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         let mut history = Vec::new();
         for _ in 0..10 {
-            let cfg = t.propose(&space, &history, &mut rng);
+            let cfg = t.propose(&space, &history, 1, &mut rng).remove(0);
             assert!(space.validate(&cfg).is_ok());
             seen.insert(cfg.str(cn::INSTANCE_FAMILY).to_owned());
             history.push(Observation {
@@ -189,7 +194,7 @@ mod tests {
             fam * (5.0 + 200.0 / m + 0.1 * m)
         };
         for _ in 0..16 {
-            let cfg = t.propose(&space, &history, &mut rng);
+            let cfg = t.propose(&space, &history, 1, &mut rng).remove(0);
             history.push(Observation {
                 runtime_s: eval(&cfg),
                 config: cfg,
@@ -208,8 +213,8 @@ mod tests {
         let space = confspace::spark::spark_space();
         let mut t = Ernest::new();
         let mut rng = StdRng::seed_from_u64(3);
-        let a = t.propose(&space, &[], &mut rng);
-        let b = t.propose(&space, &[], &mut rng);
+        let a = t.propose(&space, &[], 1, &mut rng).remove(0);
+        let b = t.propose(&space, &[], 1, &mut rng).remove(0);
         assert!(space.validate(&a).is_ok());
         assert_ne!(a, b, "fallback behaves like random search");
     }

@@ -3,47 +3,79 @@
 //! candidates are ranked by a lower confidence bound over the
 //! ensemble's mean and spread.
 
-use confspace::{CandidatePool, Configuration, LatinHypercube, ParamSpace, Sampler};
+use confspace::{CandidatePool, Configuration, ParamSpace};
 use models::{lower_confidence_bound, ForestParams, RandomForest};
 use rand::RngCore;
 
 use crate::objective::{Observation, FAILURE_PENALTY_S};
-use crate::tuner::{encode_censored, encode_history, Tuner};
+use crate::tuner::{
+    constant_liar, encode_censored, encode_history, next_lhs_point, proximity, Tuner,
+};
 
-/// Squared bandwidth of the censored-region penalty (h = 0.2 in the
-/// unit-normalized encoded space, matching the BO batch penalty).
-const CENSOR_BANDWIDTH_SQ: f64 = 0.04;
+/// Warm-up design size.
+const INIT_SAMPLES: usize = 10;
+
+/// Candidates scored per proposal.
+const CANDIDATES: usize = 256;
+
+/// Exploration weight on the ensemble spread.
+const BETA: f64 = 1.0;
 
 /// Random-forest surrogate search with LCB acquisition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ForestTuner {
-    /// Warm-up design size.
-    pub init_samples: usize,
-    /// Candidates scored per proposal.
-    pub candidates: usize,
-    /// Exploration weight on the ensemble spread.
-    pub beta: f64,
     pending_init: Vec<Configuration>,
     /// Typed candidate rows, redrawn every proposal.
     pool: CandidatePool,
 }
 
-impl Default for ForestTuner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ForestTuner {
     /// Creates the strategy.
     pub fn new() -> Self {
-        ForestTuner {
-            init_samples: 10,
-            candidates: 256,
-            beta: 1.0,
-            pending_init: Vec::new(),
-            pool: CandidatePool::default(),
+        Self::default()
+    }
+
+    fn propose_one(
+        &mut self,
+        space: &ParamSpace,
+        history: &[Observation],
+        rng: &mut dyn RngCore,
+    ) -> Configuration {
+        // Censored observations don't count towards warm-up: the
+        // forest needs real measurements to fit.
+        let survivors = history.iter().filter(|o| !o.is_censored()).count();
+        if survivors < INIT_SAMPLES {
+            return next_lhs_point(&mut self.pending_init, space, INIT_SAMPLES, rng);
         }
+        let (x, y) = encode_history(space, history);
+        let forest = RandomForest::fit(&x, &y, ForestParams::default(), rng);
+        let censored = encode_censored(space, history);
+        // Score typed candidate rows; only the winner becomes a
+        // configuration.
+        self.pool.reset(space);
+        for _ in 0..CANDIDATES {
+            self.pool.push_uniform(space, rng);
+        }
+        (0..self.pool.len())
+            .map(|i| {
+                let point = self.pool.encoding(i);
+                let (m, s) = forest.predict_with_std(point);
+                let mut score = lower_confidence_bound(m, s, BETA);
+                if !censored.is_empty() {
+                    // LCB minimizes, so censored regions add a penalty
+                    // proportional to proximity — the forest has no data
+                    // there and must not look optimistic.
+                    let near = censored
+                        .iter()
+                        .map(|bad| proximity(point, bad))
+                        .fold(0.0, f64::max);
+                    score += FAILURE_PENALTY_S.ln() * near;
+                }
+                (i, score)
+            })
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(i, _)| self.pool.config(space, i))
+            .unwrap_or_else(|| space.default_configuration())
     }
 }
 
@@ -56,56 +88,10 @@ impl Tuner for ForestTuner {
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
+        q: usize,
         rng: &mut dyn RngCore,
-    ) -> Configuration {
-        // Censored observations don't count towards warm-up: the
-        // forest needs real measurements to fit.
-        let survivors = history.iter().filter(|o| !o.is_censored()).count();
-        if survivors < self.init_samples {
-            if self.pending_init.is_empty() {
-                self.pending_init = LatinHypercube.sample_n(space, self.init_samples, rng);
-            }
-            if let Some(c) = self.pending_init.pop() {
-                return c;
-            }
-        }
-        let (x, y) = encode_history(space, history);
-        let forest = RandomForest::fit(&x, &y, ForestParams::default(), rng);
-        let censored = encode_censored(space, history);
-        // Score typed candidate rows; only the winner becomes a
-        // configuration.
-        self.pool.reset(space);
-        for _ in 0..self.candidates {
-            self.pool.push_uniform(space, rng);
-        }
-        (0..self.pool.len())
-            .map(|i| {
-                let point = self.pool.encoding(i);
-                let (m, s) = forest.predict_with_std(point);
-                let mut score = lower_confidence_bound(m, s, self.beta);
-                if !censored.is_empty() {
-                    // LCB minimizes, so censored regions add a penalty
-                    // proportional to proximity — the forest has no data
-                    // there and must not look optimistic.
-                    let proximity = censored
-                        .iter()
-                        .map(|bad| {
-                            let d2: f64 =
-                                point.iter().zip(bad).map(|(a, b)| (a - b) * (a - b)).sum();
-                            (-d2 / (2.0 * CENSOR_BANDWIDTH_SQ)).exp()
-                        })
-                        .fold(0.0, f64::max);
-                    score += FAILURE_PENALTY_S.ln() * proximity;
-                }
-                (i, score)
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(i, _)| self.pool.config(space, i))
-            .unwrap_or_else(|| space.default_configuration())
-    }
-
-    fn reset(&mut self) {
-        self.pending_init.clear();
+    ) -> Vec<Configuration> {
+        constant_liar(history, q, |h| self.propose_one(space, h, rng))
     }
 }
 
@@ -129,7 +115,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut history = Vec::new();
         for _ in 0..35 {
-            let cfg = t.propose(&space, &history, &mut rng);
+            let cfg = t.propose(&space, &history, 1, &mut rng).remove(0);
             assert!(space.validate(&cfg).is_ok());
             history.push(Observation {
                 runtime_s: eval(&cfg),
@@ -141,7 +127,7 @@ mod tests {
         }
         let curve = crate::tuner::best_so_far(&history);
         assert!(
-            curve.last().unwrap() < &curve[t.init_samples - 1],
+            curve.last().unwrap() < &curve[INIT_SAMPLES - 1],
             "model phase should beat warm-up"
         );
     }

@@ -8,19 +8,22 @@ use models::{ForestParams, RandomForest};
 use rand::{Rng, RngCore};
 
 use crate::objective::Observation;
-use crate::tuner::{encode_history, Tuner};
+use crate::tuner::{best_observation, encode_history, next_lhs_point, Tuner};
+
+/// GA population size.
+const POPULATION: usize = 40;
+
+/// GA generations per proposal.
+const GENERATIONS: usize = 8;
+
+/// Per-parameter mutation probability.
+const MUTATION_RATE: f64 = 0.08;
 
 /// Surrogate-assisted genetic configuration search.
 #[derive(Debug, Clone)]
 pub struct Genetic {
     /// Warm-up design size before the surrogate takes over.
     pub init_samples: usize,
-    /// GA population size.
-    pub population: usize,
-    /// GA generations per proposal.
-    pub generations: usize,
-    /// Per-parameter mutation probability.
-    pub mutation_rate: f64,
     pending_init: Vec<Configuration>,
 }
 
@@ -35,9 +38,6 @@ impl Genetic {
     pub fn new() -> Self {
         Genetic {
             init_samples: 10,
-            population: 40,
-            generations: 8,
-            mutation_rate: 0.08,
             pending_init: Vec::new(),
         }
     }
@@ -61,27 +61,27 @@ impl Genetic {
         // Seed the population with the best observed configs + randoms.
         let mut pop: Vec<Configuration> = ranked
             .iter()
-            .take(self.population / 4)
+            .take(POPULATION / 4)
             .map(|o| o.config.clone())
             .collect();
-        while pop.len() < self.population {
+        while pop.len() < POPULATION {
             pop.push(LatinHypercube.sample(space, rng));
         }
 
-        for _ in 0..self.generations {
+        for _ in 0..GENERATIONS {
             let mut scored: Vec<(f64, Configuration)> =
                 pop.into_iter().map(|c| (score(&c), c)).collect();
             scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let elite = self.population / 4;
+            let elite = POPULATION / 4;
             let mut next: Vec<Configuration> =
                 scored.iter().take(elite).map(|s| s.1.clone()).collect();
-            while next.len() < self.population {
+            while next.len() < POPULATION {
                 // Tournament selection from the top half.
-                let half = (self.population / 2).max(2);
+                let half = (POPULATION / 2).max(2);
                 let a = &scored[rng.gen_range(0..half.min(scored.len()))].1;
                 let b = &scored[rng.gen_range(0..half.min(scored.len()))].1;
                 let child = crossover(space, a, b, rng);
-                next.push(mutate(space, &child, self.mutation_rate, rng));
+                next.push(mutate(space, &child, MUTATION_RATE, rng));
             }
             pop = next;
         }
@@ -91,6 +91,28 @@ impl Genetic {
         final_scored.sort_by(|a, b| a.0.total_cmp(&b.0));
         final_scored
     }
+
+    /// A direct Gaussian nudge of the incumbent, when one exists and the
+    /// nudged point is valid.
+    fn nudge(
+        space: &ParamSpace,
+        history: &[Observation],
+        rng: &mut dyn RngCore,
+    ) -> Option<Configuration> {
+        let best = best_observation(history)?;
+        let nudged: Vec<f64> = space
+            .encode(&best.config)
+            .iter()
+            .map(|v| {
+                let u1: f64 = rng.gen::<f64>().max(1e-12);
+                let u2: f64 = rng.gen();
+                let gauss = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                (v + 0.06 * gauss).clamp(0.0, 1.0)
+            })
+            .collect();
+        let cand = space.decode(&nudged);
+        space.validate(&cand).is_ok().then_some(cand)
+    }
 }
 
 impl Tuner for Genetic {
@@ -98,78 +120,33 @@ impl Tuner for Genetic {
         "genetic"
     }
 
-    fn propose(
-        &mut self,
-        space: &ParamSpace,
-        history: &[Observation],
-        rng: &mut dyn RngCore,
-    ) -> Configuration {
-        if history.len() < self.init_samples {
-            if self.pending_init.is_empty() {
-                self.pending_init = LatinHypercube.sample_n(space, self.init_samples, rng);
-            }
-            if let Some(c) = self.pending_init.pop() {
-                return c;
-            }
-        }
-
-        let mut ranked: Vec<&Observation> = history.iter().filter(|o| o.is_ok()).collect();
-        ranked.sort_by(|a, b| a.runtime_s.total_cmp(&b.runtime_s));
-
-        // The forest surrogate is piecewise-constant, so within its
-        // best leaf it cannot rank candidates; every third proposal is
-        // a direct Gaussian nudge of the incumbent, refining below the
-        // surrogate's resolution.
-        if history.len() % 3 == 2 {
-            if let Some(best) = ranked.first() {
-                let enc = space.encode(&best.config);
-                let nudged: Vec<f64> = enc
-                    .iter()
-                    .map(|v| {
-                        let u1: f64 = rng.gen::<f64>().max(1e-12);
-                        let u2: f64 = rng.gen();
-                        let gauss = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                        (v + 0.06 * gauss).clamp(0.0, 1.0)
-                    })
-                    .collect();
-                let cand = space.decode(&nudged);
-                if space.validate(&cand).is_ok() {
-                    return cand;
-                }
-            }
-        }
-
-        // Return the surrogate-best individual not evaluated yet.
-        let final_scored = self.evolve(space, history, rng);
-        for (_, c) in &final_scored {
-            if !history.iter().any(|o| &o.config == c) {
-                return c.clone();
-            }
-        }
-        final_scored
-            .into_iter()
-            .next()
-            .map(|(_, c)| c)
-            .unwrap_or_else(|| space.default_configuration())
-    }
-
     /// Native batch: one GA run supplies the whole generation — the
     /// top-`q` distinct, not-yet-evaluated individuals of the final
     /// population, topped up with stratified samples when the
     /// population cannot fill the batch.
-    fn propose_batch(
+    fn propose(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
         q: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<Configuration> {
-        if q <= 1 {
-            return vec![self.propose(space, history, rng)];
-        }
         if history.len() < self.init_samples {
-            return (0..q).map(|_| self.propose(space, history, rng)).collect();
+            return (0..q)
+                .map(|_| next_lhs_point(&mut self.pending_init, space, self.init_samples, rng))
+                .collect();
         }
+
+        // The forest surrogate is piecewise-constant, so within its
+        // best leaf it cannot rank candidates; every third lone
+        // proposal is a direct Gaussian nudge of the incumbent,
+        // refining below the surrogate's resolution.
+        if q == 1 && history.len() % 3 == 2 {
+            if let Some(cand) = Self::nudge(space, history, rng) {
+                return vec![cand];
+            }
+        }
+
         let final_scored = self.evolve(space, history, rng);
         let mut out: Vec<Configuration> = Vec::with_capacity(q);
         for (_, c) in &final_scored {
@@ -181,14 +158,15 @@ impl Tuner for Genetic {
             }
             out.push(c.clone());
         }
+        // A lone proposal whose whole population was evaluated repeats
+        // the surrogate-best individual.
+        if q == 1 && out.is_empty() {
+            out.extend(final_scored.into_iter().next().map(|(_, c)| c));
+        }
         while out.len() < q {
             out.push(LatinHypercube.sample(space, rng));
         }
         out
-    }
-
-    fn reset(&mut self) {
-        self.pending_init.clear();
     }
 }
 
@@ -212,7 +190,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut history = Vec::new();
         for _ in 0..30 {
-            let cfg = t.propose(&space, &history, &mut rng);
+            let cfg = t.propose(&space, &history, 1, &mut rng).remove(0);
             assert!(space.validate(&cfg).is_ok());
             history.push(Observation {
                 runtime_s: eval(&cfg),
@@ -239,7 +217,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut history = Vec::new();
         for _ in 0..4 {
-            let cfg = t.propose(&space, &history, &mut rng);
+            let cfg = t.propose(&space, &history, 1, &mut rng).remove(0);
             history.push(Observation {
                 runtime_s: cfg.int("a") as f64 + 1.0,
                 config: cfg,

@@ -38,14 +38,10 @@ impl HillClimb {
             restart_after: 20,
         }
     }
-}
 
-impl Tuner for HillClimb {
-    fn name(&self) -> &str {
-        "hillclimb"
-    }
-
-    fn propose(
+    /// One sequential step: the stall/anneal bookkeeping for the
+    /// latest observation, then a neighbourhood move or a restart.
+    fn step(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
@@ -84,27 +80,30 @@ impl Tuner for HillClimb {
 
         neighbor(space, &best.config, self.scale, 0.4, rng)
     }
+}
+
+impl Tuner for HillClimb {
+    fn name(&self) -> &str {
+        "hillclimb"
+    }
 
     /// Native batch: parallel restarts around the incumbent. The first
     /// member runs the normal stall/anneal bookkeeping (exactly one
     /// update per observed history, as in the sequential loop); the
     /// rest fan out at progressively coarser step scales, with every
     /// fourth member a uniform restart.
-    fn propose_batch(
+    fn propose(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
         q: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<Configuration> {
-        if q <= 1 {
-            return vec![self.propose(space, history, rng)];
-        }
         let mut out = Vec::with_capacity(q);
-        out.push(self.propose(space, history, rng));
-        let incumbent = best_observation(history).map(|o| o.config.clone());
+        out.push(self.step(space, history, rng));
+        let incumbent = best_observation(history).map(|o| &o.config);
         for i in 1..q {
-            match &incumbent {
+            match incumbent {
                 Some(best) if i % 4 != 3 => {
                     let scale = (self.scale * (1.0 + i as f64 * 0.5)).min(0.5);
                     out.push(neighbor(space, best, scale, 0.4, rng));
@@ -113,10 +112,6 @@ impl Tuner for HillClimb {
             }
         }
         out
-    }
-
-    fn reset(&mut self) {
-        *self = HillClimb::new();
     }
 }
 
@@ -147,7 +142,7 @@ mod tests {
         let space = confspace::spark::spark_space();
         let mut t = HillClimb::new();
         let mut rng = StdRng::seed_from_u64(1);
-        let c = t.propose(&space, &[], &mut rng);
+        let c = t.propose(&space, &[], 1, &mut rng).remove(0);
         assert_eq!(c, space.default_configuration());
     }
 
@@ -158,7 +153,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let best_cfg = space.default_configuration();
         let history = vec![obs(&space, best_cfg.clone(), 100.0)];
-        let c = t.propose(&space, &history, &mut rng);
+        let c = t.propose(&space, &history, 1, &mut rng).remove(0);
         assert!(space.validate(&c).is_ok());
         // Encoded distance should be small for a neighbourhood move.
         let a = space.encode(&best_cfg);
@@ -182,7 +177,7 @@ mod tests {
         // Feed non-improving observations past the patience threshold.
         let mut restarted = false;
         for _ in 0..40 {
-            let c = t.propose(&space, &history, &mut rng);
+            let c = t.propose(&space, &history, 1, &mut rng).remove(0);
             let a = space.encode(&base);
             let b = space.encode(&c);
             let dist: f64 = a

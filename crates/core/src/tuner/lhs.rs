@@ -1,10 +1,10 @@
 //! Latin-hypercube search: stratified batches instead of i.i.d. draws.
 
-use confspace::{Configuration, LatinHypercube, ParamSpace, Sampler};
+use confspace::{Configuration, ParamSpace};
 use rand::RngCore;
 
 use crate::objective::Observation;
-use crate::tuner::Tuner;
+use crate::tuner::{next_lhs_point, Tuner};
 
 /// Latin-hypercube search: draws configurations in stratified batches
 /// of `batch` samples, guaranteeing per-dimension coverage within each
@@ -35,39 +35,19 @@ impl Tuner for LhsSearch {
         "lhs"
     }
 
+    /// Native batch: drains the pending stratified design (refilling at
+    /// block boundaries), so a batch keeps the per-dimension coverage
+    /// guarantee of its enclosing LHS block.
     fn propose(
         &mut self,
         space: &ParamSpace,
         _history: &[Observation],
-        rng: &mut dyn RngCore,
-    ) -> Configuration {
-        if self.pending.is_empty() {
-            self.pending = LatinHypercube.sample_n(space, self.batch, rng);
-        }
-        // `batch > 0` means the refill is never empty, but a misuse
-        // must not abort a multi-tenant run.
-        self.pending
-            .pop()
-            .unwrap_or_else(|| LatinHypercube.sample(space, rng))
-    }
-
-    /// Native batch: drains the pending stratified design (refilling at
-    /// block boundaries), so a batch keeps the per-dimension coverage
-    /// guarantee of its enclosing LHS block.
-    fn propose_batch(
-        &mut self,
-        space: &ParamSpace,
-        history: &[Observation],
         q: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<Configuration> {
-        (0..q.max(1))
-            .map(|_| self.propose(space, history, rng))
+        (0..q)
+            .map(|_| next_lhs_point(&mut self.pending, space, self.batch, rng))
             .collect()
-    }
-
-    fn reset(&mut self) {
-        self.pending.clear();
     }
 }
 
@@ -84,21 +64,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut strata: Vec<usize> = (0..8)
             .map(|_| {
-                let c = t.propose(&space, &[], &mut rng);
+                let c = t.propose(&space, &[], 1, &mut rng).remove(0);
                 ((c.float("f") * 8.0).floor() as usize).min(7)
             })
             .collect();
         strata.sort_unstable();
         assert_eq!(strata, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reset_discards_pending() {
-        let space = ParamSpace::new().with(confspace::ParamDef::float("f", 0.0, 1.0, 0.5, ""));
-        let mut t = LhsSearch::new(4);
-        let mut rng = StdRng::seed_from_u64(3);
-        let _ = t.propose(&space, &[], &mut rng);
-        t.reset();
-        assert!(t.pending.is_empty());
     }
 }

@@ -28,7 +28,7 @@ pub mod random;
 pub mod rl;
 pub mod rtree;
 
-use confspace::{Configuration, ParamSpace};
+use confspace::{Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -50,77 +50,91 @@ pub use rtree::RegressionTreeTuner;
 
 /// A configuration-tuning strategy.
 ///
-/// The tuning loop alternates `propose_batch` → evaluation; the full
-/// history (in evaluation order) is passed back on each call, so
-/// strategies may be implemented statelessly or keep internal state.
+/// A tuner serves exactly one session: the tuning loop alternates
+/// [`Tuner::propose`] → evaluation, passing back the session's full
+/// history (in evaluation order) on each call. The history only grows,
+/// so strategies may keep internal state across calls, and a new
+/// session builds a new tuner.
 pub trait Tuner {
     /// The strategy's display name.
     fn name(&self) -> &str;
 
-    /// Proposes the next configuration to evaluate.
+    /// Proposes the next `q ≥ 1` configurations to evaluate
+    /// concurrently. Strategies with a natural batch (stratified
+    /// designs, GA generations, q-EI) propose it directly; the rest use
+    /// a constant liar.
     fn propose(
-        &mut self,
-        space: &ParamSpace,
-        history: &[Observation],
-        rng: &mut dyn RngCore,
-    ) -> Configuration;
-
-    /// Proposes `q` configurations to evaluate concurrently.
-    ///
-    /// With `q == 1` every implementation (including every override)
-    /// must emit exactly what [`Tuner::propose`] would, bit for bit.
-    /// The default implementation for `q > 1` is the *constant liar*:
-    /// each proposal is committed to the visible history as a fake
-    /// observation at the incumbent runtime, so model-based strategies
-    /// spread the batch instead of proposing the same point `q` times.
-    /// Strategies with a natural batch (stratified designs, GA
-    /// generations, q-EI) override this.
-    fn propose_batch(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
         q: usize,
         rng: &mut dyn RngCore,
-    ) -> Vec<Configuration> {
-        if q <= 1 {
-            return vec![self.propose(space, history, rng)];
-        }
-        let lie = constant_lie_runtime(history);
+    ) -> Vec<Configuration>;
+}
+
+/// The *constant liar*: `q` calls of `propose_one`, each proposal but
+/// the last committed to the visible history as a fake observation, so
+/// model-based strategies without a native batch spread the batch
+/// instead of proposing the same point `q` times. The lie is the
+/// incumbent's runtime (CL-min) when one exists, else the mean of the
+/// (failed) runs so far, which keeps the surrogate steering away from
+/// the batch's region, else a neutral 1s placeholder (harmless — with
+/// no history every strategy is still in its warm-up design).
+fn constant_liar(
+    history: &[Observation],
+    q: usize,
+    mut propose_one: impl FnMut(&[Observation]) -> Configuration,
+) -> Vec<Configuration> {
+    let mut batch = vec![propose_one(history)];
+    if q > 1 {
+        let lie = match best_observation(history) {
+            Some(best) => best.runtime_s,
+            None if history.is_empty() => 1.0,
+            None => history.iter().map(|o| o.runtime_s).sum::<f64>() / history.len() as f64,
+        };
         let mut augmented = history.to_vec();
-        let mut batch = Vec::with_capacity(q);
-        for _ in 0..q {
-            let cfg = self.propose(space, &augmented, rng);
+        while batch.len() < q {
             augmented.push(Observation {
-                config: cfg.clone(),
+                config: batch[batch.len() - 1].clone(),
                 runtime_s: lie,
                 cost_usd: 0.0,
                 metrics: None,
                 failure: None,
             });
-            batch.push(cfg);
+            batch.push(propose_one(&augmented));
         }
-        batch
     }
-
-    /// Clears internal state for a fresh session.
-    fn reset(&mut self) {}
+    batch
 }
 
-/// The runtime a constant-liar batch pretends its pending trials
-/// observed: the incumbent's runtime (CL-min) when one exists, else the
-/// mean of successful runs, else a neutral 1s placeholder (harmless —
-/// with no history every strategy is still in its warm-up design).
-pub fn constant_lie_runtime(history: &[Observation]) -> f64 {
-    if let Some(best) = best_observation(history) {
-        return best.runtime_s;
+/// The next point of a Latin-hypercube design of `n`, drawn afresh into
+/// `pending` whenever the last one is used up: the warm-up design of the
+/// model-based strategies, and the whole of [`LhsSearch`].
+fn next_lhs_point(
+    pending: &mut Vec<Configuration>,
+    space: &ParamSpace,
+    n: usize,
+    rng: &mut dyn RngCore,
+) -> Configuration {
+    if pending.is_empty() {
+        *pending = LatinHypercube.sample_n(space, n, rng);
     }
-    if history.is_empty() {
-        1.0
-    } else {
-        // Every run so far failed: lie at the (penalty) mean so the
-        // surrogate keeps steering away from the batch's region.
-        history.iter().map(|o| o.runtime_s).sum::<f64>() / history.len() as f64
-    }
+    pending
+        .pop()
+        .unwrap_or_else(|| UniformSampler.sample(space, rng))
+}
+
+/// Squared bandwidth of the proximity kernel (h = 0.2 in the
+/// unit-normalized encoded space).
+const PROXIMITY_BANDWIDTH_SQ: f64 = 0.04;
+
+/// Gaussian proximity `exp(−‖a − b‖² / 2h²)` of two encoded points: 1
+/// at `a == b`, falling to ~0 beyond a few bandwidths. Acquisition scans
+/// use it to damp or penalize candidates near censored trials and near
+/// a batch's earlier picks.
+fn proximity(a: &[f64], b: &[f64]) -> f64 {
+    let d2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+    (-d2 / (2.0 * PROXIMITY_BANDWIDTH_SQ)).exp()
 }
 
 /// The catalog of built-in strategies (factory enum).
@@ -335,8 +349,8 @@ impl TuningSession {
         Self::with_tuner(kind.build(), seed)
     }
 
-    /// Creates a session around an existing tuner instance: batch 1,
-    /// the default [`RetryPolicy`] and no fault injection.
+    /// Creates a session around a freshly built tuner: batch 1, the
+    /// default [`RetryPolicy`] and no fault injection.
     pub fn with_tuner(tuner: Box<dyn Tuner>, seed: u64) -> Self {
         TuningSession {
             tuner,
@@ -352,29 +366,30 @@ impl TuningSession {
     /// amortize one surrogate fit over the whole round and evaluate it
     /// concurrently; a trial's seed depends only on its global index, so
     /// the batch size never changes what an individual trial observes.
-    pub fn with_batch(&mut self, batch: usize) -> &mut Self {
+    pub fn with_batch(mut self, batch: usize) -> Self {
         self.batch = batch.max(1);
         self
     }
 
     /// Sets the executor's retry policy and fault injector. The injector
     /// exists for chaos tests; production passes [`FaultInjector::none`].
-    pub fn with_resilience(&mut self, policy: RetryPolicy, injector: FaultInjector) -> &mut Self {
+    pub fn with_resilience(mut self, policy: RetryPolicy, injector: FaultInjector) -> Self {
         self.policy = policy;
         self.injector = injector;
         self
     }
 
     /// Runs `budget` evaluations against `objective`, proposing a round
-    /// of trials with [`Tuner::propose_batch`] and evaluating it on a
-    /// [`TrialExecutor`] with deterministic per-trial seeding.
+    /// of trials with [`Tuner::propose`] and evaluating it on a
+    /// [`TrialExecutor`] with deterministic per-trial seeding. The
+    /// session, and its tuner with it, ends here.
     ///
     /// Failed and timed-out trials enter the history as censored
     /// observations, quarantined configurations stop burning budget, and
     /// a round whose failures exceed the policy's `round_failure_budget`
     /// ends the session early with a partial outcome whose
     /// [`DegradationReport`] says so.
-    pub fn run<O: Objective + ?Sized>(&mut self, objective: &O, budget: usize) -> TuningOutcome {
+    pub fn run<O: Objective + ?Sized>(mut self, objective: &O, budget: usize) -> TuningOutcome {
         let _session = obs::span("tuning_session")
             .with("tuner", self.tuner.name())
             .with("budget", budget)
@@ -393,7 +408,7 @@ impl TuningSession {
                 let _propose = obs::span("propose");
                 reg.histogram("tuner.propose_s").time(|| {
                     self.tuner
-                        .propose_batch(objective.space(), &history, q, &mut self.rng)
+                        .propose(objective.space(), &history, q, &mut self.rng)
                 })
             };
             if cfgs.is_empty() {

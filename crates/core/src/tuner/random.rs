@@ -17,29 +17,22 @@ impl Tuner for RandomSearch {
         "random"
     }
 
+    /// One uniform draw, or a stratified block per round of several: a
+    /// batch of i.i.d. draws wastes budget on clustered samples, an LHS
+    /// block of the same size guarantees per-dimension coverage for
+    /// free.
     fn propose(
         &mut self,
         space: &ParamSpace,
         _history: &[Observation],
-        rng: &mut dyn RngCore,
-    ) -> Configuration {
-        UniformSampler.sample(space, rng)
-    }
-
-    /// Native batch: one stratified block per round — a batch of
-    /// i.i.d. draws wastes budget on clustered samples, an LHS block of
-    /// the same size guarantees per-dimension coverage for free.
-    fn propose_batch(
-        &mut self,
-        space: &ParamSpace,
-        history: &[Observation],
         q: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<Configuration> {
-        if q <= 1 {
-            return vec![self.propose(space, history, rng)];
+        if q == 1 {
+            vec![UniformSampler.sample(space, rng)]
+        } else {
+            LatinHypercube.sample_n(space, q, rng)
         }
-        LatinHypercube.sample_n(space, q, rng)
     }
 }
 
@@ -54,8 +47,8 @@ mod tests {
         let space = confspace::spark::spark_space();
         let mut t = RandomSearch;
         let mut rng = StdRng::seed_from_u64(1);
-        let a = t.propose(&space, &[], &mut rng);
-        let b = t.propose(&space, &[], &mut rng);
+        let a = t.propose(&space, &[], 1, &mut rng).remove(0);
+        let b = t.propose(&space, &[], 1, &mut rng).remove(0);
         assert!(space.validate(&a).is_ok());
         assert!(space.validate(&b).is_ok());
         assert_ne!(a, b);

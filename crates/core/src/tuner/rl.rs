@@ -15,7 +15,7 @@ use confspace::{Configuration, ParamKind, ParamSpace};
 use rand::{Rng, RngCore};
 
 use crate::objective::Observation;
-use crate::tuner::{best_observation, Tuner};
+use crate::tuner::{best_observation, constant_liar, Tuner};
 
 /// One nudge action on one parameter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,15 +28,18 @@ enum Move {
     Cycle,
 }
 
+/// Exploration probability.
+const EPSILON: f64 = 0.25;
+
+/// Q-value learning rate.
+const ALPHA: f64 = 0.4;
+
+/// Relative step for numeric nudges (fraction of the range).
+const STEP: f64 = 0.15;
+
 /// Q-learning over per-parameter nudge actions.
 #[derive(Debug, Clone)]
 pub struct RlTuner {
-    /// Exploration probability.
-    pub epsilon: f64,
-    /// Q-value learning rate.
-    pub alpha: f64,
-    /// Relative step for numeric nudges (fraction of the range).
-    pub step: f64,
     q: Vec<f64>,
     actions: Vec<(usize, Move)>,
     current: Option<Configuration>,
@@ -54,9 +57,6 @@ impl RlTuner {
     /// Creates the agent with Bu-et-al-like settings.
     pub fn new() -> Self {
         RlTuner {
-            epsilon: 0.25,
-            alpha: 0.4,
-            step: 0.15,
             q: Vec::new(),
             actions: Vec::new(),
             current: None,
@@ -102,8 +102,8 @@ impl RlTuner {
                 let next = (idx + 1.0) % n;
                 v[dim] = if n > 1.0 { next / (n - 1.0) } else { 0.0 };
             }
-            (_, Move::Up) => v[dim] = (v[dim] + self.step).min(1.0),
-            (_, Move::Down) => v[dim] = (v[dim] - self.step).max(0.0),
+            (_, Move::Up) => v[dim] = (v[dim] + STEP).min(1.0),
+            (_, Move::Down) => v[dim] = (v[dim] - STEP).max(0.0),
             (_, Move::Cycle) => {}
         }
         let cand = space.decode(&v);
@@ -113,14 +113,8 @@ impl RlTuner {
             space.clamp(cfg)
         }
     }
-}
 
-impl Tuner for RlTuner {
-    fn name(&self) -> &str {
-        "rl"
-    }
-
-    fn propose(
+    fn propose_one(
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
@@ -135,7 +129,7 @@ impl Tuner for RlTuner {
             } else {
                 -1.0
             };
-            self.q[a] += self.alpha * (reward.clamp(-1.0, 1.0) - self.q[a]);
+            self.q[a] += ALPHA * (reward.clamp(-1.0, 1.0) - self.q[a]);
             if last.is_ok() && last.runtime_s < self.current_runtime {
                 self.current = Some(last.config.clone());
                 self.current_runtime = last.runtime_s;
@@ -154,7 +148,7 @@ impl Tuner for RlTuner {
         };
 
         // ε-greedy action selection.
-        let a = if rng.gen::<f64>() < self.epsilon {
+        let a = if rng.gen::<f64>() < EPSILON {
             rng.gen_range(0..self.actions.len())
         } else {
             self.q
@@ -166,9 +160,21 @@ impl Tuner for RlTuner {
         self.last_action = Some(a);
         self.apply(space, &current, self.actions[a])
     }
+}
 
-    fn reset(&mut self) {
-        *self = RlTuner::new();
+impl Tuner for RlTuner {
+    fn name(&self) -> &str {
+        "rl"
+    }
+
+    fn propose(
+        &mut self,
+        space: &ParamSpace,
+        history: &[Observation],
+        q: usize,
+        rng: &mut dyn RngCore,
+    ) -> Vec<Configuration> {
+        constant_liar(history, q, |h| self.propose_one(space, h, rng))
     }
 }
 
@@ -192,7 +198,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut history = Vec::new();
         for _ in 0..budget {
-            let cfg = t.propose(&s, &history, &mut rng);
+            let cfg = t.propose(&s, &history, 1, &mut rng).remove(0);
             assert!(s.validate(&cfg).is_ok());
             history.push(Observation {
                 runtime_s: eval(&cfg),
@@ -229,17 +235,6 @@ mod tests {
         let s = space();
         let mut t = RlTuner::new();
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(t.propose(&s, &[], &mut rng), s.default_configuration());
-    }
-
-    #[test]
-    fn reset_restores_fresh_state() {
-        let s = space();
-        let mut t = RlTuner::new();
-        let mut rng = StdRng::seed_from_u64(4);
-        let _ = t.propose(&s, &[], &mut rng);
-        t.reset();
-        assert!(t.current.is_none());
-        assert!(t.actions.is_empty());
+        assert_eq!(t.propose(&s, &[], 1, &mut rng), [s.default_configuration()]);
     }
 }

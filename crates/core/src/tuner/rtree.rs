@@ -3,45 +3,61 @@
 //! predicts fastest (with ε-greedy exploration, since a single tree's
 //! piecewise-constant surface is easy to get stuck on).
 
-use confspace::{
-    CandidatePool, Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler,
-};
+use confspace::{CandidatePool, Configuration, ParamSpace, Sampler, UniformSampler};
 use models::{RegressionTree, TreeParams};
 use rand::{Rng, RngCore};
 
 use crate::objective::Observation;
-use crate::tuner::{encode_history, Tuner};
+use crate::tuner::{constant_liar, encode_history, next_lhs_point, Tuner};
+
+/// Warm-up design size.
+const INIT_SAMPLES: usize = 10;
+
+/// Candidates scored per proposal.
+const CANDIDATES: usize = 256;
+
+/// Probability of proposing a purely random configuration.
+const EPSILON: f64 = 0.15;
 
 /// Regression-tree surrogate search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RegressionTreeTuner {
-    /// Warm-up design size.
-    pub init_samples: usize,
-    /// Candidates scored per proposal.
-    pub candidates: usize,
-    /// Probability of proposing a purely random configuration.
-    pub epsilon: f64,
     pending_init: Vec<Configuration>,
     /// Typed candidate rows, redrawn every proposal.
     pool: CandidatePool,
 }
 
-impl Default for RegressionTreeTuner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl RegressionTreeTuner {
     /// Creates the strategy.
     pub fn new() -> Self {
-        RegressionTreeTuner {
-            init_samples: 10,
-            candidates: 256,
-            epsilon: 0.15,
-            pending_init: Vec::new(),
-            pool: CandidatePool::default(),
+        Self::default()
+    }
+
+    fn propose_one(
+        &mut self,
+        space: &ParamSpace,
+        history: &[Observation],
+        rng: &mut dyn RngCore,
+    ) -> Configuration {
+        if history.len() < INIT_SAMPLES {
+            return next_lhs_point(&mut self.pending_init, space, INIT_SAMPLES, rng);
         }
+        if rng.gen::<f64>() < EPSILON {
+            return UniformSampler.sample(space, rng);
+        }
+        let (x, y) = encode_history(space, history);
+        let tree = RegressionTree::fit(&x, &y, TreeParams::default(), rng);
+        // Score typed candidate rows; only the winner becomes a
+        // configuration.
+        self.pool.reset(space);
+        for _ in 0..CANDIDATES {
+            self.pool.push_uniform(space, rng);
+        }
+        (0..self.pool.len())
+            .map(|i| (i, tree.predict(self.pool.encoding(i))))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(i, _)| self.pool.config(space, i))
+            .unwrap_or_else(|| space.default_configuration())
     }
 }
 
@@ -54,36 +70,10 @@ impl Tuner for RegressionTreeTuner {
         &mut self,
         space: &ParamSpace,
         history: &[Observation],
+        q: usize,
         rng: &mut dyn RngCore,
-    ) -> Configuration {
-        if history.len() < self.init_samples {
-            if self.pending_init.is_empty() {
-                self.pending_init = LatinHypercube.sample_n(space, self.init_samples, rng);
-            }
-            if let Some(c) = self.pending_init.pop() {
-                return c;
-            }
-        }
-        if rng.gen::<f64>() < self.epsilon {
-            return UniformSampler.sample(space, rng);
-        }
-        let (x, y) = encode_history(space, history);
-        let tree = RegressionTree::fit(&x, &y, TreeParams::default(), rng);
-        // Score typed candidate rows; only the winner becomes a
-        // configuration.
-        self.pool.reset(space);
-        for _ in 0..self.candidates {
-            self.pool.push_uniform(space, rng);
-        }
-        (0..self.pool.len())
-            .map(|i| (i, tree.predict(self.pool.encoding(i))))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(i, _)| self.pool.config(space, i))
-            .unwrap_or_else(|| space.default_configuration())
-    }
-
-    fn reset(&mut self) {
-        self.pending_init.clear();
+    ) -> Vec<Configuration> {
+        constant_liar(history, q, |h| self.propose_one(space, h, rng))
     }
 }
 
@@ -104,7 +94,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut history = Vec::new();
         for _ in 0..30 {
-            let cfg = t.propose(&space, &history, &mut rng);
+            let cfg = t.propose(&space, &history, 1, &mut rng).remove(0);
             history.push(Observation {
                 runtime_s: eval(&cfg),
                 config: cfg,
@@ -114,7 +104,7 @@ mod tests {
             });
         }
         // After warm-up, the vast majority of proposals should be fast.
-        let post: Vec<&Observation> = history.iter().skip(t.init_samples).collect();
+        let post: Vec<&Observation> = history.iter().skip(INIT_SAMPLES).collect();
         let fast = post.iter().filter(|o| o.runtime_s < 50.0).count();
         assert!(
             fast * 10 >= post.len() * 6,

@@ -1,8 +1,6 @@
-//! The batch-execution equivalence contract: `propose_batch` at q = 1
-//! must equal `propose` for every strategy and for the transfer
-//! wrapper, trial outcomes must not depend on how rounds are
-//! partitioned or on the worker count, larger batches must stay valid
-//! and deterministic, and the multi-tenant
+//! The batch-execution equivalence contract: trial outcomes must not
+//! depend on how rounds are partitioned or on the worker count, larger
+//! batches must stay valid and deterministic, and the multi-tenant
 //! `tune_many` must match sequential `tune` calls whenever tenants
 //! cannot observe each other (transfer disabled). Pinned service
 //! fingerprints guard the executor path against unplanned bitwise
@@ -15,10 +13,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seamless_core::objective::{DiscObjective, Objective, SimEnvironment};
 use seamless_core::service::TenantRequest;
-use seamless_core::tuner::{BayesOpt, Tuner, TunerKind, TuningSession};
+use seamless_core::tuner::{TunerKind, TuningSession};
 use seamless_core::{
     FaultInjector, FaultPlan, HistoryStore, Observation, SeamlessTuner, ServiceConfig,
-    TransferTuner, TrialExecutor, TrialOutcome,
+    TrialExecutor, TrialOutcome,
 };
 use simcluster::ClusterSpec;
 use workloads::{DataScale, Pagerank, Wordcount, Workload};
@@ -45,57 +43,8 @@ fn push(history: &mut Vec<Observation>, cfg: Configuration) {
     });
 }
 
-/// Drives two fresh tuners through 20 rounds, one with `propose` and
-/// one with `propose_batch` at q = 1, and asserts identical proposals.
-fn assert_q1_matches_propose(label: &str, build: impl Fn() -> Box<dyn Tuner>) {
-    let space = synth_space();
-    let mut seq_tuner = build();
-    let mut batch_tuner = build();
-    let mut seq_rng = StdRng::seed_from_u64(17);
-    let mut batch_rng = StdRng::seed_from_u64(17);
-    let mut seq_hist = Vec::new();
-    let mut batch_hist = Vec::new();
-    for i in 0..20 {
-        let a = seq_tuner.propose(&space, &seq_hist, &mut seq_rng);
-        let batch = batch_tuner.propose_batch(&space, &batch_hist, 1, &mut batch_rng);
-        assert_eq!(batch.len(), 1, "{label}: q=1 batch length");
-        assert_eq!(a, batch[0], "{label}: proposal {i} diverges at q=1");
-        push(&mut seq_hist, a);
-        push(&mut batch_hist, batch[0].clone());
-    }
-}
-
 #[test]
-fn propose_batch_q1_matches_propose_for_every_tuner() {
-    for kind in TunerKind::all() {
-        assert_q1_matches_propose(kind.label(), || kind.build());
-    }
-    // The transfer wrapper over BayesOpt, donated five points on a
-    // 3x runtime scale: covers the donated probe, the warm-up, the
-    // rescale and the donation guard.
-    let donated: Vec<Observation> = [(60i64, 40i64), (75, 25), (20, 80), (90, 10), (50, 50)]
-        .iter()
-        .map(|&(a, b)| {
-            let config = Configuration::new().with("a", a).with("b", b);
-            Observation {
-                runtime_s: 3.0 * synth_eval(&config),
-                config,
-                cost_usd: 0.0,
-                metrics: None,
-                failure: None,
-            }
-        })
-        .collect();
-    assert_q1_matches_propose("transfer(bayesopt)", || {
-        Box::new(TransferTuner::new(
-            Box::new(BayesOpt::new()),
-            donated.clone(),
-        ))
-    });
-}
-
-#[test]
-fn propose_batch_q4_is_valid_and_deterministic() {
+fn q4_proposals_are_valid_and_deterministic() {
     let space = synth_space();
     for kind in TunerKind::all() {
         let run = || {
@@ -104,7 +53,7 @@ fn propose_batch_q4_is_valid_and_deterministic() {
             let mut history = Vec::new();
             let mut all = Vec::new();
             for _ in 0..4 {
-                let batch = tuner.propose_batch(&space, &history, 4, &mut rng);
+                let batch = tuner.propose(&space, &history, 4, &mut rng);
                 assert_eq!(batch.len(), 4, "{}: q=4 batch length", kind.label());
                 for cfg in &batch {
                     assert!(

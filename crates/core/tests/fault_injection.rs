@@ -86,14 +86,15 @@ fn chaos_session_converges_and_is_deterministic_per_seed() {
 /// incumbent and report the damage honestly.
 #[test]
 fn failures_without_retries_still_converge_with_degradation_report() {
-    let mut session = TuningSession::new(TunerKind::BayesOpt, 5);
-    session.with_batch(4).with_resilience(
-        RetryPolicy {
-            max_attempts: 1, // no retries: every injected error is terminal
-            ..RetryPolicy::default()
-        },
-        FaultInjector::new(99, FaultPlan::errors(0.25)),
-    );
+    let session = TuningSession::new(TunerKind::BayesOpt, 5)
+        .with_batch(4)
+        .with_resilience(
+            RetryPolicy {
+                max_attempts: 1, // no retries: every injected error is terminal
+                ..RetryPolicy::default()
+            },
+            FaultInjector::new(99, FaultPlan::errors(0.25)),
+        );
     let out = session.run(&disc_objective(13), 24);
 
     let d = out.degradation.expect("degradation report");
@@ -117,14 +118,15 @@ fn permanent_straggler_is_quarantined_and_session_survives() {
         permanent_straggler: Some(3),
         ..FaultPlan::none()
     };
-    let mut session = TuningSession::new(TunerKind::Random, 7);
-    session.with_batch(4).with_resilience(
-        RetryPolicy {
-            quarantine_after: 1,
-            ..RetryPolicy::default()
-        },
-        FaultInjector::new(2, plan),
-    );
+    let session = TuningSession::new(TunerKind::Random, 7)
+        .with_batch(4)
+        .with_resilience(
+            RetryPolicy {
+                quarantine_after: 1,
+                ..RetryPolicy::default()
+            },
+            FaultInjector::new(2, plan),
+        );
     let out = session.run(&disc_objective(21), 12);
 
     let d = out.degradation.expect("degradation report");
@@ -143,15 +145,16 @@ fn permanent_straggler_is_quarantined_and_session_survives() {
 /// budget against a broken substrate.
 #[test]
 fn exhausted_failure_budget_returns_partial_outcome() {
-    let mut session = TuningSession::new(TunerKind::Random, 3);
-    session.with_batch(8).with_resilience(
-        RetryPolicy {
-            max_attempts: 1,
-            round_failure_budget: 1, // >1 failures per round aborts
-            ..RetryPolicy::default()
-        },
-        FaultInjector::new(8, FaultPlan::errors(1.0)), // everything fails
-    );
+    let session = TuningSession::new(TunerKind::Random, 3)
+        .with_batch(8)
+        .with_resilience(
+            RetryPolicy {
+                max_attempts: 1,
+                round_failure_budget: 1, // >1 failures per round aborts
+                ..RetryPolicy::default()
+            },
+            FaultInjector::new(8, FaultPlan::errors(1.0)), // everything fails
+        );
     let out = session.run(&disc_objective(17), 40);
 
     let d = out.degradation.expect("degradation report");

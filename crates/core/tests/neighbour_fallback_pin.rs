@@ -49,7 +49,7 @@ fn proposal_hash(tuner: &mut dyn Tuner, budget: usize, seed: u64) -> (u64, Strin
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
     let mut last = String::new();
     for _ in 0..budget {
-        let cfg = tuner.propose(&space, &history, &mut rng);
+        let cfg = tuner.propose(&space, &history, 1, &mut rng).remove(0);
         assert!(space.validate(&cfg).is_ok(), "invalid proposal {cfg}");
         last = cfg.to_string();
         for b in last.bytes().chain([b'\n']) {

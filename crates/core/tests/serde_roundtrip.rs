@@ -125,14 +125,15 @@ fn degraded_tuning_outcome_round_trips_through_json() {
         Wordcount::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(3),
     );
-    let mut session = TuningSession::new(TunerKind::Random, 5);
-    session.with_batch(4).with_resilience(
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        },
-        FaultInjector::new(7, FaultPlan::errors(0.4)),
-    );
+    let session = TuningSession::new(TunerKind::Random, 5)
+        .with_batch(4)
+        .with_resilience(
+            RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            },
+            FaultInjector::new(7, FaultPlan::errors(0.4)),
+        );
     let out = session.run(&obj, 8);
     assert!(out.is_degraded());
 

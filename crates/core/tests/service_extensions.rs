@@ -32,7 +32,7 @@ fn deadline_goal_finds_a_cluster_meeting_the_deadline() {
         &SimEnvironment::dedicated(44),
     );
     let obj = GoalObjective::new(inner, TuningGoal::Deadline { seconds: deadline });
-    let mut session = TuningSession::new(TunerKind::BayesOpt, 45);
+    let session = TuningSession::new(TunerKind::BayesOpt, 45);
     let outcome = session.run(&obj, 18);
     let best = outcome.best.expect("a feasible cluster exists");
     let true_runtime = best.metrics.expect("successful run").runtime_s;

@@ -50,7 +50,7 @@ fn run(kind: TunerKind, f: fn(&Configuration) -> f64, budget: usize, seed: u64) 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut history: Vec<Observation> = Vec::new();
     for _ in 0..budget {
-        let cfg = tuner.propose(&s, &history, &mut rng);
+        let cfg = tuner.propose(&s, &history, 1, &mut rng).remove(0);
         assert!(s.validate(&cfg).is_ok(), "{kind} proposed invalid config");
         history.push(Observation {
             runtime_s: f(&cfg),

@@ -154,15 +154,16 @@ fn chaos_session_with_recorder(seed: u64, dump_dir: &PathBuf) -> Vec<PathBuf> {
         Pagerank::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(7),
     );
-    let mut session = TuningSession::new(TunerKind::Random, 11);
-    session.with_batch(4).with_resilience(
-        RetryPolicy {
-            max_attempts: 1,
-            round_failure_budget: 1,
-            ..RetryPolicy::default()
-        },
-        FaultInjector::new(seed, FaultPlan::errors(0.9)),
-    );
+    let session = TuningSession::new(TunerKind::Random, 11)
+        .with_batch(4)
+        .with_resilience(
+            RetryPolicy {
+                max_attempts: 1,
+                round_failure_budget: 1,
+                ..RetryPolicy::default()
+            },
+            FaultInjector::new(seed, FaultPlan::errors(0.9)),
+        );
     let outcome = session.run(&objective, 12);
     let report = outcome.degradation.expect("every session reports");
     assert!(

@@ -243,19 +243,13 @@ fn gp_weights(chol: &Matrix, ys: &[f64]) -> (Vec<f64>, f64) {
     (alpha, lml)
 }
 
-/// Factorizes `gram + (noise + 1e-8)·I` and solves for the GP weights.
-fn factorize(
-    gram: &Matrix,
-    noise: f64,
-    ys: &[f64],
-) -> Result<(Matrix, Vec<f64>, f64), LinalgError> {
+/// The Cholesky factor of `gram + (noise + 1e-8)·I`.
+fn noisy_cholesky(gram: &Matrix, noise: f64) -> Result<Matrix, LinalgError> {
     let mut k = gram.clone();
     for i in 0..k.rows() {
         k[(i, i)] += noise + 1e-8;
     }
-    let chol = k.cholesky()?;
-    let (alpha, lml) = gp_weights(&chol, ys);
-    Ok((chol, alpha, lml))
+    k.cholesky()
 }
 
 /// Estimated work of a full `fit_auto` grid fit on `n` points of
@@ -271,22 +265,52 @@ fn full_fit_work(n: usize, d: usize) -> u64 {
 /// of 15). Length scales fan out over `threads` scoped workers; the
 /// returned vector is in deterministic ls-major grid order regardless
 /// of the thread count. `None` marks grid points whose kernel matrix is
-/// not positive definite.
-#[allow(clippy::type_complexity)]
-fn grid_factorize(
-    x: &[Vec<f64>],
-    ys: &[f64],
-    base: Kernel,
-    threads: usize,
-) -> Vec<Option<(Matrix, Vec<f64>, f64)>> {
+/// not positive definite. Factors only: [`select_grid_point`] solves
+/// the weights.
+fn grid_factorize(x: &[Vec<f64>], base: Kernel, threads: usize) -> Vec<Option<Matrix>> {
     par::par_map_threads(&LS_GRID, threads, |&ls| {
-        let kernel = base.with_length_scale(ls);
-        let gram = kernel_gram(x, kernel);
-        NOISE_GRID.map(|noise| factorize(&gram, noise, ys).ok())
+        let gram = kernel_gram(x, base.with_length_scale(ls));
+        NOISE_GRID.map(|noise| noisy_cholesky(&gram, noise).ok())
     })
     .into_iter()
     .flatten()
     .collect()
+}
+
+/// Hyperparameter selection over the grid's factors (ls-major, `None`
+/// where the kernel matrix is not positive definite): the first grid
+/// point of maximum log marginal likelihood, or a regularized fit when
+/// no grid point factorized.
+fn select_grid_point(
+    x: &[Vec<f64>],
+    y: &[f64],
+    base: Kernel,
+    chols: &[Option<Matrix>],
+) -> GpRegressor {
+    let (y_mean, y_std, ys) = standardize(y);
+    let mut best: Option<(usize, Vec<f64>, f64)> = None;
+    for (g, slot) in chols.iter().enumerate() {
+        if let Some(chol) = slot {
+            let (alpha, lml) = gp_weights(chol, &ys);
+            if best.as_ref().is_none_or(|b| lml > b.2) {
+                best = Some((g, alpha, lml));
+            }
+        }
+    }
+    match best {
+        Some((g, alpha, lml)) => GpRegressor {
+            kernel: base.with_length_scale(LS_GRID[g / NOISE_GRID.len()]),
+            noise: NOISE_GRID[g % NOISE_GRID.len()],
+            x: x.to_vec(),
+            chol: chols[g].clone().expect("best slot is Some"),
+            alpha,
+            y_mean,
+            y_std,
+            lml,
+        },
+        None => GpRegressor::fit(x, y, base.with_length_scale(1.0), 1.0)
+            .expect("regularized GP fit cannot fail"),
+    }
 }
 
 /// Writes `Σ_i kv_i · alpha_i` across a block of queries into `mean`,
@@ -348,7 +372,8 @@ impl GpRegressor {
         assert!(!x.is_empty(), "GP needs at least one observation");
         assert_eq!(x.len(), y.len(), "X and y length mismatch");
         let (y_mean, y_std, ys) = standardize(y);
-        let (chol, alpha, lml) = factorize(&kernel_gram(x, kernel), noise, &ys)?;
+        let chol = noisy_cholesky(&kernel_gram(x, kernel), noise)?;
+        let (alpha, lml) = gp_weights(&chol, &ys);
         Ok(GpRegressor {
             kernel,
             noise,
@@ -527,11 +552,6 @@ impl GpFitCache {
         GpFitCache::default()
     }
 
-    /// Drops any cached state.
-    pub fn clear(&mut self) {
-        self.state = None;
-    }
-
     /// Number of training points the cached factors cover.
     pub fn cached_points(&self) -> usize {
         self.state.as_ref().map_or(0, |s| s.x.len())
@@ -624,31 +644,10 @@ impl GpFitCache {
         // Re-run hyperparameter selection over the grown factors (the
         // weights must be recomputed even for old points: target
         // standardization depends on the full `y`).
-        let (y_mean, y_std, ys) = standardize(y);
-        let mut best: Option<(usize, Vec<f64>, f64)> = None;
-        for (g, slot) in state.chols.iter().enumerate() {
-            if let Some(chol) = slot {
-                let (alpha, lml) = gp_weights(chol, &ys);
-                if best.as_ref().is_none_or(|b| lml > b.2) {
-                    best = Some((g, alpha, lml));
-                }
-            }
-        }
-        let gp = match best {
-            Some((g, alpha, lml)) => GpRegressor {
-                kernel: base.with_length_scale(LS_GRID[g / NOISE_GRID.len()]),
-                noise: NOISE_GRID[g % NOISE_GRID.len()],
-                x: x.to_vec(),
-                chol: state.chols[g].clone().expect("best slot is Some"),
-                alpha,
-                y_mean,
-                y_std,
-                lml,
-            },
-            None => GpRegressor::fit(x, y, base.with_length_scale(1.0), 1.0)
-                .expect("regularized GP fit cannot fail"),
-        };
-        (gp, FitKind::Incremental)
+        (
+            select_grid_point(x, y, base, &state.chols),
+            FitKind::Incremental,
+        )
     }
 
     /// Full grid fit; repopulates the cache as a side effect.
@@ -661,35 +660,8 @@ impl GpFitCache {
     ) -> GpRegressor {
         assert!(!x.is_empty(), "GP needs at least one observation");
         assert_eq!(x.len(), y.len(), "X and y length mismatch");
-        let (y_mean, y_std, ys) = standardize(y);
-        let fits = grid_factorize(x, &ys, base, threads);
-        let mut chols: Vec<Option<Matrix>> = Vec::with_capacity(fits.len());
-        let mut best: Option<(usize, Vec<f64>, f64)> = None;
-        for (g, slot) in fits.into_iter().enumerate() {
-            match slot {
-                Some((chol, alpha, lml)) => {
-                    if best.as_ref().is_none_or(|b| lml > b.2) {
-                        best = Some((g, alpha, lml));
-                    }
-                    chols.push(Some(chol));
-                }
-                None => chols.push(None),
-            }
-        }
-        let gp = match best {
-            Some((g, alpha, lml)) => GpRegressor {
-                kernel: base.with_length_scale(LS_GRID[g / NOISE_GRID.len()]),
-                noise: NOISE_GRID[g % NOISE_GRID.len()],
-                x: x.to_vec(),
-                chol: chols[g].clone().expect("best slot is Some"),
-                alpha,
-                y_mean,
-                y_std,
-                lml,
-            },
-            None => GpRegressor::fit(x, y, base.with_length_scale(1.0), 1.0)
-                .expect("regularized GP fit cannot fail"),
-        };
+        let chols = grid_factorize(x, base, threads);
+        let gp = select_grid_point(x, y, base, &chols);
         self.state = Some(CacheState {
             base,
             x: x.to_vec(),

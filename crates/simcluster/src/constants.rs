@@ -59,16 +59,8 @@ pub const STAGE_NOISE_SIGMA: f64 = 0.025;
 pub const SPILL_RW_FACTOR: f64 = 2.0;
 
 /// Working set beyond this multiple of a task's execution memory
-/// triggers an OOM (retry) instead of a spill.
+/// triggers an OOM instead of a spill.
 pub const OOM_WORKING_SET_FACTOR: f64 = 8.0;
-
-/// Maximum task retry attempts before the stage (and job) is aborted,
-/// mirroring `spark.task.maxFailures`.
-pub const MAX_TASK_FAILURES: u32 = 4;
-
-/// Each OOM retry multiplies the task's elapsed time by this factor
-/// (wasted attempt + relaunch).
-pub const RETRY_TIME_FACTOR: f64 = 1.9;
 
 /// Driver memory needed per task for bookkeeping (MB).
 pub const DRIVER_MB_PER_TASK: f64 = 0.35;

@@ -100,10 +100,6 @@ impl Simulator {
                 reg.counter("sim.runs").inc();
                 reg.counter("sim.tasks")
                     .add(u64::from(r.metrics.total_tasks));
-                if r.metrics.oom_retries > 0 {
-                    reg.counter("sim.oom_retries")
-                        .add(u64::from(r.metrics.oom_retries));
-                }
                 reg.histogram("sim.sim_runtime_s").record_secs(r.runtime_s);
                 reg.gauge("sim.cpu_frac").set(r.metrics.cpu_frac());
                 reg.gauge("sim.io_frac").set(r.metrics.io_frac());
@@ -191,7 +187,6 @@ impl Simulator {
         let mut stage_metrics: Vec<StageMetrics> = Vec::with_capacity(job.stages.len());
         let mut total_tasks: u32 = 0;
         let mut total_spill = 0.0f64;
-        let mut total_oom: u32 = 0;
 
         let storage_total = env.total_storage_mem_mb().max(1.0);
         // Per-stage task buffers, reused across the run's stages.
@@ -430,7 +425,6 @@ impl Simulator {
             sm.duration_s = wall;
             total_tasks += ntasks as u32;
             total_spill += sm.spill_mb;
-            total_oom += sm.oom_retries;
 
             // ---- Cache this stage's output ---------------------------
             if stage.cache_output {
@@ -461,7 +455,6 @@ impl Simulator {
                 input_mb: job.total_input_mb(),
                 shuffle_mb: job.total_shuffle_mb(),
                 spill_mb: total_spill,
-                oom_retries: total_oom,
                 peak_storage_frac,
             },
         })

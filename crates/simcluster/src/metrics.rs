@@ -25,8 +25,6 @@ pub struct StageMetrics {
     pub ser_s: f64,
     /// Bytes spilled to disk (MB).
     pub spill_mb: f64,
-    /// OOM task retries.
-    pub oom_retries: u32,
     /// Fraction of cached reads served from memory (0 when no cache use).
     pub cache_hit_frac: f64,
 }
@@ -46,8 +44,6 @@ pub struct ExecMetrics {
     pub shuffle_mb: f64,
     /// Total spilled (MB).
     pub spill_mb: f64,
-    /// Total OOM retries.
-    pub oom_retries: u32,
     /// Peak fraction of aggregate storage memory used by cached RDDs.
     pub peak_storage_frac: f64,
 }

@@ -25,7 +25,7 @@ fn main() {
     ] {
         let objective =
             CloudObjective::new(job.clone(), disc.clone(), &SimEnvironment::dedicated(3));
-        let mut session = TuningSession::new(kind, 11);
+        let session = TuningSession::new(kind, 11);
         let outcome = session.run(&objective, budget);
         let (cluster, cost) = outcome
             .best

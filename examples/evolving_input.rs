@@ -14,7 +14,7 @@ fn main() {
 
     // Tune once at DS1.
     let obj = DiscObjective::new(cluster.clone(), Pagerank::new().job(DataScale::Ds1), &env);
-    let mut session = TuningSession::new(TunerKind::BayesOpt, 9);
+    let session = TuningSession::new(TunerKind::BayesOpt, 9);
     let tuned_at_ds1 = session
         .run(&obj, 20)
         .best_config()

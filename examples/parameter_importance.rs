@@ -20,7 +20,7 @@ fn history_for(workload: &dyn Workload, seed: u64) -> Vec<Observation> {
         workload.job(DataScale::Small),
         &SimEnvironment::dedicated(seed),
     );
-    let mut session = TuningSession::new(TunerKind::Lhs, seed);
+    let session = TuningSession::new(TunerKind::Lhs, seed);
     session.run(&objective, 60).history
 }
 

@@ -23,7 +23,7 @@ fn main() {
     for kind in [TunerKind::Random, TunerKind::HillClimb, TunerKind::BayesOpt] {
         let objective =
             DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(2));
-        let mut session = TuningSession::new(kind, 42);
+        let session = TuningSession::new(kind, 42);
         let outcome = session.run(&objective, 25);
         println!(
             "{kind:<12} best {:>8.1}s after {} executions (tuning spent ${:.2})",
@@ -35,7 +35,7 @@ fn main() {
 
     // Inspect the winning configuration.
     let objective = DiscObjective::new(cluster, job, &SimEnvironment::dedicated(2));
-    let mut session = TuningSession::new(TunerKind::BayesOpt, 42);
+    let session = TuningSession::new(TunerKind::BayesOpt, 42);
     let outcome = session.run(&objective, 25);
     if let Some(best) = outcome.best_config() {
         println!("\nbest configuration found:");

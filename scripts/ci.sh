@@ -30,6 +30,10 @@ cargo test --workspace -q
 for threads in 1 2 8; do
   echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p seamless-core --test batch_equivalence --test history_stress"
   SEAMLESS_THREADS="${threads}" cargo test -q -p seamless-core --test batch_equivalence --test history_stress
+  # Proposals must not depend on the worker count: every strategy's
+  # pinned proposal sequence replays whatever SEAMLESS_THREADS says.
+  echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p seamless-core --test proposal_pins"
+  SEAMLESS_THREADS="${threads}" cargo test -q -p seamless-core --test proposal_pins
   # History restore parses JSONL lines across workers; the root
   # property suite's round-trip and damage cases must hold at any count.
   echo "==> SEAMLESS_THREADS=${threads} cargo test -q --test properties"

@@ -242,11 +242,10 @@ fn tune(args: &[String]) -> ExitCode {
 
         let inner = DiscObjective::new(cluster, job, &SimEnvironment::dedicated(seed));
         let objective = GoalObjective::new(inner, goal);
-        let mut session = TuningSession::new(tuner, seed ^ 0x5EED);
-        session.with_batch(batch);
+        let mut session = TuningSession::new(tuner, seed ^ 0x5EED).with_batch(batch);
         if let Some(chaos_seed) = chaos {
             outln!("chaos: injecting faults with seed {chaos_seed}");
-            session.with_resilience(
+            session = session.with_resilience(
                 RetryPolicy::default(),
                 FaultInjector::new(chaos_seed, FaultPlan::chaos()),
             );

@@ -9,7 +9,7 @@ fn full_session(seed: u64) -> (f64, Vec<f64>) {
         Terasort::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(seed),
     );
-    let mut session = TuningSession::new(TunerKind::Genetic, seed);
+    let session = TuningSession::new(TunerKind::Genetic, seed);
     let outcome = session.run(&obj, 12);
     (
         outcome.best_runtime_s(),

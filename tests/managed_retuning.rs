@@ -10,7 +10,7 @@ fn managed_execution_retunes_and_improves_after_growth() {
 
     // Tune at the small size first.
     let obj = DiscObjective::new(cluster.clone(), Pagerank::new().job(DataScale::Tiny), &env);
-    let mut session = TuningSession::new(TunerKind::BayesOpt, 5);
+    let session = TuningSession::new(TunerKind::BayesOpt, 5);
     let tuned_small = session
         .run(&obj, 15)
         .best_config()

@@ -227,7 +227,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut history = Vec::new();
         for i in 0..6 {
-            let cfg = tuner.propose(&space, &history, &mut rng);
+            let cfg = tuner.propose(&space, &history, 1, &mut rng).remove(0);
             prop_assert!(space.validate(&cfg).is_ok(), "{kind} proposal {i} invalid");
             history.push(seamless_tuning::core::Observation {
                 config: cfg,
@@ -278,58 +278,52 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// A configuration's values in space order: its row.
-fn row_of(space: &ParamSpace, cfg: &Configuration) -> Vec<ParamValue> {
-    space
-        .params()
-        .iter()
-        .map(|p| cfg.get(&p.name).expect("a full configuration").clone())
-        .collect()
-}
-
-/// Deliberately bad variants of a valid row, one defect each: speculation
-/// on with an inadmissible quantile, the constraint-violating `h1` /
-/// `large` instance, an out-of-range int and a log-float just past `hi`
-/// (each where the space has such a parameter).
-fn bad_rows(space: &ParamSpace, row: &[ParamValue]) -> Vec<Vec<ParamValue>> {
+/// Deliberately bad variants of a valid configuration, one defect each:
+/// its first parameter missing, an unknown parameter, its first
+/// parameter given a value of the wrong kind, speculation on with an
+/// inadmissible quantile, the constraint-violating `h1` / `large`
+/// instance, an out-of-range int and a log-float just past `hi` (each
+/// where the space has such a parameter).
+fn bad_configs(space: &ParamSpace, cfg: &Configuration) -> Vec<Configuration> {
     use seamless_tuning::confspace::cloud::names as cl;
     use seamless_tuning::confspace::spark::names as sp;
     use seamless_tuning::confspace::ParamKind;
-    let set = |pairs: &[(usize, ParamValue)]| {
-        let mut bad = row.to_vec();
-        for (i, v) in pairs {
-            bad[*i] = v.clone();
-        }
-        bad
+    let first = &space.params()[0].name;
+    let wrong_kind = match cfg.get(first) {
+        Some(ParamValue::Str(_)) => ParamValue::Bool(true),
+        _ => ParamValue::Str("wrong kind".into()),
     };
-    let mut out = Vec::new();
-    if let (Some(on), Some(q)) = (
-        space.index_of(sp::SPECULATION),
-        space.index_of(sp::SPECULATION_QUANTILE),
-    ) {
-        out.push(set(&[
-            (on, ParamValue::Bool(true)),
-            (q, ParamValue::Float(0.3)),
-        ]));
+    let mut out = vec![
+        cfg.iter()
+            .filter(|(name, _)| name != first)
+            .map(|(name, v)| (name.to_owned(), v.clone()))
+            .collect(),
+        cfg.clone().with("no.such.param", 1i64),
+        cfg.clone().with(first, wrong_kind),
+    ];
+    if space.index_of(sp::SPECULATION).is_some() {
+        out.push(
+            cfg.clone()
+                .with(sp::SPECULATION, true)
+                .with(sp::SPECULATION_QUANTILE, 0.3),
+        );
     }
-    if let (Some(family), Some(size)) = (
-        space.index_of(cl::INSTANCE_FAMILY),
-        space.index_of(cl::INSTANCE_SIZE),
-    ) {
-        out.push(set(&[(family, "h1".into()), (size, "large".into())]));
+    if space.index_of(cl::INSTANCE_FAMILY).is_some() {
+        out.push(
+            cfg.clone()
+                .with(cl::INSTANCE_FAMILY, "h1")
+                .with(cl::INSTANCE_SIZE, "large"),
+        );
     }
-    for (i, p) in space.params().iter().enumerate() {
+    for p in space.params() {
         if let ParamKind::Int { hi, .. } = p.kind {
-            out.push(set(&[(i, ParamValue::Int(hi + 1))]));
+            out.push(cfg.clone().with(&p.name, hi + 1));
             break;
         }
     }
-    for (i, p) in space.params().iter().enumerate() {
+    for p in space.params() {
         if let ParamKind::Float { hi, log: true, .. } = p.kind {
-            out.push(set(&[(
-                i,
-                ParamValue::Float(f64::from_bits(hi.to_bits() + 1)),
-            )]));
+            out.push(cfg.clone().with(&p.name, f64::from_bits(hi.to_bits() + 1)));
             break;
         }
     }
@@ -344,7 +338,8 @@ proptest! {
     /// `Sampler::sample`'s configuration, a neighbour row's pick (after
     /// `fall_back` on rejection) is `neighbor`'s and a full decode of
     /// the moved encoding's, every row's encoding is the encoder's, and
-    /// a move is admitted exactly when `validate_row` accepts it.
+    /// a move is admitted exactly when `validate` accepts its
+    /// configuration.
     #[test]
     fn row_path_agrees_with_configuration_path(which in 0usize..5, seed in any::<u64>()) {
         use rand::Rng;
@@ -387,7 +382,7 @@ proptest! {
             let admitted = pool.push_neighbor(space, 0.5, 0.8, &mut pool_rng);
             let move_cfg = pool.config(space, i);
             prop_assert_eq!(bits(pool.encoding(i)), bits(&space.encode(&move_cfg)));
-            prop_assert_eq!(admitted, space.validate_row(&row_of(space, &move_cfg)).is_ok());
+            prop_assert_eq!(admitted, space.validate(&move_cfg).is_ok());
             if !admitted {
                 pool.fall_back();
             }
@@ -399,13 +394,9 @@ proptest! {
         prop_assert_eq!(next, pool_rng.gen::<u64>(), "draw counts differ");
         prop_assert_eq!(next, ref_rng.gen::<u64>(), "draw counts differ");
 
-        let row = row_of(space, cfg);
-        prop_assert_eq!(space.validate_row(&row), space.validate(cfg));
-        prop_assert!(space.validate_row(&row).is_ok());
-        for bad in bad_rows(space, &row) {
-            let via_config = space.validate(&space.config_of_row(bad.clone()));
-            prop_assert!(via_config.is_err(), "bad row accepted: {:?}", bad);
-            prop_assert_eq!(space.validate_row(&bad), via_config);
+        prop_assert!(space.validate(cfg).is_ok());
+        for bad in bad_configs(space, cfg) {
+            prop_assert!(space.validate(&bad).is_err(), "bad configuration accepted: {}", bad);
         }
     }
 }

@@ -10,7 +10,7 @@ fn tune(kind: TunerKind, budget: usize, seed: u64) -> TuningOutcome {
         Pagerank::new().job(DataScale::Tiny),
         &SimEnvironment::dedicated(seed),
     );
-    let mut session = TuningSession::new(kind, seed ^ 0xAB);
+    let session = TuningSession::new(kind, seed ^ 0xAB);
     session.run(&obj, budget)
 }
 
@@ -87,7 +87,7 @@ fn warm_start_is_visible_to_the_strategy_but_not_charged() {
     let donor = tune(TunerKind::Random, 10, 21);
     let donated_best = donor.best_config().expect("a donor run succeeded").clone();
     let tuner = TransferTuner::new(TunerKind::BayesOpt.build(), donor.history);
-    let mut session = TuningSession::with_tuner(Box::new(tuner), 99);
+    let session = TuningSession::with_tuner(Box::new(tuner), 99);
     let outcome = session.run(&obj, 8);
     assert_eq!(
         outcome.history[0].config, donated_best,
