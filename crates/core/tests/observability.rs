@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use obs::{Event, EventKind};
 use seamless_core::{HistoryStore, SeamlessTuner, ServiceConfig, SimEnvironment};
-use serde::{Deserialize, Value};
+use serde::Value;
 use workloads::{DataScale, Wordcount, Workload};
 
 fn global_obs_lock() -> &'static Mutex<()> {
@@ -159,7 +159,7 @@ fn chrome_trace_export_is_valid() {
         Some(Value::Str(s)) => Some(s.clone()),
         _ => None,
     };
-    let u64_of = |te: &Value, key: &str| te.get(key).and_then(|v| u64::from_value(v).ok());
+    let u64_of = |te: &Value, key: &str| te.get(key).and_then(Value::as_u64);
 
     let mut phases = std::collections::BTreeSet::new();
     for te in trace_events {

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use serde::{Deserialize, Value};
+use serde::Value;
 
 use crate::sink;
 
@@ -328,7 +328,7 @@ pub(crate) fn str_member<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
 
 /// Object member `key` as a non-negative integer.
 pub(crate) fn u64_member(v: &Value, key: &str) -> Option<u64> {
-    v.get(key).and_then(|m| u64::from_value(m).ok())
+    v.get(key).and_then(Value::as_u64)
 }
 
 fn trace_epoch() -> Instant {
