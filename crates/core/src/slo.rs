@@ -167,9 +167,11 @@ struct TenantWindow {
     break_even: VecDeque<Option<f64>>,
     tunes: u64,
     cost_usd_total: f64,
-    /// Whole cents already pushed to the registry counter, so repeated
-    /// publishes add only the delta (counters are monotonic).
-    cents_published: u64,
+    /// Whole cents already pushed to each registry's counter, by
+    /// [`obs::Registry::id`], so repeated publishes add only the delta
+    /// (counters are monotonic) and a registry published into for the
+    /// first time gets the full spend.
+    cents_published: BTreeMap<u64, u64>,
 }
 
 /// Continuous per-tenant SLO and cost accounting for the tuning
@@ -283,7 +285,8 @@ impl SloTracker {
 
     /// Publishes every tenant's statistics into `registry` under
     /// per-tenant labeled keys. Gauges are overwritten; the cost
-    /// counter advances by the spend since the last publish.
+    /// counter advances by the spend since the last publish into the
+    /// same registry.
     pub fn publish(&self, registry: &obs::Registry) {
         let mut tenants = self.tenants.lock().unwrap_or_else(|e| e.into_inner());
         for (tenant, w) in tenants.iter_mut() {
@@ -319,12 +322,13 @@ impl SloTracker {
             .gauge(&obs::labeled("slo.retune_amortization", labels))
             .set(stats.mean_runs_to_break_even.unwrap_or(f64::INFINITY));
         let cents_total = stats.cost_cents.max(0.0).round() as u64;
-        let delta = cents_total.saturating_sub(w.cents_published);
+        let published = w.cents_published.entry(registry.id()).or_default();
+        let delta = cents_total.saturating_sub(*published);
         if delta > 0 {
             registry
                 .counter(&obs::labeled("slo.tuning_cost_cents", labels))
                 .add(delta);
-            w.cents_published = cents_total;
+            *published = cents_total;
         }
     }
 }
@@ -496,9 +500,9 @@ mod tests {
 
     #[test]
     fn publishing_the_observed_tenant_keeps_the_full_publish() {
-        // One tracker per registry: a tracker remembers the spend it
-        // has published.
-        let (by_tenant, by_all) = (SloTracker::new(3, 0.10, 0.9), SloTracker::new(3, 0.10, 0.9));
+        // One tracker feeds both registries: it remembers the spend it
+        // has published into each.
+        let tracker = SloTracker::new(3, 0.10, 0.9);
         let (each, full) = (obs::Registry::new(), obs::Registry::new());
         let tunes = [
             ("alice", 100.0, 2.0),
@@ -511,13 +515,11 @@ mod tests {
             ("carol", 101.0, 2.25),
         ];
         for (tenant, tuned, cost) in tunes {
-            for tracker in [&by_tenant, &by_all] {
-                tracker.observe(tenant, &report(tuned, 100.0), &ledger(cost, 1.0, 0.5));
-            }
-            by_tenant.publish_tenant(&each, tenant);
-            by_all.publish(&full);
+            tracker.observe(tenant, &report(tuned, 100.0), &ledger(cost, 1.0, 0.5));
+            tracker.publish_tenant(&each, tenant);
+            tracker.publish(&full);
         }
-        by_tenant.publish_tenant(&each, "nobody");
+        tracker.publish_tenant(&each, "nobody");
         let (each, full) = (each.snapshot(), full.snapshot());
         assert_eq!(each.counters, full.counters);
         assert_eq!(each.counters.len(), 3);
@@ -530,5 +532,42 @@ mod tests {
         assert_eq!(bits(&each.gauges), bits(&full.gauges));
         assert_eq!(each.gauges.len(), 3 * 4);
         assert!(each.histograms.is_empty() && full.histograms.is_empty());
+    }
+    #[test]
+    fn spend_watermarks_are_kept_per_registry() {
+        let tracker = SloTracker::new(3, 0.10, 0.9);
+        let (first, second) = (obs::Registry::new(), obs::Registry::new());
+        assert_ne!(first.id(), second.id());
+        let cents = |r: &obs::Registry, tenant: &str| {
+            r.counter(&obs::labeled(
+                "slo.tuning_cost_cents",
+                &[("tenant", tenant)],
+            ))
+            .get()
+        };
+        tracker.observe("alice", &report(100.0, 100.0), &ledger(2.0, 1.0, 0.5));
+        tracker.observe("bob", &report(100.0, 100.0), &ledger(0.5, 1.0, 0.5));
+        tracker.publish(&first);
+        tracker.publish(&first);
+        tracker.publish_tenant(&first, "alice");
+        assert_eq!((cents(&first, "alice"), cents(&first, "bob")), (200, 50));
+
+        tracker.observe("alice", &report(100.0, 100.0), &ledger(1.5, 1.0, 0.5));
+        tracker.publish_tenant(&first, "alice");
+        // A registry published into for the first time gets the full
+        // spend, not the spend since the other registry's publish.
+        tracker.publish(&second);
+        for r in [&first, &second] {
+            assert_eq!((cents(r, "alice"), cents(r, "bob")), (350, 50));
+        }
+        // Repeated publishes into either registry never double-count.
+        for _ in 0..3 {
+            tracker.publish(&first);
+            tracker.publish(&second);
+            tracker.publish_tenant(&second, "alice");
+        }
+        for r in [&first, &second] {
+            assert_eq!((cents(r, "alice"), cents(r, "bob")), (350, 50));
+        }
     }
 }

@@ -223,17 +223,35 @@ impl HistogramSnapshot {
 
 /// A named family of metrics. Obtain the process-global one with
 /// [`registry`], or create isolated instances for tests.
-#[derive(Default)]
 pub struct Registry {
+    id: u64,
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        Registry {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            counters: Mutex::default(),
+            gauges: Mutex::default(),
+            histograms: Mutex::default(),
+        }
+    }
 }
 
 impl Registry {
     /// An empty registry.
     pub fn new() -> Self {
         Registry::default()
+    }
+
+    /// An identity no other registry in this process shares, so a
+    /// publisher can remember what it has pushed into each registry.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Gets or creates the counter `name`; the handle is cheap to
