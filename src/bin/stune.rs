@@ -252,20 +252,8 @@ fn tune(args: &[String]) -> ExitCode {
         }
         let outcome = session.run(&objective, budget);
 
-        if let Some(d) = &outcome.degradation {
-            outln!(
-                "resilience: {} ok, {} failed, {} timed out, {} retries, {} quarantined{}",
-                d.completed,
-                d.failed,
-                d.timed_out,
-                d.retries,
-                d.quarantined,
-                if d.budget_exhausted {
-                    " (failure budget exhausted — partial result)"
-                } else {
-                    ""
-                }
-            );
+        if let Some(line) = resilience_line(&outcome) {
+            outln!("{line}");
         }
 
         match &outcome.best {
@@ -313,6 +301,32 @@ fn tune(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The resilience summary of a session run under the resilient
+/// executor, `None` otherwise. A job crash (an OOM, a launch failure)
+/// completes as a trial, so the executor counts it as completed; the
+/// line counts it apart, as crashed, from the clean runs.
+fn resilience_line(outcome: &TuningOutcome) -> Option<String> {
+    let d = outcome.degradation.as_ref()?;
+    let crashed = outcome
+        .history
+        .iter()
+        .filter(|o| !o.is_ok() && !o.is_censored())
+        .count();
+    Some(format!(
+        "resilience: {} ok, {crashed} crashed, {} failed, {} timed out, {} retries, {} quarantined{}",
+        d.completed.saturating_sub(crashed),
+        d.failed,
+        d.timed_out,
+        d.retries,
+        d.quarantined,
+        if d.budget_exhausted {
+            " (failure budget exhausted — partial result)"
+        } else {
+            ""
+        }
+    ))
 }
 
 fn workload_by_name_or_err(name: &str) -> Result<Box<dyn Workload>, String> {
@@ -372,5 +386,63 @@ mod tests {
         ] {
             assert!(parse_goal(bad).is_err(), "`{bad}` must be rejected");
         }
+    }
+    #[test]
+    fn resilience_line_counts_job_crashes_apart_from_clean_runs() {
+        use seamless_tuning::core::DegradationReport;
+        use seamless_tuning::simcluster::FailureKind;
+
+        let run = |failure: Option<FailureKind>| Observation {
+            config: Configuration::new(),
+            runtime_s: 10.0,
+            cost_usd: 0.1,
+            metrics: None,
+            failure,
+        };
+        let mut outcome = TuningOutcome {
+            history: vec![
+                run(None),
+                run(Some(FailureKind::DriverOom)),
+                run(Some(FailureKind::TrialAborted {
+                    reason: "retries exhausted".to_owned(),
+                })),
+                run(None),
+                run(Some(FailureKind::LaunchFailure {
+                    reason: "quota".to_owned(),
+                })),
+                run(Some(FailureKind::TrialTimeout)),
+            ],
+            best: None,
+            degradation: None,
+        };
+        assert_eq!(resilience_line(&outcome), None);
+        outcome.degradation = Some(DegradationReport {
+            completed: 4,
+            failed: 1,
+            timed_out: 1,
+            retries: 3,
+            quarantined: 1,
+            budget_exhausted: false,
+        });
+        assert_eq!(
+            resilience_line(&outcome).as_deref(),
+            Some("resilience: 2 ok, 2 crashed, 1 failed, 1 timed out, 3 retries, 1 quarantined")
+        );
+        // Every execution crashed: none of them is reported ok.
+        outcome.history.retain(|o| !o.is_censored());
+        outcome.history.remove(0);
+        outcome.history.remove(1);
+        outcome.degradation = Some(DegradationReport {
+            completed: 2,
+            budget_exhausted: true,
+            ..DegradationReport::default()
+        });
+        assert_eq!(
+            resilience_line(&outcome).as_deref(),
+            Some(
+                "resilience: 0 ok, 2 crashed, 0 failed, 0 timed out, 0 retries, 0 quarantined \
+                 (failure budget exhausted — partial result)"
+            )
+        );
     }
 }
