@@ -53,8 +53,10 @@ pub struct Observation {
     pub config: Configuration,
     /// Observed runtime in seconds ([`FAILURE_PENALTY_S`] on failure).
     pub runtime_s: f64,
-    /// Dollar cost of the run (cluster price × runtime; failures are
-    /// charged the time-to-crash, approximated as 10% of the penalty).
+    /// Dollar cost of the run: cluster price × runtime. A run that
+    /// never launched is charged [`LAUNCH_FAILURE_COST_S`] of cluster
+    /// time and one that crashed [`RUNTIME_FAILURE_COST_S`]; a censored
+    /// trial ([`Observation::is_censored`]) is charged nothing.
     pub cost_usd: f64,
     /// Detailed metrics, absent for failed runs.
     pub metrics: Option<ExecMetrics>,

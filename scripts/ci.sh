@@ -38,6 +38,13 @@ for threads in 1 2 8; do
   # property suite's round-trip and damage cases must hold at any count.
   echo "==> SEAMLESS_THREADS=${threads} cargo test -q --test properties"
   SEAMLESS_THREADS="${threads}" cargo test -q --test properties
+  # History restore deserializes dump lines straight into records on
+  # workers: the restore pins, the registry counts a load leaves, and
+  # every derive shape's round-trip must hold at any count.
+  echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p seamless-core --lib history"
+  SEAMLESS_THREADS="${threads}" cargo test -q -p seamless-core --lib history
+  echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p seamless-core --test serde_roundtrip --test history_restore_counters"
+  SEAMLESS_THREADS="${threads}" cargo test -q -p seamless-core --test serde_roundtrip --test history_restore_counters
   # BayesOpt's session pool: cached scores must equal a fresh fit's
   # predictions bit for bit whatever worker count the fit ran on.
   echo "==> SEAMLESS_THREADS=${threads} cargo test -q -p seamless-core --lib tuner::bo"
