@@ -61,10 +61,7 @@ fn main() {
         let obj = DiscObjective::new(cluster.clone(), job.clone(), &SimEnvironment::dedicated(51));
         let session = TuningSession::new(kind, 4321);
         let outcome = session.run(&obj, budget);
-        let tuned_cost = outcome
-            .best
-            .as_ref()
-            .map_or(baseline.cost_usd, |o| o.cost_usd);
+        let tuned_cost = outcome.best().map_or(baseline.cost_usd, |o| o.cost_usd);
         let ledger = AmortizationLedger {
             tuning_cost_usd: outcome.total_cost_usd(),
             baseline_run_cost_usd: baseline.cost_usd,

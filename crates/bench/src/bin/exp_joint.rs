@@ -49,10 +49,7 @@ fn main() {
                     let obj = DiscObjective::new(ClusterSpec::table1_testbed(), job.clone(), &env);
                     let s = TuningSession::new(TunerKind::BayesOpt, 71 + rep);
                     let o = s.run(&obj, TOTAL_BUDGET);
-                    (
-                        o.best_runtime_s(),
-                        o.best.as_ref().map_or(0.0, |b| b.cost_usd),
-                    )
+                    (o.best_runtime_s(), o.best().map_or(0.0, |b| b.cost_usd))
                 }
                 "staged" => {
                     let cloud =
@@ -66,19 +63,13 @@ fn main() {
                     let disc = DiscObjective::new(cluster, job.clone(), &env);
                     let s2 = TuningSession::new(TunerKind::BayesOpt, 73 + rep);
                     let o2 = s2.run(&disc, TOTAL_BUDGET - TOTAL_BUDGET / 3);
-                    (
-                        o2.best_runtime_s(),
-                        o2.best.as_ref().map_or(0.0, |b| b.cost_usd),
-                    )
+                    (o2.best_runtime_s(), o2.best().map_or(0.0, |b| b.cost_usd))
                 }
                 _ => {
                     let obj = JointObjective::new(job.clone(), &env);
                     let s = TuningSession::new(TunerKind::BayesOpt, 74 + rep);
                     let o = s.run(&obj, TOTAL_BUDGET);
-                    (
-                        o.best_runtime_s(),
-                        o.best.as_ref().map_or(0.0, |b| b.cost_usd),
-                    )
+                    (o.best_runtime_s(), o.best().map_or(0.0, |b| b.cost_usd))
                 }
             };
             runtimes.push(best_runtime);

@@ -9,7 +9,7 @@
 use std::fs;
 use std::path::Path;
 
-use confspace::{Configuration, ParamSpace, Sampler, UniformSampler};
+use confspace::{sample, Configuration, ParamSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
@@ -75,7 +75,7 @@ pub fn eval_config(
 /// A deterministic pool of `n` random configurations.
 pub fn random_pool(space: &ParamSpace, n: usize, seed: u64) -> Vec<Configuration> {
     let mut rng = StdRng::seed_from_u64(seed);
-    UniformSampler.sample_n(space, n, &mut rng)
+    (0..n).map(|_| sample::uniform(space, &mut rng)).collect()
 }
 
 /// Replication seeds for an experiment (derived from a base).

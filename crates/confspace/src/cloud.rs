@@ -66,7 +66,7 @@ pub fn joint_space() -> ParamSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::{Sampler, UniformSampler};
+    use crate::sample::uniform;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -101,7 +101,8 @@ mod tests {
     fn samples_respect_family_size_constraint() {
         let s = cloud_space();
         let mut rng = StdRng::seed_from_u64(2);
-        for cfg in UniformSampler.sample_n(&s, 200, &mut rng) {
+        for _ in 0..200 {
+            let cfg = uniform(&s, &mut rng);
             assert!(
                 !(cfg.str(names::INSTANCE_FAMILY) == "h1"
                     && cfg.str(names::INSTANCE_SIZE) == "large")

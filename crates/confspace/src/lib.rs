@@ -24,12 +24,12 @@
 //! # Example
 //!
 //! ```
-//! use confspace::{spark::spark_space, sample::UniformSampler, Sampler};
+//! use confspace::{sample, spark::spark_space};
 //! use rand::SeedableRng;
 //!
 //! let space = spark_space();
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let cfg = UniformSampler.sample(&space, &mut rng);
+//! let cfg = sample::uniform(&space, &mut rng);
 //! assert!(space.validate(&cfg).is_ok());
 //! let v = space.encode(&cfg);
 //! let cfg2 = space.decode(&v);
@@ -51,5 +51,5 @@ pub use config::Configuration;
 pub use error::ConfigError;
 pub use param::{ParamDef, ParamKind, ParamValue};
 pub use pool::CandidatePool;
-pub use sample::{crossover, mutate, neighbor, LatinHypercube, Sampler, UniformSampler};
+pub use sample::{crossover, mutate, neighbor};
 pub use space::{Constraint, ConstraintArgs, ParamSpace};

@@ -21,12 +21,12 @@ const MAX_REJECTS: usize = 256;
 /// with its choices' strings — only through [`config`](Self::config).
 ///
 /// Draw for draw, [`push_uniform`](Self::push_uniform) is
-/// [`Sampler::sample`] and [`push_neighbor`](Self::push_neighbor) (with
+/// [`sample::uniform`] and [`push_neighbor`](Self::push_neighbor) (with
 /// [`fall_back`](Self::fall_back) on rejection) is [`neighbor`]; every
 /// row's encoding is bit for bit [`ParamSpace::encode`] of its
 /// configuration.
 ///
-/// [`Sampler::sample`]: crate::Sampler::sample
+/// [`sample::uniform`]: crate::sample::uniform
 /// [`neighbor`]: crate::neighbor
 ///
 /// # Example

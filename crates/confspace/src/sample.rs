@@ -1,11 +1,11 @@
-//! Sampling strategies and search operators over parameter spaces.
+//! Sampling and search operators over parameter spaces.
 //!
-//! All samplers respect the space's constraints by rejection: a sample
-//! violating a constraint is re-drawn (up to a bounded number of tries,
-//! after which the space's default configuration is returned — spaces in
-//! this workspace have mild constraints, so this is unreachable in
-//! practice). Uniform draws and neighbourhood moves are the
-//! [`CandidatePool`] draws.
+//! [`uniform`] and [`latin_hypercube`] respect the space's constraints
+//! by rejection: a sample violating a constraint is re-drawn (up to a
+//! bounded number of tries, after which the space's default
+//! configuration is returned — spaces in this workspace have mild
+//! constraints, so this is unreachable in practice). Uniform draws and
+//! neighbourhood moves are the [`CandidatePool`] draws.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -15,83 +15,52 @@ use crate::plan::value_of;
 use crate::pool::CandidatePool;
 use crate::space::ParamSpace;
 
-/// A strategy producing configurations from a space.
-pub trait Sampler {
-    /// Draws one configuration.
-    fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration;
-
-    /// Draws `n` configurations. Implementations may coordinate the draws
-    /// (e.g. Latin-hypercube stratification).
-    fn sample_n<R: Rng + ?Sized>(
-        &self,
-        space: &ParamSpace,
-        n: usize,
-        rng: &mut R,
-    ) -> Vec<Configuration> {
-        (0..n).map(|_| self.sample(space, rng)).collect()
-    }
+/// Draws one configuration, every parameter independently uniform: the
+/// configuration of one [`CandidatePool::push_uniform`] row.
+pub fn uniform<R: Rng + ?Sized>(space: &ParamSpace, rng: &mut R) -> Configuration {
+    let mut pool = CandidatePool::new(space);
+    pool.push_uniform(space, rng);
+    pool.config(space, 0)
 }
 
-/// Independent uniform sampling of every parameter: the configuration
-/// of one [`CandidatePool::push_uniform`] row.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UniformSampler;
-
-impl Sampler for UniformSampler {
-    fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration {
-        let mut pool = CandidatePool::new(space);
-        pool.push_uniform(space, rng);
-        pool.config(space, 0)
+/// Draws a Latin-hypercube block of `n` configurations: each dimension
+/// is divided into `n` strata and each stratum is used exactly once,
+/// giving much better space coverage than `n` i.i.d. uniform draws. A
+/// point the space rejects is replaced by a [`uniform`] draw; a block of
+/// one is one uniform point.
+pub fn latin_hypercube<R: Rng + ?Sized>(
+    space: &ParamSpace,
+    n: usize,
+    rng: &mut R,
+) -> Vec<Configuration> {
+    if n == 0 {
+        return Vec::new();
     }
-}
-
-/// Latin-hypercube sampling: for a batch of `n` draws, each dimension is
-/// divided into `n` strata and each stratum is used exactly once, giving
-/// much better space coverage than i.i.d. uniform draws for the same
-/// budget.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatinHypercube;
-
-impl Sampler for LatinHypercube {
-    fn sample<R: Rng + ?Sized>(&self, space: &ParamSpace, rng: &mut R) -> Configuration {
-        UniformSampler.sample(space, rng)
+    let d = space.len();
+    // One stratum permutation per dimension.
+    let mut perms: Vec<Vec<usize>> = Vec::with_capacity(d);
+    for _ in 0..d {
+        let mut p: Vec<usize> = (0..n).collect();
+        p.shuffle(rng);
+        perms.push(p);
     }
-
-    fn sample_n<R: Rng + ?Sized>(
-        &self,
-        space: &ParamSpace,
-        n: usize,
-        rng: &mut R,
-    ) -> Vec<Configuration> {
-        if n == 0 {
-            return Vec::new();
+    let mut out = Vec::with_capacity(n);
+    #[allow(clippy::needless_range_loop)] // `i` indexes every perm column
+    for i in 0..n {
+        let v: Vec<f64> = (0..d)
+            .map(|j| {
+                let stratum = perms[j][i] as f64;
+                (stratum + rng.gen::<f64>()) / n as f64
+            })
+            .collect();
+        let cfg = space.decode(&v);
+        if space.validate(&cfg).is_ok() {
+            out.push(cfg);
+        } else {
+            out.push(uniform(space, rng));
         }
-        let d = space.len();
-        // One stratum permutation per dimension.
-        let mut perms: Vec<Vec<usize>> = Vec::with_capacity(d);
-        for _ in 0..d {
-            let mut p: Vec<usize> = (0..n).collect();
-            p.shuffle(rng);
-            perms.push(p);
-        }
-        let mut out = Vec::with_capacity(n);
-        #[allow(clippy::needless_range_loop)] // `i` indexes every perm column
-        for i in 0..n {
-            let v: Vec<f64> = (0..d)
-                .map(|j| {
-                    let stratum = perms[j][i] as f64;
-                    (stratum + rng.gen::<f64>()) / n as f64
-                })
-                .collect();
-            let cfg = space.decode(&v);
-            if space.validate(&cfg).is_ok() {
-                out.push(cfg);
-            } else {
-                out.push(UniformSampler.sample(space, rng));
-            }
-        }
-        out
     }
+    out
 }
 
 /// Produces a neighbour of `cfg`: each parameter is perturbed with
@@ -189,7 +158,7 @@ mod tests {
         let s = space();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
-            let cfg = UniformSampler.sample(&s, &mut rng);
+            let cfg = uniform(&s, &mut rng);
             assert!(s.validate(&cfg).is_ok());
         }
     }
@@ -197,9 +166,11 @@ mod tests {
     #[test]
     fn uniform_is_deterministic_under_seed() {
         let s = space();
-        let a = UniformSampler.sample_n(&s, 5, &mut StdRng::seed_from_u64(42));
-        let b = UniformSampler.sample_n(&s, 5, &mut StdRng::seed_from_u64(42));
-        assert_eq!(a, b);
+        let draw = |seed| -> Vec<Configuration> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..5).map(|_| uniform(&s, &mut rng)).collect()
+        };
+        assert_eq!(draw(42), draw(42));
     }
 
     #[test]
@@ -207,7 +178,7 @@ mod tests {
         let s = ParamSpace::new().with(ParamDef::float("f", 0.0, 1.0, 0.5, ""));
         let mut rng = StdRng::seed_from_u64(3);
         let n = 10;
-        let samples = LatinHypercube.sample_n(&s, n, &mut rng);
+        let samples = latin_hypercube(&s, n, &mut rng);
         let mut strata: Vec<usize> = samples
             .iter()
             .map(|c| ((c.float("f") * n as f64).floor() as usize).min(n - 1))
@@ -253,7 +224,7 @@ mod tests {
     fn mutate_zero_rate_is_identity() {
         let s = space();
         let mut rng = StdRng::seed_from_u64(13);
-        let base = UniformSampler.sample(&s, &mut rng);
+        let base = uniform(&s, &mut rng);
         let m = mutate(&s, &base, 0.0, &mut rng);
         assert_eq!(m, base);
     }
@@ -279,7 +250,7 @@ mod tests {
         let s = space().with_constraint(Constraint::new("n even-ish", &["n"], |v| v.int(0) != 13));
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..200 {
-            let cfg = UniformSampler.sample(&s, &mut rng);
+            let cfg = uniform(&s, &mut rng);
             assert_ne!(cfg.int("n"), 13);
         }
     }

@@ -238,7 +238,14 @@ impl ParamSpace {
     /// # Panics
     ///
     /// Panics if the constraint names a parameter the space lacks.
-    pub fn add_constraint(&mut self, mut c: Constraint) -> &mut Self {
+    #[must_use]
+    pub fn with_constraint(mut self, c: Constraint) -> Self {
+        self.add_constraint(c);
+        self
+    }
+
+    /// [`with_constraint`](Self::with_constraint) in place.
+    fn add_constraint(&mut self, mut c: Constraint) {
         c.at = c
             .params
             .iter()
@@ -249,14 +256,6 @@ impl ParamSpace {
             })
             .collect();
         self.constraints.push(c);
-        self
-    }
-
-    /// Builder-style [`add_constraint`](Self::add_constraint).
-    #[must_use]
-    pub fn with_constraint(mut self, c: Constraint) -> Self {
-        self.add_constraint(c);
-        self
     }
 
     /// Number of parameters (also the encoded dimension count).

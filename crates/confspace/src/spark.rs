@@ -256,7 +256,7 @@ pub fn spark_space() -> ParamSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sample::{Sampler, UniformSampler};
+    use crate::sample::uniform;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -296,8 +296,8 @@ mod tests {
     fn random_samples_validate() {
         let s = spark_space();
         let mut rng = StdRng::seed_from_u64(7);
-        for cfg in UniformSampler.sample_n(&s, 50, &mut rng) {
-            assert!(s.validate(&cfg).is_ok());
+        for _ in 0..50 {
+            assert!(s.validate(&uniform(&s, &mut rng)).is_ok());
         }
     }
 }

@@ -2,7 +2,7 @@
 //! built-in catalogs): sampling, clamping and encoding must uphold
 //! their contracts for any space a downstream user could define.
 
-use confspace::{Configuration, LatinHypercube, ParamDef, ParamSpace, Sampler, UniformSampler};
+use confspace::{sample, Configuration, ParamDef, ParamSpace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,7 +55,7 @@ proptest! {
     fn uniform_samples_validate(space in arb_space(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..5 {
-            let cfg = UniformSampler.sample(&space, &mut rng);
+            let cfg = sample::uniform(&space, &mut rng);
             prop_assert!(space.validate(&cfg).is_ok());
         }
     }
@@ -64,7 +64,7 @@ proptest! {
     #[test]
     fn batch_samplers_validate(space in arb_space(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        for cfg in LatinHypercube.sample_n(&space, 7, &mut rng) {
+        for cfg in sample::latin_hypercube(&space, 7, &mut rng) {
             prop_assert!(space.validate(&cfg).is_ok());
         }
     }
@@ -84,7 +84,7 @@ proptest! {
     #[test]
     fn encoding_is_unit_box(space in arb_space(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = UniformSampler.sample(&space, &mut rng);
+        let cfg = sample::uniform(&space, &mut rng);
         let v = space.encode(&cfg);
         prop_assert_eq!(v.len(), space.len());
         prop_assert!(v.iter().all(|x| (0.0..=1.0).contains(x)));
@@ -94,7 +94,7 @@ proptest! {
     #[test]
     fn decode_is_idempotent(space in arb_space(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let cfg = UniformSampler.sample(&space, &mut rng);
+        let cfg = sample::uniform(&space, &mut rng);
         let once = space.decode(&space.encode(&cfg));
         let twice = space.decode(&space.encode(&once));
         prop_assert_eq!(once, twice);

@@ -51,7 +51,7 @@ pub fn trial_seed(base_seed: u64, trial_index: u64) -> u64 {
 /// same randomness whatever the retry policy — while later attempts
 /// re-mix through the same finalizer so a retried trial sees a fresh,
 /// reproducible randomness stream.
-pub fn attempt_seed(base_seed: u64, trial_index: u64, attempt: u32) -> u64 {
+fn attempt_seed(base_seed: u64, trial_index: u64, attempt: u32) -> u64 {
     let first = trial_seed(base_seed, trial_index);
     if attempt == 0 {
         first
@@ -438,11 +438,6 @@ impl TrialExecutor {
         self
     }
 
-    /// Number of trials issued so far (the global trial index counter).
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
     /// The active retry policy.
     pub fn policy(&self) -> &RetryPolicy {
         &self.policy
@@ -454,7 +449,7 @@ impl TrialExecutor {
     }
 
     /// Whether `config` is quarantined (fails without evaluation).
-    pub fn is_quarantined(&self, config: &Configuration) -> bool {
+    fn is_quarantined(&self, config: &Configuration) -> bool {
         // The key formats every value: skip it while nothing is
         // quarantined, as on every healthy session.
         !self.quarantined.is_empty() && self.quarantined.contains(&quarantine_key(config))
@@ -547,7 +542,7 @@ mod tests {
     use super::*;
     use crate::faults::FaultPlan;
     use crate::objective::{DiscObjective, Objective, SimEnvironment};
-    use confspace::{Sampler, UniformSampler};
+    use confspace::sample;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use simcluster::ClusterSpec;
@@ -564,7 +559,7 @@ mod tests {
     fn sample_configs(obj: &DiscObjective, n: usize, seed: u64) -> Vec<Configuration> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
-            .map(|_| UniformSampler.sample(obj.space(), &mut rng))
+            .map(|_| sample::uniform(obj.space(), &mut rng))
             .collect()
     }
 
@@ -608,7 +603,7 @@ mod tests {
         let obj = disc_objective(3);
         let mut ex = TrialExecutor::new(1);
         assert!(ex.run_trials(&obj, &[]).is_empty());
-        assert_eq!(ex.issued(), 0);
+        assert_eq!(ex.issued, 0);
     }
 
     #[test]

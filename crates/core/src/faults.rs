@@ -157,7 +157,7 @@ impl FaultInjector {
     }
 
     /// Whether this injector can never fire.
-    pub fn is_noop(&self) -> bool {
+    fn is_noop(&self) -> bool {
         self.plan.is_none()
     }
 

@@ -146,11 +146,6 @@ impl RetuneMonitor {
         self.runs_since_reset = 0;
     }
 
-    /// Managed runs observed since the last reset.
-    pub fn runs_since_reset(&self) -> usize {
-        self.runs_since_reset
-    }
-
     /// The active policy.
     pub fn policy(&self) -> RetunePolicy {
         self.policy
@@ -179,7 +174,7 @@ mod tests {
             let jitter = 1.0 + 0.01 * ((i % 5) as f64 - 2.0);
             assert_eq!(m.observe(&obs(100.0 * jitter)), None, "run {i}");
         }
-        assert_eq!(m.runs_since_reset(), 50);
+        assert_eq!(m.runs_since_reset, 50);
     }
 
     #[test]
@@ -220,7 +215,7 @@ mod tests {
             let _ = m.observe(&obs(100.0));
         }
         m.reset();
-        assert_eq!(m.runs_since_reset(), 0);
+        assert_eq!(m.runs_since_reset, 0);
         // New regime after reset is the new normal.
         for _ in 0..10 {
             assert_eq!(m.observe(&obs(150.0)), None);

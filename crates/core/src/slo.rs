@@ -40,20 +40,6 @@ impl SloReport {
     pub fn within_of_optimal(&self, x: f64) -> Option<bool> {
         self.distance_from_optimal().map(|d| d <= x)
     }
-
-    /// Same predicate against the best similar workload's runtime —
-    /// the paper's fallback when the true optimum is unknowable.
-    pub fn within_of_best_similar(&self, x: f64) -> Option<bool> {
-        self.best_similar_runtime_s
-            .map(|b| self.tuned_runtime_s <= b.max(1e-9) * (1.0 + x))
-    }
-
-    /// Improvement factor over the default configuration (≥ 1 when
-    /// tuning helped), e.g. DAC's 30–89×.
-    pub fn improvement_over_default(&self) -> Option<f64> {
-        self.default_runtime_s
-            .map(|d| d / self.tuned_runtime_s.max(1e-9))
-    }
 }
 
 /// The §IV-C amortization ledger: does the cost sunk into tuning pay
@@ -352,19 +338,6 @@ mod tests {
         assert!((r.distance_from_optimal().unwrap() - 0.1).abs() < 1e-9);
         assert_eq!(r.within_of_optimal(0.15), Some(true));
         assert_eq!(r.within_of_optimal(0.05), Some(false));
-    }
-
-    #[test]
-    fn improvement_over_default_matches_dac_style_factor() {
-        let r = report(100.0, 100.0);
-        assert!((r.improvement_over_default().unwrap() - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn within_best_similar_uses_history_reference() {
-        let r = report(112.0, 100.0); // best similar = 110
-        assert_eq!(r.within_of_best_similar(0.05), Some(true));
-        assert_eq!(r.within_of_best_similar(0.01), Some(false));
     }
 
     #[test]

@@ -232,7 +232,7 @@ impl Tuner for TransferTuner {
 mod tests {
     use super::*;
     use crate::tuner::BayesOpt;
-    use confspace::{Sampler, UniformSampler};
+    use confspace::sample;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::cell::RefCell;
@@ -354,11 +354,11 @@ mod tests {
             failure: None,
         };
         let donated: Vec<Observation> = (0..4)
-            .map(|i| observe(UniformSampler.sample(&s, &mut rng), 50.0 + i as f64))
+            .map(|i| observe(sample::uniform(&s, &mut rng), 50.0 + i as f64))
             .collect();
         // Ten real runs: past BayesOpt's 8-point warm-up.
         let history: Vec<Observation> = (0..10)
-            .map(|i| observe(UniformSampler.sample(&s, &mut rng), 40.0 + 3.0 * i as f64))
+            .map(|i| observe(sample::uniform(&s, &mut rng), 40.0 + 3.0 * i as f64))
             .collect();
         let mut t = TransferTuner::new(Box::new(BayesOpt::new()), donated);
         let batch = t.propose(&s, &history, 8, &mut rng);

@@ -4,7 +4,7 @@
 //! Latin-hypercube design — the data-efficient strategy the paper
 //! contrasts with 500-sample search (§IV-C).
 
-use confspace::{CandidatePool, Configuration, ParamSpace, Sampler, UniformSampler};
+use confspace::{sample, CandidatePool, Configuration, ParamSpace};
 use models::{expected_improvement, FitKind, GpFitCache, GpPredictCache, Kernel};
 use rand::RngCore;
 
@@ -144,7 +144,7 @@ impl BayesOpt {
     /// left (its first model-guided round, or once all are proposed),
     /// and local refinements around the incumbent, redrawn every round,
     /// a rejected refinement standing in as the clamped incumbent. Draw
-    /// for draw the rows `UniformSampler::sample_n` and `neighbor` would
+    /// for draw the rows `sample::uniform` and `neighbor` would
     /// build, without naming the values.
     fn candidate_pool(
         &mut self,
@@ -303,7 +303,7 @@ impl Tuner for BayesOpt {
         // Degenerate pools (q > candidates) top up with uniform
         // exploration rather than duplicating picks.
         while out.len() < q {
-            out.push(UniformSampler.sample(space, rng));
+            out.push(sample::uniform(space, rng));
         }
         out
     }
@@ -517,11 +517,10 @@ mod tests {
         };
         let (bo, seen) = (shared.bo.clone(), shared.seen.clone());
         let mut lhs = StdRng::seed_from_u64(8);
-        let trap = UniformSampler.sample(&space, &mut lhs);
+        let trap = sample::uniform(&space, &mut lhs);
         let mut donated = vec![observed(trap.clone(), 1.0)];
-        donated.extend(
-            (0..5).map(|i| observed(UniformSampler.sample(&space, &mut lhs), 30.0 + i as f64)),
-        );
+        donated
+            .extend((0..5).map(|i| observed(sample::uniform(&space, &mut lhs), 30.0 + i as f64)));
         let mut transfer = crate::transfer::TransferTuner::new(Box::new(shared), donated);
         let mut rng = StdRng::seed_from_u64(5);
         let mut history: Vec<Observation> = Vec::new();
@@ -557,7 +556,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let long: Vec<Observation> = (0..MAX_GP_POINTS + 3)
             .map(|_| {
-                let cfg = UniformSampler.sample(&space, &mut rng);
+                let cfg = sample::uniform(&space, &mut rng);
                 let runtime = smooth_runtime(&space, &cfg);
                 observed(cfg, runtime)
             })

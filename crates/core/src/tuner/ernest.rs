@@ -12,7 +12,7 @@
 //! random search — reproducing the paper's "poor adaptivity" point.
 
 use confspace::cloud::names as cn;
-use confspace::{Configuration, ParamKind, ParamSpace, Sampler, UniformSampler};
+use confspace::{sample, Configuration, ParamKind, ParamSpace};
 use models::ErnestModel;
 use rand::RngCore;
 
@@ -80,7 +80,7 @@ impl Ernest {
         let Some((lo, hi)) = Self::node_range(space) else {
             // No machine-scale dimension: the model does not apply
             // (the paper's "poor adaptivity" case) — random search.
-            return UniformSampler.sample(space, rng);
+            return sample::uniform(space, rng);
         };
 
         if !self.design_built {
@@ -128,7 +128,7 @@ impl Ernest {
             }
         }
         best.map(|(_, c)| c)
-            .unwrap_or_else(|| UniformSampler.sample(space, rng))
+            .unwrap_or_else(|| sample::uniform(space, rng))
     }
 }
 

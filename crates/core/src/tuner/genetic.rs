@@ -3,7 +3,7 @@
 //! DAC's hierarchical regression-tree ensemble) is searched with a
 //! genetic algorithm, and only the GA's winner is actually executed.
 
-use confspace::{crossover, mutate, Configuration, LatinHypercube, ParamSpace, Sampler};
+use confspace::{crossover, mutate, sample, CandidatePool, Configuration, ParamSpace};
 use models::{ForestParams, RandomForest};
 use rand::{Rng, RngCore};
 
@@ -18,6 +18,11 @@ const GENERATIONS: usize = 8;
 
 /// Per-parameter mutation probability.
 const MUTATION_RATE: f64 = 0.08;
+
+/// Scale of the incumbent nudge's neighbour move: the pool's step has
+/// standard deviation `scale / √3`, so this is a step of 0.06 of each
+/// parameter's range.
+const NUDGE_SCALE: f64 = 0.06 * 1.732_050_807_568_877_2;
 
 /// Surrogate-assisted genetic configuration search.
 #[derive(Debug, Clone)]
@@ -65,7 +70,7 @@ impl Genetic {
             .map(|o| o.config.clone())
             .collect();
         while pop.len() < POPULATION {
-            pop.push(LatinHypercube.sample(space, rng));
+            pop.push(sample::uniform(space, rng));
         }
 
         for _ in 0..GENERATIONS {
@@ -92,26 +97,18 @@ impl Genetic {
         final_scored
     }
 
-    /// A direct Gaussian nudge of the incumbent, when one exists and the
-    /// nudged point is valid.
+    /// A neighbour move of every parameter of the incumbent, when one
+    /// exists and the space admits the move.
     fn nudge(
         space: &ParamSpace,
         history: &[Observation],
         rng: &mut dyn RngCore,
     ) -> Option<Configuration> {
         let best = best_observation(history)?;
-        let nudged: Vec<f64> = space
-            .encode(&best.config)
-            .iter()
-            .map(|v| {
-                let u1: f64 = rng.gen::<f64>().max(1e-12);
-                let u2: f64 = rng.gen();
-                let gauss = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                (v + 0.06 * gauss).clamp(0.0, 1.0)
-            })
-            .collect();
-        let cand = space.decode(&nudged);
-        space.validate(&cand).is_ok().then_some(cand)
+        let mut pool = CandidatePool::new(space);
+        pool.set_base(space, &best.config);
+        pool.push_neighbor(space, NUDGE_SCALE, 1.0, rng)
+            .then(|| pool.config(space, 0))
     }
 }
 
@@ -120,10 +117,11 @@ impl Tuner for Genetic {
         "genetic"
     }
 
-    /// Native batch: one GA run supplies the whole generation — the
-    /// top-`q` distinct, not-yet-evaluated individuals of the final
-    /// population, topped up with stratified samples when the
-    /// population cannot fill the batch.
+    /// Native batch: one GA run supplies the generation — the top
+    /// distinct, not-yet-evaluated individuals of the final population,
+    /// topped up with uniform samples when the population cannot fill
+    /// the round. Every third round opens with a nudge of the
+    /// incumbent instead of one GA pick.
     fn propose(
         &mut self,
         space: &ParamSpace,
@@ -138,33 +136,26 @@ impl Tuner for Genetic {
         }
 
         // The forest surrogate is piecewise-constant, so within its
-        // best leaf it cannot rank candidates; every third lone
-        // proposal is a direct Gaussian nudge of the incumbent,
-        // refining below the surrogate's resolution.
-        if q == 1 && history.len() % 3 == 2 {
-            if let Some(cand) = Self::nudge(space, history, rng) {
-                return vec![cand];
-            }
-        }
-
-        let final_scored = self.evolve(space, history, rng);
+        // best leaf it cannot rank candidates; every third round opens
+        // with a direct nudge of the incumbent, refining below the
+        // surrogate's resolution.
         let mut out: Vec<Configuration> = Vec::with_capacity(q);
-        for (_, c) in &final_scored {
-            if out.len() >= q {
-                break;
-            }
-            if history.iter().any(|o| &o.config == c) || out.contains(c) {
-                continue;
-            }
-            out.push(c.clone());
+        if history.len() % 3 == 2 {
+            out.extend(Self::nudge(space, history, rng));
         }
-        // A lone proposal whose whole population was evaluated repeats
-        // the surrogate-best individual.
-        if q == 1 && out.is_empty() {
-            out.extend(final_scored.into_iter().next().map(|(_, c)| c));
+        if out.len() < q {
+            for (_, c) in self.evolve(space, history, rng) {
+                if out.len() >= q {
+                    break;
+                }
+                if history.iter().any(|o| o.config == c) || out.contains(&c) {
+                    continue;
+                }
+                out.push(c);
+            }
         }
         while out.len() < q {
-            out.push(LatinHypercube.sample(space, rng));
+            out.push(sample::uniform(space, rng));
         }
         out
     }

@@ -5,7 +5,7 @@
 //! start from the space's defaults (Spark's shipped configuration), the
 //! analogous "sensible prior".
 
-use confspace::{neighbor, Configuration, ParamSpace, Sampler, UniformSampler};
+use confspace::{neighbor, sample, Configuration, ParamSpace};
 use rand::RngCore;
 
 use crate::objective::Observation;
@@ -53,7 +53,7 @@ impl HillClimb {
                 space.default_configuration()
             } else {
                 // Defaults failed outright; explore randomly.
-                UniformSampler.sample(space, rng)
+                sample::uniform(space, rng)
             };
         };
 
@@ -75,7 +75,7 @@ impl HillClimb {
         if self.stall >= self.restart_after {
             self.stall = 0;
             self.scale = 0.08;
-            return UniformSampler.sample(space, rng);
+            return sample::uniform(space, rng);
         }
 
         neighbor(space, &best.config, self.scale, 0.4, rng)
@@ -108,7 +108,7 @@ impl Tuner for HillClimb {
                     let scale = (self.scale * (1.0 + i as f64 * 0.5)).min(0.5);
                     out.push(neighbor(space, best, scale, 0.4, rng));
                 }
-                _ => out.push(UniformSampler.sample(space, rng)),
+                _ => out.push(sample::uniform(space, rng)),
             }
         }
         out

@@ -28,7 +28,7 @@ pub mod random;
 pub mod rl;
 pub mod rtree;
 
-use confspace::{Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler};
+use confspace::{sample, Configuration, ParamSpace};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -117,11 +117,9 @@ fn next_lhs_point(
     rng: &mut dyn RngCore,
 ) -> Configuration {
     if pending.is_empty() {
-        *pending = LatinHypercube.sample_n(space, n, rng);
+        *pending = sample::latin_hypercube(space, n, rng);
     }
-    pending
-        .pop()
-        .unwrap_or_else(|| UniformSampler.sample(space, rng))
+    pending.pop().unwrap_or_else(|| sample::uniform(space, rng))
 }
 
 /// Squared bandwidth of the proximity kernel (h = 0.2 in the
@@ -228,8 +226,6 @@ impl std::fmt::Display for TunerKind {
 pub struct TuningOutcome {
     /// Every observation, in evaluation order.
     pub history: Vec<Observation>,
-    /// The best successful observation, if any run succeeded.
-    pub best: Option<Observation>,
     /// Resilience statistics. Every session reports one; it is empty
     /// ([`DegradationReport::degraded`] is false) when the session ran
     /// clean. A session that blew its round failure budget still returns
@@ -239,14 +235,20 @@ pub struct TuningOutcome {
 }
 
 impl TuningOutcome {
+    /// The best successful observation of the history, if any run
+    /// succeeded.
+    pub fn best(&self) -> Option<&Observation> {
+        best_observation(&self.history)
+    }
+
     /// Best runtime found (∞ when every run failed).
     pub fn best_runtime_s(&self) -> f64 {
-        self.best.as_ref().map_or(f64::INFINITY, |o| o.runtime_s)
+        self.best().map_or(f64::INFINITY, |o| o.runtime_s)
     }
 
     /// The best configuration found, when any run succeeded.
     pub fn best_config(&self) -> Option<&Configuration> {
-        self.best.as_ref().map(|o| &o.config)
+        self.best().map(|o| &o.config)
     }
 
     /// Best-so-far runtime curve (index = evaluations used − 1).
@@ -263,16 +265,6 @@ impl TuningOutcome {
     /// the failure budget ended it early.
     pub fn is_degraded(&self) -> bool {
         self.degradation.as_ref().is_some_and(|d| d.degraded())
-    }
-
-    /// Number of evaluations needed to get within `pct` (e.g. 0.10) of
-    /// the session's final best runtime; `None` when no run succeeded.
-    pub fn evals_to_within(&self, pct: f64) -> Option<usize> {
-        let target = self.best_runtime_s() * (1.0 + pct);
-        self.best_so_far()
-            .iter()
-            .position(|&b| b <= target)
-            .map(|i| i + 1)
     }
 }
 
@@ -441,8 +433,7 @@ impl TuningSession {
             }
         }
         report.quarantined = executor.quarantined_count();
-        let best = best_observation(&history).cloned();
-        if let Some(b) = &best {
+        if let Some(b) = best_observation(&history) {
             obs::instant(
                 "session_best",
                 obs::fields![("tuner", self.tuner.name()), ("runtime_s", b.runtime_s)],
@@ -450,7 +441,6 @@ impl TuningSession {
         }
         TuningOutcome {
             history,
-            best,
             degradation: Some(report),
         }
     }
@@ -498,13 +488,11 @@ mod tests {
     fn outcome_accessors() {
         let o = TuningOutcome {
             history: vec![obs(10.0, true), obs(4.0, true), obs(6.0, true)],
-            best: Some(obs(4.0, true)),
             degradation: None,
         };
+        assert_eq!(o.best(), Some(&o.history[1]));
         assert_eq!(o.best_runtime_s(), 4.0);
         assert_eq!(o.total_cost_usd(), 3.0);
-        assert_eq!(o.evals_to_within(0.0), Some(2));
-        assert_eq!(o.evals_to_within(2.0), Some(1)); // within 3x of 4.0 is 12 >= 10
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! Table I experiment ("we ran the workload using 100 random
 //! configurations to find the best configuration").
 
-use confspace::{Configuration, LatinHypercube, ParamSpace, Sampler, UniformSampler};
+use confspace::{sample, Configuration, ParamSpace};
 use rand::RngCore;
 
 use crate::objective::Observation;
@@ -17,10 +17,10 @@ impl Tuner for RandomSearch {
         "random"
     }
 
-    /// One uniform draw, or a stratified block per round of several: a
-    /// batch of i.i.d. draws wastes budget on clustered samples, an LHS
-    /// block of the same size guarantees per-dimension coverage for
-    /// free.
+    /// One Latin-hypercube block per round, which is one uniform draw
+    /// in a round of one: a batch of i.i.d. draws wastes budget on
+    /// clustered samples, an LHS block of the same size guarantees
+    /// per-dimension coverage for free.
     fn propose(
         &mut self,
         space: &ParamSpace,
@@ -28,11 +28,7 @@ impl Tuner for RandomSearch {
         q: usize,
         rng: &mut dyn RngCore,
     ) -> Vec<Configuration> {
-        if q == 1 {
-            vec![UniformSampler.sample(space, rng)]
-        } else {
-            LatinHypercube.sample_n(space, q, rng)
-        }
+        sample::latin_hypercube(space, q, rng)
     }
 }
 

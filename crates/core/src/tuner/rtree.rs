@@ -3,7 +3,7 @@
 //! predicts fastest (with ε-greedy exploration, since a single tree's
 //! piecewise-constant surface is easy to get stuck on).
 
-use confspace::{CandidatePool, Configuration, ParamSpace, Sampler, UniformSampler};
+use confspace::{sample, CandidatePool, Configuration, ParamSpace};
 use models::{RegressionTree, TreeParams};
 use rand::{Rng, RngCore};
 
@@ -43,7 +43,7 @@ impl RegressionTreeTuner {
             return next_lhs_point(&mut self.pending_init, space, INIT_SAMPLES, rng);
         }
         if rng.gen::<f64>() < EPSILON {
-            return UniformSampler.sample(space, rng);
+            return sample::uniform(space, rng);
         }
         let (x, y) = encode_history(space, history);
         let tree = RegressionTree::fit(&x, &y, TreeParams::default(), rng);

@@ -112,7 +112,7 @@ fn larger_batches_are_deterministic_and_fill_the_budget() {
                 "batch {batch}: runtimes diverge"
             );
         }
-        assert!(a.best.is_some(), "batch {batch}: no best found");
+        assert!(a.best().is_some(), "batch {batch}: no best found");
     }
 }
 

@@ -49,8 +49,8 @@ fn chaos_session_converges_and_is_deterministic_per_seed() {
     let a = chaos_session(1234);
     let b = chaos_session(1234);
 
-    assert!(a.best.is_some(), "chaos must not prevent convergence");
-    let best = a.best.as_ref().unwrap();
+    assert!(a.best().is_some(), "chaos must not prevent convergence");
+    let best = a.best().unwrap();
     assert!(!best.is_censored(), "the incumbent must be a real run");
     assert!(best.runtime_s.is_finite() && best.runtime_s > 0.0);
 
@@ -104,7 +104,7 @@ fn failures_without_retries_still_converge_with_degradation_report() {
     let censored = out.history.iter().filter(|o| o.is_censored()).count();
     assert_eq!(censored, d.failed + d.timed_out);
 
-    let best = out.best.expect("survivors still yield an incumbent");
+    let best = out.best().expect("survivors still yield an incumbent");
     assert!(!best.is_censored());
     assert!(best.runtime_s.is_finite() && best.runtime_s > 0.0);
 }
@@ -132,7 +132,7 @@ fn permanent_straggler_is_quarantined_and_session_survives() {
     let d = out.degradation.expect("degradation report");
     assert_eq!(d.timed_out, 1, "exactly trial #3 hangs: {d:?}");
     assert_eq!(d.quarantined, 1, "one strike quarantines the config");
-    assert!(out.best.is_some());
+    assert!(out.best().is_some());
     assert_eq!(
         out.history.iter().filter(|o| o.is_censored()).count(),
         1,
@@ -164,7 +164,7 @@ fn exhausted_failure_budget_returns_partial_outcome() {
         "partial outcome: only {} of 40 trials ran",
         out.history.len()
     );
-    assert!(out.best.is_none(), "nothing survived a 100% error rate");
+    assert!(out.best().is_none(), "nothing survived a 100% error rate");
     assert!(out.is_degraded());
 }
 
@@ -263,11 +263,11 @@ fn history_shard_rejects_poisoned_writes() {
 /// round-granular by design).
 #[test]
 fn chaos_outcomes_are_invariant_to_batch_partitioning() {
-    use confspace::{Sampler, UniformSampler};
+    use confspace::sample;
     let obj = disc_objective(29);
     let mut rng = StdRng::seed_from_u64(61);
     let configs: Vec<Configuration> = (0..12)
-        .map(|_| UniformSampler.sample(obj.space(), &mut rng))
+        .map(|_| sample::uniform(obj.space(), &mut rng))
         .collect();
     let injector = FaultInjector::new(314, FaultPlan::chaos());
     let policy = RetryPolicy::default();

@@ -38,13 +38,27 @@ fn tuning_outcome_round_trips_through_json() {
     let back: TuningOutcome = serde_json::from_str(&json).expect("parses");
     assert_eq!(back.history.len(), out.history.len());
     assert_eq!(
-        back.best.as_ref().map(|o| o.runtime_s),
-        out.best.as_ref().map(|o| o.runtime_s)
+        back.best().map(|o| o.runtime_s),
+        out.best().map(|o| o.runtime_s)
     );
     assert_eq!(
         back.best_config().map(|c| format!("{c:?}")),
         out.best_config().map(|c| format!("{c:?}"))
     );
+}
+
+/// Outcomes written while `TuningOutcome` still stored a copy of its
+/// best observation under `best` load unchanged: the key is skipped and
+/// the best is read off the history.
+#[test]
+fn outcomes_with_a_stored_best_still_load() {
+    let out = small_outcome();
+    let json = serde_json::to_string(&out).expect("serializes");
+    let best = serde_json::to_string(&out.best()).expect("serializes");
+    let old = format!("{{\"best\":{best},{}", &json[1..]);
+    let back: TuningOutcome = serde_json::from_str(&old).expect("parses");
+    assert_eq!(serde_json::to_string(&back).expect("serializes"), json);
+    assert_eq!(back.best(), out.best());
 }
 
 #[test]

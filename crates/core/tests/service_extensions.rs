@@ -34,8 +34,8 @@ fn deadline_goal_finds_a_cluster_meeting_the_deadline() {
     let obj = GoalObjective::new(inner, TuningGoal::Deadline { seconds: deadline });
     let session = TuningSession::new(TunerKind::BayesOpt, 45);
     let outcome = session.run(&obj, 18);
-    let best = outcome.best.expect("a feasible cluster exists");
-    let true_runtime = best.metrics.expect("successful run").runtime_s;
+    let best = outcome.best().expect("a feasible cluster exists");
+    let true_runtime = best.metrics.as_ref().expect("successful run").runtime_s;
     assert!(
         true_runtime <= deadline * 1.25,
         "chosen cluster runs in {true_runtime:.1}s against a {deadline:.0}s deadline"

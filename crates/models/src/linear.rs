@@ -123,11 +123,6 @@ impl ErnestModel {
             .map(|(f, t)| f * t)
             .sum()
     }
-
-    /// The fitted coefficients `[θ₀, θ₁, θ₂, θ₃]`.
-    pub fn theta(&self) -> &[f64] {
-        &self.theta
-    }
 }
 
 #[cfg(test)]

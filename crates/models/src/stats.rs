@@ -64,7 +64,7 @@ pub fn argmin(xs: &[f64]) -> Option<usize> {
 /// # Panics
 ///
 /// Panics on length mismatch.
-pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
+fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }

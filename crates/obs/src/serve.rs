@@ -21,7 +21,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -33,7 +33,6 @@ use crate::openmetrics;
 pub struct MetricsServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    scrapes: Arc<AtomicU64>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -48,18 +47,15 @@ impl MetricsServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let scrapes = Arc::new(AtomicU64::new(0));
         let handle = {
             let stop = Arc::clone(&stop);
-            let scrapes = Arc::clone(&scrapes);
             std::thread::Builder::new()
                 .name("obs-metrics-http".to_string())
-                .spawn(move || serve_loop(&listener, &stop, &scrapes))?
+                .spawn(move || serve_loop(&listener, &stop))?
         };
         Ok(MetricsServer {
             addr,
             stop,
-            scrapes,
             handle: Some(handle),
         })
     }
@@ -67,11 +63,6 @@ impl MetricsServer {
     /// The bound address (resolves port `0` requests).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Requests served so far.
-    pub fn scrapes(&self) -> u64 {
-        self.scrapes.load(Ordering::Relaxed)
     }
 
     /// Stops the serving thread and waits for it to exit. Idempotent.
@@ -102,7 +93,7 @@ fn wake_addr(bound: SocketAddr) -> SocketAddr {
     }
 }
 
-fn serve_loop(listener: &TcpListener, stop: &AtomicBool, scrapes: &AtomicU64) {
+fn serve_loop(listener: &TcpListener, stop: &AtomicBool) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -116,7 +107,6 @@ fn serve_loop(listener: &TcpListener, stop: &AtomicBool, scrapes: &AtomicU64) {
         if stop.load(Ordering::Acquire) {
             return;
         }
-        scrapes.fetch_add(1, Ordering::Relaxed);
         // A misbehaving client must not wedge the only serving thread.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
@@ -174,7 +164,6 @@ mod tests {
         let body = response.split("\r\n\r\n").nth(1).expect("body");
         assert!(body.contains("serve_test_hits_total"), "{body}");
         assert!(body.ends_with("# EOF\n"));
-        assert!(server.scrapes() >= 1);
 
         let addr = server.local_addr();
         server.shutdown();

@@ -49,16 +49,6 @@ impl ClusterSpec {
         ClusterSpec::new(catalog::h1_4xlarge(), 4)
     }
 
-    /// Total virtual CPUs across the cluster.
-    pub fn total_vcpus(&self) -> u32 {
-        self.instance.vcpus * self.nodes
-    }
-
-    /// Total memory in MiB across the cluster.
-    pub fn total_mem_mb(&self) -> u64 {
-        self.instance.mem_mb * u64::from(self.nodes)
-    }
-
     /// Cluster price in USD per hour.
     pub fn price_per_hour(&self) -> f64 {
         self.instance.price_per_hour * f64::from(self.nodes)
@@ -84,8 +74,7 @@ mod tests {
     #[test]
     fn testbed_totals() {
         let c = ClusterSpec::table1_testbed();
-        assert_eq!(c.total_vcpus(), 64);
-        assert_eq!(c.total_mem_mb(), 256 * 1024);
+        assert_eq!(c.nodes, 4);
         assert!((c.price_per_hour() - 4.0 * 0.936).abs() < 1e-9);
     }
 

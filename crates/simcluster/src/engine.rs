@@ -461,7 +461,7 @@ impl Simulator {
     }
 
     /// Number of tasks a stage runs under `env`'s configuration.
-    pub fn task_count(&self, env: &SparkEnv, stage: &StageSpec) -> usize {
+    fn task_count(&self, env: &SparkEnv, stage: &StageSpec) -> usize {
         match stage.partitioning {
             Partitioning::InputBlocks { block_mb } => {
                 ((stage.input_mb / block_mb).ceil() as usize).max(1)

@@ -51,7 +51,7 @@ pub struct ExecMetrics {
 impl ExecMetrics {
     /// Sum of all task-time components (s): the denominator for the
     /// fraction accessors below.
-    pub fn total_task_time_s(&self) -> f64 {
+    fn total_task_time_s(&self) -> f64 {
         self.stages
             .iter()
             .map(|s| s.cpu_s + s.io_s + s.net_s + s.gc_s + s.ser_s)

@@ -37,7 +37,7 @@ impl InputSpec {
     }
 
     /// Total volume in MB.
-    pub fn total_mb(&self) -> f64 {
+    fn total_mb(&self) -> f64 {
         self.records as f64 * f64::from(self.bytes_per_record) / (1024.0 * 1024.0)
     }
 

@@ -28,8 +28,7 @@ fn main() {
         let session = TuningSession::new(kind, 11);
         let outcome = session.run(&objective, budget);
         let (cluster, cost) = outcome
-            .best
-            .as_ref()
+            .best()
             .map(|o| {
                 let c = ClusterSpec::from_config(&o.config).expect("valid cloud config");
                 (c.to_string(), o.cost_usd)

@@ -62,6 +62,21 @@ done
 echo "==> cargo build -q -p bench --bins --benches"
 cargo build -q -p bench --bins --benches
 
+# Every experiment is deterministic under its fixed seeds: regenerating
+# results/ must reproduce the committed files byte for byte, with one
+# worker and with the default count (a change that moves an output on
+# purpose commits the regenerated files).
+results_unchanged() {
+  git diff --exit-code --stat -- results/ \
+    || { echo "results/ did not regenerate byte for byte"; exit 1; }
+}
+echo "==> SEAMLESS_THREADS=1 bash scripts/run_all.sh, then git diff -- results/"
+SEAMLESS_THREADS=1 bash scripts/run_all.sh > /dev/null
+results_unchanged
+echo "==> bash scripts/run_all.sh, then git diff -- results/"
+bash scripts/run_all.sh > /dev/null
+results_unchanged
+
 # The paired quality sweep, one seed, so the tool keeps running: it
 # must print one JSON line per transfer arm plus the two arm summaries.
 echo "==> service_sweep smoke (1 seed)"

@@ -123,11 +123,15 @@ fn parse_scale(s: &str) -> Result<DataScale, String> {
         "ds1" => DataScale::Ds1,
         "ds2" => DataScale::Ds2,
         "ds3" => DataScale::Ds3,
-        other => DataScale::Custom(
-            other
+        other => {
+            let mb = other
                 .parse::<f64>()
-                .map_err(|_| format!("unknown scale `{other}`"))?,
-        ),
+                .map_err(|_| format!("unknown scale `{other}`"))?;
+            if !(mb.is_finite() && mb > 0.0) {
+                return Err(format!("bad scale `{other}` (must be finite and > 0 MB)"));
+            }
+            DataScale::Custom(mb)
+        }
     })
 }
 
@@ -256,7 +260,7 @@ fn tune(args: &[String]) -> ExitCode {
             outln!("{line}");
         }
 
-        match &outcome.best {
+        match outcome.best() {
             None => outln!("no configuration survived — every execution crashed"),
             Some(best) => {
                 let true_runtime = best
@@ -387,6 +391,18 @@ mod tests {
             assert!(parse_goal(bad).is_err(), "`{bad}` must be rejected");
         }
     }
+
+    #[test]
+    fn scale_rejects_non_finite_and_non_positive_sizes() {
+        for bad in ["nan", "inf", "-inf", "-1", "0"] {
+            let err = parse_scale(bad).expect_err(bad);
+            assert!(err.contains(bad), "`{err}` names `{bad}`");
+        }
+        assert!(matches!(parse_scale("0.5"), Ok(DataScale::Custom(mb)) if mb == 0.5));
+        assert!(matches!(parse_scale("2048"), Ok(DataScale::Custom(mb)) if mb == 2048.0));
+        assert!(matches!(parse_scale("ds2"), Ok(DataScale::Ds2)));
+    }
+
     #[test]
     fn resilience_line_counts_job_crashes_apart_from_clean_runs() {
         use seamless_tuning::core::DegradationReport;
@@ -412,7 +428,6 @@ mod tests {
                 })),
                 run(Some(FailureKind::TrialTimeout)),
             ],
-            best: None,
             degradation: None,
         };
         assert_eq!(resilience_line(&outcome), None);

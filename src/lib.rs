@@ -56,7 +56,7 @@ pub use workloads;
 /// Convenience re-exports for examples and quick experiments.
 pub mod prelude {
     pub use confspace::{
-        cloud::cloud_space, spark::spark_space, Configuration, ParamSpace, Sampler, UniformSampler,
+        cloud::cloud_space, sample, spark::spark_space, Configuration, ParamSpace,
     };
     pub use seamless_core::service::ServiceConfig;
     pub use seamless_core::{

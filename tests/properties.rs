@@ -13,7 +13,7 @@ fn arb_spark_config() -> impl Strategy<Value = Configuration> {
     any::<u64>().prop_map(|seed| {
         let space = spark_space();
         let mut rng = StdRng::seed_from_u64(seed);
-        UniformSampler.sample(&space, &mut rng)
+        sample::uniform(&space, &mut rng)
     })
 }
 
@@ -21,7 +21,7 @@ fn arb_cloud_config() -> impl Strategy<Value = Configuration> {
     any::<u64>().prop_map(|seed| {
         let space = cloud_space();
         let mut rng = StdRng::seed_from_u64(seed);
-        UniformSampler.sample(&space, &mut rng)
+        sample::uniform(&space, &mut rng)
     })
 }
 
@@ -335,7 +335,7 @@ proptest! {
 
     /// The typed candidate pool and the `Configuration` path agree draw
     /// for draw and bit for bit: a uniform row's pick is
-    /// `Sampler::sample`'s configuration, a neighbour row's pick (after
+    /// `sample::uniform`'s configuration, a neighbour row's pick (after
     /// `fall_back` on rejection) is `neighbor`'s and a full decode of
     /// the moved encoding's, every row's encoding is the encoder's, and
     /// a move is admitted exactly when `validate` accepts its
@@ -351,7 +351,7 @@ proptest! {
         let mut pool = CandidatePool::new(space);
         let mut cfgs = Vec::new();
         for i in 0..3 {
-            let cfg = UniformSampler.sample(space, &mut cfg_rng);
+            let cfg = sample::uniform(space, &mut cfg_rng);
             pool.push_uniform(space, &mut pool_rng);
             prop_assert_eq!(&pool.config(space, i), &cfg);
             prop_assert_eq!(bits(pool.encoding(i)), bits(&space.encode(&cfg)));
@@ -423,7 +423,7 @@ fn dirty_pool(
     for _ in 0..5 {
         pool.push_uniform(&other, &mut rng);
     }
-    pool.set_base(&other, &UniformSampler.sample(&other, &mut rng));
+    pool.set_base(&other, &sample::uniform(&other, &mut rng));
     for _ in 0..5 {
         pool.push_neighbor(&other, 0.5, 0.8, &mut rng);
     }
@@ -528,7 +528,7 @@ fn reference_unit(p: &seamless_tuning::confspace::ParamDef, v: Option<&ParamValu
 fn damaged_config(space: &ParamSpace, seed: u64) -> Configuration {
     use rand::Rng;
     let mut rng = StdRng::seed_from_u64(seed);
-    let sample = UniformSampler.sample(space, &mut rng);
+    let sample = sample::uniform(space, &mut rng);
     let mut cfg = Configuration::new();
     for (name, v) in sample.iter() {
         let v = match rng.gen_range(0..12) {

@@ -47,7 +47,7 @@ fn saving(workload: &dyn Workload, small: DataScale, big: DataScale) -> f64 {
     let mut savings = Vec::new();
     for pool_seed in [99u64, 100, 101] {
         let mut rng = StdRng::seed_from_u64(pool_seed);
-        let pool = UniformSampler.sample_n(&space, 40, &mut rng);
+        let pool: Vec<Configuration> = (0..40).map(|_| sample::uniform(&space, &mut rng)).collect();
         let (cfg_small, _) = best_of_pool(&cluster, &workload.job(small), &pool);
         let (_, best_big) = best_of_pool(&cluster, &workload.job(big), &pool);
         let reused = run(&cluster, &workload.job(big), &cfg_small);

@@ -19,7 +19,7 @@ fn every_strategy_finds_a_working_configuration() {
     for kind in TunerKind::all() {
         let outcome = tune(kind, 15, 7);
         assert!(
-            outcome.best.is_some(),
+            outcome.best().is_some(),
             "{kind} found no successful configuration in 15 executions"
         );
         let best = outcome.best_runtime_s();
